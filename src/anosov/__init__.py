@@ -38,14 +38,14 @@ from .kernels import (
 )
 from .operators import OperatorMatrix, apply, assemble
 from .stats import (
+    Baseline,
     EigenData,
     RateTable,
     VarianceResult,
-    centered_observable,
+    baseline,
     lambda_curve,
     leading_eigenpair,
     rate_function,
-    srb_density,
     variance,
 )
 from .torus import (
@@ -88,14 +88,14 @@ __all__ = [
     "OperatorMatrix",
     "apply",
     "assemble",
+    "Baseline",
     "EigenData",
     "RateTable",
     "VarianceResult",
-    "centered_observable",
+    "baseline",
     "lambda_curve",
     "leading_eigenpair",
     "rate_function",
-    "srb_density",
     "variance",
     "CallableObservable",
     "LinearToral",

@@ -1,90 +1,22 @@
-"""Hot numeric kernels, with numba-jitted and pure-numpy implementations.
+"""Twisted-row fill, the hot loop of operator assembly.
 
-The backend is chosen once at import time from the environment variable
-``ANOSOV_NUMBA``:
-
-* ``"0"``, ``"off"``, ``"false"`` or ``"numpy"``: force the numpy fallback.
-* anything else (default ``"auto"``): use numba when it is importable.
-
-Both backends compute identical floating point expressions, so results do
-not depend on the backend beyond last-bit libm differences in ``sin``/``cos``.
+Row (j1, j2) of the frequency-space operator needs the fine-grid field
+exp(-2 pi i (j1*T1 + j2*T2)) * W.  The caller supplies power tables
+pow1[j] = exp(-2 pi i T1)**j for j = 0..n/2 (same for pow2); negative
+frequencies use the conjugate since |exp(-2 pi i T)| = 1.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("ANOSOV_NUMBA", "auto").strip().lower()
-if _flag in ("0", "off", "false", "numpy"):
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover
-        _numba = None
-        if _flag in ("1", "on", "true", "numba"):
-            import warnings
-
-            warnings.warn("ANOSOV_NUMBA requested numba but it is not importable")
-
-USE_NUMBA = _numba is not None
-
-TWO_PI = 2.0 * np.pi
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# Perturbed cat map images: T(x1, x2) = (2 x1 + x2 + amp*d*cos(2 pi x1),
-#                                        x1 + x2 + d*sin(4 pi x2 + 1))  mod 1
-# amp is 1 or 2 depending on the map form.
-
-
-def _cat_images_numpy(x1, x2, delta, amp):
-    y1 = (2.0 * x1 + x2 + amp * delta * np.cos(TWO_PI * x1)) % 1.0
-    y2 = (x1 + x2 + delta * np.sin(2.0 * TWO_PI * x2 + 1.0)) % 1.0
-    return y1, y2
-
-
-if USE_NUMBA:
-
-    @_numba.njit(parallel=True, cache=True)
-    def _cat_images_numba(x1, x2, delta, amp):  # pragma: no cover - jitted
-        y1 = np.empty_like(x1)
-        y2 = np.empty_like(x2)
-        flat1 = x1.ravel()
-        flat2 = x2.ravel()
-        o1 = y1.ravel()
-        o2 = y2.ravel()
-        for i in _numba.prange(flat1.size):
-            a = flat1[i]
-            b = flat2[i]
-            o1[i] = (2.0 * a + b + amp * delta * np.cos(TWO_PI * a)) % 1.0
-            o2[i] = (a + b + delta * np.sin(2.0 * TWO_PI * b + 1.0)) % 1.0
-        return y1, y2
-
-
-def perturbed_cat_images(x1, x2, delta: float, amp: float):
-    """Vectorised image of the perturbed cat map, reduced mod 1."""
-    if USE_NUMBA:
-        x1 = np.ascontiguousarray(x1, dtype=np.float64)
-        x2 = np.ascontiguousarray(x2, dtype=np.float64)
-        return _cat_images_numba(x1, x2, float(delta), float(amp))
-    return _cat_images_numpy(x1, x2, float(delta), float(amp))
-
-
-# ---------------------------------------------------------------------------
-# Twisted operator rows.  Row (j1, j2) of the frequency-space operator needs
-# the fine-grid field  exp(-2 pi i (j1*T1 + j2*T2)) * W.  The caller supplies
-# power tables pow1[j] = exp(-2 pi i T1)**j for j = 0..n/2 (same for pow2);
-# negative frequencies use the conjugate since |exp(-2 pi i T)| = 1.
-
-
-def _twisted_rows_numpy(pow1, pow2, w, j1s, j2s, out):
+def twisted_rows(pow1, pow2, w, j1s, j2s, out):
+    """Fill ``out[r] = pow1[j1s[r]] * pow2[j2s[r]] * w`` for a block of rows."""
     for r in range(len(j1s)):
         j1 = j1s[r]
         j2 = j2s[r]
@@ -93,35 +25,3 @@ def _twisted_rows_numpy(pow1, pow2, w, j1s, j2s, out):
         np.multiply(p1, p2, out=out[r])
         out[r] *= w
     return out
-
-
-if USE_NUMBA:
-
-    @_numba.njit(parallel=True, cache=True)
-    def _twisted_rows_numba(pow1, pow2, w, j1s, j2s, out):  # pragma: no cover
-        nrows = len(j1s)
-        nx, ny = w.shape
-        for r in _numba.prange(nrows):
-            j1 = j1s[r]
-            j2 = j2s[r]
-            a1 = j1 if j1 >= 0 else -j1
-            a2 = j2 if j2 >= 0 else -j2
-            for ix in range(nx):
-                for iy in range(ny):
-                    v1 = pow1[a1, ix, iy]
-                    if j1 < 0:
-                        v1 = v1.conjugate()
-                    v2 = pow2[a2, ix, iy]
-                    if j2 < 0:
-                        v2 = v2.conjugate()
-                    out[r, ix, iy] = v1 * v2 * w[ix, iy]
-        return out
-
-
-def twisted_rows(pow1, pow2, w, j1s, j2s, out):
-    """Fill ``out[r] = pow1[j1s[r]] * pow2[j2s[r]] * w`` for a block of rows."""
-    j1s = np.ascontiguousarray(j1s, dtype=np.int64)
-    j2s = np.ascontiguousarray(j2s, dtype=np.int64)
-    if USE_NUMBA:
-        return _twisted_rows_numba(pow1, pow2, w, j1s, j2s, out)
-    return _twisted_rows_numpy(pow1, pow2, w, j1s, j2s, out)

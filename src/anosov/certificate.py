@@ -33,19 +33,6 @@ LAMBDA_S = (3.0 - math.sqrt(5.0)) / 2.0
 _LAM_INV = 1.0 / LAMBDA_S
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    """Cone aperture and the derived derivative-perturbation bound."""
-
-    alpha: float
-    delta_prime: float
-    lambda_s: float = LAMBDA_S
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-
 @dataclass
 class CheckResult:
     passed: bool

@@ -25,15 +25,9 @@ import scipy
 from . import __version__, backend
 from .certificate import certify
 from .grids import GridSpec, write_grid, write_grid_csv
-from .kernels import BumpKernel, FejerKernel, match_epsilon
+from .kernels import BumpKernel, FejerKernel, NoRootError, match_epsilon
 from .operators import assemble, set_fft_workers, write_opmat
-from .stats import (
-    NumericalError,
-    lambda_curve,
-    rate_function,
-    srb_density,
-    variance,
-)
+from .stats import NumericalError, baseline, lambda_curve, rate_function, variance
 from .torus import LinearToral, PerturbedCat, TrigPolynomial, standard_observable
 from .ulam import build_ulam, ulam_srb, ulam_variance
 
@@ -152,16 +146,16 @@ def _cmd_srb(args, started):
     kern, matched = _make_kernel(args, grid)
     g = _make_observable(args)
     M0 = assemble(_make_map(args), kern, g, 0.0, grid)
-    srb = srb_density(M0, grid)
+    base = baseline(M0, g)
     out = _out_dir(args)
     grid_path = os.path.join(out, "srb_density.grid")
-    write_grid(grid_path, srb.density)
+    write_grid(grid_path, base.density)
     if args.csv:
-        write_grid_csv(os.path.join(out, "srb_density.csv"), srb.density)
+        write_grid_csv(os.path.join(out, "srb_density.csv"), base.density)
     payload = {
-        "leading_eigenvalue": srb.eigen.lam,
-        "eigen_residual": srb.eigen.residual,
-        "imag_discard_max": srb.imag_max,
+        "leading_eigenvalue": base.eigen.lam,
+        "eigen_residual": base.eigen.residual,
+        "imag_discard_max": base.imag_max,
         "density_file": grid_path,
     }
     if args.dump_operator:
@@ -223,8 +217,13 @@ def _cmd_lambda_curve(args, started):
 
 
 def _cmd_ulam(args, started):
-    U = build_ulam(_make_map(args), args.boxes, args.samples)
-    density = ulam_srb(U)
+    res = None
+    if args.variance:
+        g = _make_observable(args)
+        res = ulam_variance(_make_map(args), args.boxes, args.samples, g)
+        density = res.density
+    else:
+        density = ulam_srb(build_ulam(_make_map(args), args.boxes, args.samples))
     out = _out_dir(args)
     grid_path = os.path.join(out, "ulam_density.grid")
     write_grid(grid_path, density.reshape(args.boxes, args.boxes))
@@ -234,8 +233,7 @@ def _cmd_ulam(args, started):
         "density_min": float(density.min()),
         "density_file": grid_path,
     }
-    if args.variance:
-        res = ulam_variance(_make_map(args), args.boxes, args.samples, _make_observable(args))
+    if res is not None:
         payload["sigma2"] = res.sigma2
         payload["mean_shift"] = res.shift
     _write_summary(args, "ulam", payload, started)
@@ -338,13 +336,20 @@ def main(argv=None) -> int:
         args = _apply_config_file(args, argv)
         set_fft_workers(getattr(args, "workers", 1))
         return args.func(args, started)
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalError, OverflowError, MemoryError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (
+        NumericalError,
+        np.linalg.LinAlgError,
+        NoRootError,
+        OverflowError,
+        MemoryError,
+    ) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diag, indent=2), file=sys.stderr)
         return 2
+    except (ConfigError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

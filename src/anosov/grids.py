@@ -141,37 +141,54 @@ def riemann_integral(samples: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Grid dump formats: a one-line ASCII header followed by row-major
-# little-endian float64 payload (re/im pairs for complex).
+# Binary dumps (GRID here, OPMAT for operators): a one-line ASCII header whose
+# first word names the format, followed by the array row-major as
+# little-endian float64, complex entries as interleaved (re, im) pairs.
+
+
+def write_dump(path, header: str, data: np.ndarray) -> None:
+    """Write ``header`` as the first line, then the float64 payload."""
+    data = np.asarray(data)
+    if np.iscomplexobj(data):
+        data = np.stack((data.real, data.imag), axis=-1)
+    with open(path, "wb") as f:
+        f.write(f"{header}\n".encode("ascii"))
+        f.write(data.astype("<f8").tobytes())
+
+
+def read_dump(path, magic: str, nfields: int, shape_of) -> tuple:
+    """Read a dump written by :func:`write_dump`.
+
+    The header must be ``magic`` followed by ``nfields`` words;
+    ``shape_of(fields)`` gives the payload's (shape, is_complex).  Returns
+    (fields, array).
+    """
+    with open(path, "rb") as f:
+        header = f.readline().decode("ascii").split()
+        if len(header) != nfields + 1 or header[0] != magic:
+            raise ValueError(f"not a {magic} dump")
+        fields = header[1:]
+        shape, is_complex = shape_of(fields)
+        count = int(np.prod(shape)) * (2 if is_complex else 1)
+        raw = np.frombuffer(f.read(count * 8), dtype="<f8")
+    if is_complex:
+        raw = raw.reshape(*shape, 2)
+        return fields, raw[..., 0] + 1j * raw[..., 1]
+    return fields, raw.reshape(shape).copy()
 
 
 def write_grid(path, samples: np.ndarray) -> None:
     samples = np.asarray(samples)
     kind = "complex" if np.iscomplexobj(samples) else "real"
     rows, cols = samples.shape
-    with open(path, "wb") as f:
-        f.write(f"GRID {rows} {cols} {kind}\n".encode("ascii"))
-        if kind == "complex":
-            interleaved = np.empty((rows, cols, 2))
-            interleaved[..., 0] = samples.real
-            interleaved[..., 1] = samples.imag
-            f.write(interleaved.astype("<f8").tobytes())
-        else:
-            f.write(samples.astype("<f8").tobytes())
+    write_dump(path, f"GRID {rows} {cols} {kind}", samples)
 
 
 def read_grid(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
-        if len(header) != 4 or header[0] != "GRID":
-            raise ValueError("not a GRID dump")
-        rows, cols, kind = int(header[1]), int(header[2]), header[3]
-        if kind == "complex":
-            raw = np.frombuffer(f.read(rows * cols * 16), dtype="<f8")
-            raw = raw.reshape(rows, cols, 2)
-            return raw[..., 0] + 1j * raw[..., 1]
-        raw = np.frombuffer(f.read(rows * cols * 8), dtype="<f8")
-        return raw.reshape(rows, cols).copy()
+    def shape_of(fields):
+        return (int(fields[0]), int(fields[1])), fields[2] == "complex"
+
+    return read_dump(path, "GRID", 3, shape_of)[1]
 
 
 def write_grid_csv(path, samples: np.ndarray) -> None:

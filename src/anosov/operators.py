@@ -25,7 +25,15 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import backend
-from .grids import GridSpec, SpectralVector, coarse_freqs, fft_index, fine_points
+from .grids import (
+    GridSpec,
+    SpectralVector,
+    coarse_freqs,
+    fft_index,
+    fine_points,
+    read_dump,
+    write_dump,
+)
 from .torus import MapModel, Observable
 
 MAX_COARSE_ORDER = 128
@@ -170,22 +178,16 @@ def apply(M: OperatorMatrix, v: SpectralVector) -> SpectralVector:
 
 def write_opmat(path, M: OperatorMatrix) -> None:
     """Binary dump: 'OPMAT <n> <z_re> <z_im>' header then complex entries."""
-    with open(path, "wb") as f:
-        f.write(f"OPMAT {M.n} {M.z.real!r} {M.z.imag!r}\n".encode("ascii"))
-        inter = np.empty((M.entries.shape[0], M.entries.shape[1], 2))
-        inter[..., 0] = M.entries.real
-        inter[..., 1] = M.entries.imag
-        f.write(inter.astype("<f8").tobytes())
+    header = f"OPMAT {M.n} {M.z.real!r} {M.z.imag!r}"
+    write_dump(path, header, np.asarray(M.entries, dtype=complex))
 
 
 def read_opmat(path):
     """Read an OPMAT dump; returns (n, z, entries)."""
-    with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
-        if len(header) != 4 or header[0] != "OPMAT":
-            raise ValueError("not an OPMAT dump")
-        n = int(header[1])
-        z = complex(float(header[2]), float(header[3]))
-        raw = np.frombuffer(f.read(n * n * n * n * 16), dtype="<f8")
-        raw = raw.reshape(n * n, n * n, 2)
-        return n, z, raw[..., 0] + 1j * raw[..., 1]
+
+    def shape_of(fields):
+        n2 = int(fields[0]) ** 2
+        return (n2, n2), True
+
+    (n, z_re, z_im), entries = read_dump(path, "OPMAT", 3, shape_of)
+    return int(n), complex(float(z_re), float(z_im)), entries

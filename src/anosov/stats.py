@@ -1,8 +1,9 @@
 """Statistical quantities extracted from assembled transfer operators.
 
-The chain is: leading eigendata of the z = 0 operator give the invariant
-density; the observable is centered against it; the CLT variance comes from a
-single deflated linear solve; the twisted eigenvalue curve lambda(z) gives
+The chain is: the z = 0 operator, its leading eigendata, the invariant
+density and the observable centered against it form one :class:`Baseline`,
+built once per call; the CLT variance comes from a single deflated linear
+solve; the twisted eigenvalue curve lambda(z) gives
 the large-deviations rate function r(s) = sup_z (s z - ln|lambda(z)|) by a
 warm-started golden-section search.
 
@@ -117,36 +118,34 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
     return EigenData(lam, SpectralVector(M.n, v), residual, method)
 
 
-@dataclass
-class SrbDensity:
-    """Invariant density on the fine grid with the dropped-imaginary diagnostic."""
+@dataclass(frozen=True)
+class Baseline:
+    """The untwisted operator and everything the statistics derive from it.
 
+    ``density`` is the unit-mass invariant density on the fine grid (its
+    imaginary part, at most ``imag_max``, is dropped); ``shift`` is the mean
+    of g against it and ``centered`` the fine-grid samples of g - shift.
+    """
+
+    M0: OperatorMatrix
+    eigen: EigenData
     density: np.ndarray
     imag_max: float
-    eigen: EigenData
-
-
-def srb_density(M0: OperatorMatrix, grid: GridSpec) -> SrbDensity:
-    """Leading right eigenvector with unit mass, evaluated on the fine grid."""
-    eig = leading_eigenpair(M0)
-    spatial = evaluate_on_fine(eig.right_vector, grid.N)
-    return SrbDensity(spatial.real.copy(), float(np.abs(spatial.imag).max()), eig)
-
-
-@dataclass
-class CenteredObservable:
-    samples: np.ndarray
     shift: float
+    centered: np.ndarray
 
 
-def centered_observable(
-    g: Observable, M0: OperatorMatrix, grid: GridSpec
-) -> CenteredObservable:
-    """g minus its mean against the invariant density of M0."""
-    srb = srb_density(M0, grid)
-    gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
-    shift = float(riemann_integral(gs * srb.density).real)
-    return CenteredObservable(gs - shift, shift)
+def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
+    """Leading eigendata of M0, its density, and g centered against it."""
+    N = M0.grid.N
+    eig = leading_eigenpair(M0)
+    spatial = evaluate_on_fine(eig.right_vector, N)
+    density = spatial.real.copy()
+    gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
+    shift = float(riemann_integral(gs * density).real)
+    return Baseline(
+        M0, eig, density, float(np.abs(spatial.imag).max()), shift, gs - shift
+    )
 
 
 def _deflated_solve(M: OperatorMatrix, rhs: np.ndarray):
@@ -208,27 +207,34 @@ def variance(
     unit-mass invariant density of the z = 0 operator and g_c the centered
     observable.  All products are formed pointwise on the fine grid.
     """
-    M0 = assemble(map_model, kernel, g, 0.0, grid)
-    srb = srb_density(M0, grid)
-    gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
-    shift = float(riemann_integral(gs * srb.density).real)
-    gc = gs - shift
-    b = M0.entries @ restrict_to_coarse(forward_transform(gc * srb.density), grid.n).coeffs
-    izero = freq_index(0, 0, grid.n)
-    b[izero] = 0.0
+    return _variance(baseline(assemble(map_model, kernel, g, 0.0, grid), g))
+
+
+def _variance(base: Baseline) -> VarianceResult:
+    M0, gc, v = base.M0, base.centered, base.density
+    n, N = M0.grid.n, M0.grid.N
+    b = M0.entries @ restrict_to_coarse(forward_transform(gc * v), n).coeffs
+    b[freq_index(0, 0, n)] = 0.0
     w, residual = _deflated_solve(M0, b)
-    w_spatial = evaluate_on_fine(SpectralVector(grid.n, w), grid.N)
-    sigma2 = complex(riemann_integral(gc * gc * srb.density + 2.0 * gc * w_spatial))
+    w_spatial = evaluate_on_fine(SpectralVector(n, w), N)
+    sigma2 = complex(riemann_integral(gc * gc * v + 2.0 * gc * w_spatial))
     if sigma2.real < -1e-8:
         raise NumericalError(f"variance came out negative: {sigma2.real:.3e}")
     return VarianceResult(
         sigma2=float(sigma2.real),
-        shift=shift,
+        shift=base.shift,
         solve_residual=residual,
-        n=grid.n,
-        N=grid.N,
-        kernel_label=kernel.label,
+        n=n,
+        N=N,
+        kernel_label=M0.kernel_label,
     )
+
+
+def _leading_lam(base: Baseline, map_model, kernel, gc: Observable, z: float):
+    """Leading eigenvalue at twist z; z = 0 reuses the baseline eigenpair."""
+    if z == 0.0:
+        return base.eigen.lam
+    return leading_eigenpair(assemble(map_model, kernel, gc, z, base.M0.grid)).lam
 
 
 @dataclass
@@ -249,18 +255,12 @@ def lambda_curve(
     The observable is centered against the invariant density of the z = 0
     operator before twisting, so d/dz ln|lambda| vanishes at z = 0.
     """
-    M0 = assemble(map_model, kernel, g, 0.0, grid)
-    shift = centered_observable(g, M0, grid).shift
-    gc = g.shifted(shift)
-    out = []
-    for z in z_values:
-        z = float(z)
-        if z == 0.0:
-            lam = leading_eigenpair(M0).lam
-        else:
-            lam = leading_eigenpair(assemble(map_model, kernel, gc, z, grid)).lam
-        out.append(LambdaPoint(z, complex(lam)))
-    return out
+    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
+    gc = g.shifted(base.shift)
+    return [
+        LambdaPoint(z, complex(_leading_lam(base, map_model, kernel, gc, z)))
+        for z in map(float, z_values)
+    ]
 
 
 @dataclass
@@ -360,20 +360,15 @@ def rate_function(
     if not z_lo < 0.0 < z_hi:
         raise ValueError("z bracket must contain 0")
 
-    M0 = assemble(map_model, kernel, g, 0.0, grid)
-    shift = centered_observable(g, M0, grid).shift
-    gc = g.shifted(shift)
-    var = variance(map_model, kernel, g, grid)
+    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
+    gc = g.shifted(base.shift)
+    var = _variance(base)
 
     memo: dict = {}
 
     def log_lam(z: float) -> float:
         if z not in memo:
-            if z == 0.0:
-                lam = leading_eigenpair(M0).lam
-            else:
-                lam = leading_eigenpair(assemble(map_model, kernel, gc, z, grid)).lam
-            memo[z] = math.log(abs(lam))
+            memo[z] = math.log(abs(_leading_lam(base, map_model, kernel, gc, z)))
         return memo[z]
 
     expanded = False
@@ -400,7 +395,7 @@ def rate_function(
     return RateTable(
         rows=rows,
         sigma2=var.sigma2,
-        shift=shift,
+        shift=base.shift,
         z_bracket=(z_lo, z_hi),
         bracket_expanded=expanded,
     )

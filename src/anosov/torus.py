@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -114,7 +112,10 @@ class PerturbedCat(MapModel):
         return 2.0 if self.form == "section7" else 1.0
 
     def image_arrays(self, x1, x2):
-        return backend.perturbed_cat_images(x1, x2, self.delta, self.cos_amp)
+        amp, d = self.cos_amp, self.delta
+        y1 = (2.0 * x1 + x2 + amp * d * np.cos(TWO_PI * x1)) % 1.0
+        y2 = (x1 + x2 + d * np.sin(2.0 * TWO_PI * x2 + 1.0)) % 1.0
+        return y1, y2
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:
         d = self.delta
@@ -178,10 +179,6 @@ class TrigPolynomial(Observable):
         m[(0, 0)] = m.get((0, 0), 0.0) - a
         return TrigPolynomial(tuple(m.items()))
 
-    def max_abs_bound(self) -> float:
-        """Upper bound on sup|g| via the l1 norm of the amplitudes."""
-        return float(sum(abs(c) for _, c in self.modes))
-
     @property
     def label(self) -> str:
         return "trig[" + ",".join(f"({j1},{j2})" for (j1, j2), _ in self.modes) + "]"
@@ -200,11 +197,6 @@ class CallableObservable(Observable):
     def shifted(self, a: float) -> "CallableObservable":
         fn = self.fn
         return CallableObservable(lambda x1, x2: fn(x1, x2) - a, name=f"{self.name}-shifted")
-
-    def max_abs_bound(self) -> float:
-        g = np.linspace(0.0, 1.0, 257)[:-1]
-        x1, x2 = np.meshgrid(g, g, indexing="ij")
-        return float(np.abs(self.sample(x1, x2)).max()) * 1.5
 
     @property
     def label(self) -> str:

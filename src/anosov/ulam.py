@@ -87,20 +87,6 @@ def build_ulam(map_model: MapModel, m: int, k: int) -> UlamMatrix:
     return U
 
 
-def box_averages(g: Observable, m: int, k: int) -> np.ndarray:
-    """Mean of g over each box's sample lattice."""
-    ks = int(round(np.sqrt(k)))
-    if ks * ks != k:
-        raise ValueError("samples per box must be a perfect square")
-    o1, o2 = _sample_offsets(m, ks)
-    out = np.empty(m * m)
-    for i1 in range(m):
-        x1 = (i1 / m + o1)[None, :] + np.zeros((m, 1))
-        x2 = (np.arange(m)[:, None] / m) + o2[None, :]
-        out[i1 * m : (i1 + 1) * m] = g.sample(x1, x2).mean(axis=1)
-    return out
-
-
 def ulam_srb(U: UlamMatrix) -> np.ndarray:
     """Invariant density per box (averages one), from the left eigenvector.
 
@@ -127,6 +113,7 @@ class UlamVarianceResult:
     solve_residual: float
     m: int
     samples_per_box: int
+    density: np.ndarray  # invariant density per box, as from ulam_srb; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -175,4 +162,5 @@ def ulam_variance(
         solve_residual=residual,
         m=m,
         samples_per_box=k,
+        density=density,
     )

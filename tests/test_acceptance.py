@@ -15,6 +15,7 @@ from anosov import (
     GridSpec,
     SpectralVector,
     assemble,
+    baseline,
     build_ulam,
     cat_map,
     certified_delta_threshold,
@@ -29,7 +30,6 @@ from anosov import (
     rate_function,
     restrict_to_coarse,
     riemann_integral,
-    srb_density,
     standard_observable,
     translate_bound_product,
     ulam_variance,
@@ -95,7 +95,7 @@ def test_criterion2_ulam_variance(perturbed_map, std_g):
 def _series_sigma2(map_model, kernel, g, grid, terms):
     """Truncated Green-Kubo series, independent of the linear-solve path."""
     M0 = assemble(map_model, kernel, g, 0.0, grid)
-    srb = srb_density(M0, grid)
+    srb = baseline(M0, g)
     gs = g.sample(*fine_points(grid.N))
     gc = gs - riemann_integral(gs * srb.density).real
     x = restrict_to_coarse(forward_transform(gc * srb.density), grid.n).coeffs

@@ -12,7 +12,7 @@ from anosov import (
     diffeo_margin,
     translate_bound_product,
 )
-from anosov.certificate import LAMBDA_S, ConeParams
+from anosov.certificate import LAMBDA_S
 
 ALPHA = 0.11872
 
@@ -21,13 +21,6 @@ def test_stable_eigenvalue_identity():
     assert LAMBDA_S * (1.0 / LAMBDA_S) == pytest.approx(1.0, abs=1e-15)
     # eigenvalue of the cat matrix
     assert LAMBDA_S**2 - 3 * LAMBDA_S + 1 == pytest.approx(0.0, abs=1e-14)
-
-
-def test_cone_params_validation():
-    p = ConeParams(alpha=ALPHA, delta_prime=4 * math.pi * 0.01)
-    assert p.lambda_s == LAMBDA_S
-    with pytest.raises(ValueError):
-        ConeParams(alpha=1.5, delta_prime=0.1)
 
 
 def test_diffeo_margin_values():

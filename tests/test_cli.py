@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import anosov.cli as cli_mod
+import anosov.ulam as ulam_mod
+from anosov import build_ulam, cat_map, standard_observable, ulam_srb, ulam_variance
 from anosov.cli import main
 from anosov.grids import read_grid
+from anosov.kernels import NoRootError
 
 
 def _load_summary(tmp_path, name):
@@ -155,7 +159,21 @@ def test_lambda_curve_command(tmp_path):
     assert abs(float(z0[1]) - 1.0) < 1e-10
 
 
-def test_ulam_command_with_variance(tmp_path):
+def test_ulam_command_with_variance(tmp_path, monkeypatch):
+    calls = {"build": 0, "srb": 0}
+    build, srb = ulam_mod._build, ulam_mod.ulam_srb
+
+    def counting_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    def counting_srb(U):
+        calls["srb"] += 1
+        return srb(U)
+
+    monkeypatch.setattr(ulam_mod, "_build", counting_build)
+    monkeypatch.setattr(ulam_mod, "ulam_srb", counting_srb)
+    monkeypatch.setattr(cli_mod, "ulam_srb", counting_srb)
     code = main(
         [
             "ulam",
@@ -175,6 +193,13 @@ def test_ulam_command_with_variance(tmp_path):
     assert density.shape == (16, 16)
     summary = _load_summary(tmp_path, "ulam_summary.json")
     assert "sigma2" in summary["results"]
+    # one transition matrix and one stationary solve serve both outputs
+    assert calls == {"build": 1, "srb": 1}
+    monkeypatch.undo()
+    expected = ulam_srb(build_ulam(cat_map(), 16, 100)).reshape(16, 16)
+    assert np.array_equal(density, expected)
+    res = ulam_variance(cat_map(), 16, 100, standard_observable())
+    assert summary["results"]["sigma2"] == res.sigma2
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -268,3 +293,21 @@ def test_numerical_failure_exits_two(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "target, exc, scheme",
+    [
+        ("variance", np.linalg.LinAlgError("Eigenvalues did not converge"), "fejer"),
+        ("match_epsilon", NoRootError("no root in the scan range"), "bump"),
+    ],
+)
+def test_solver_exceptions_exit_two(tmp_path, monkeypatch, capsys, target, exc, scheme):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, target, fail)
+    argv = ["variance", "--map", "cat", "--scheme", scheme, "--n", "8", "--fine", "64"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": type(exc).__name__, "message": str(exc)}

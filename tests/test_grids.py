@@ -135,8 +135,13 @@ def test_grid_dump_round_trip(tmp_path, rng):
     write_grid(p2, cplx)
     assert np.array_equal(read_grid(p1), real)
     assert np.array_equal(read_grid(p2), cplx)
-    with open(p1, "rb") as f:
-        assert f.readline() == b"GRID 8 8 real\n"
+    # on-disk layout: ASCII header line, row-major little-endian float64,
+    # complex entries as interleaved (re, im) pairs
+    pairs = np.empty((8, 8, 2))
+    pairs[..., 0] = cplx.real
+    pairs[..., 1] = cplx.imag
+    assert p1.read_bytes() == b"GRID 8 8 real\n" + real.astype("<f8").tobytes()
+    assert p2.read_bytes() == b"GRID 8 8 complex\n" + pairs.astype("<f8").tobytes()
     csv_path = tmp_path / "real.csv"
     write_grid_csv(csv_path, real)
     loaded = np.loadtxt(csv_path, delimiter=",")

@@ -126,3 +126,7 @@ def test_opmat_round_trip(tmp_path, perturbed_map, fejer, std_g):
     n, z, entries = read_opmat(path)
     assert n == 8 and z == 0.25 + 0.0j
     assert np.array_equal(entries, M.entries)
+    pairs = np.empty((64, 64, 2))
+    pairs[..., 0] = M.entries.real
+    pairs[..., 1] = M.entries.imag
+    assert path.read_bytes() == b"OPMAT 8 0.25 0.0\n" + pairs.astype("<f8").tobytes()

@@ -7,15 +7,14 @@ from anosov import (
     SpectralVector,
     TrigPolynomial,
     assemble,
+    baseline,
     cat_map,
-    centered_observable,
     evaluate_on_fine,
     lambda_curve,
     leading_eigenpair,
     rate_function,
     restrict_to_coarse,
     riemann_integral,
-    srb_density,
     standard_observable,
     variance,
 )
@@ -56,7 +55,7 @@ def test_cat_map_srb_is_lebesgue(linear_cat, fejer, std_g):
     e0 = np.zeros(16 * 16, dtype=complex)
     e0[freq_index(0, 0, 16)] = 1.0
     assert np.abs(eig.right_vector.coeffs - e0).max() < 1e-10
-    srb = srb_density(M0, grid)
+    srb = baseline(M0, std_g)
     assert np.allclose(srb.density, 1.0, atol=1e-10)
 
 
@@ -69,8 +68,8 @@ def test_perturbed_leading_eigenvalue_is_one(perturbed_map, fejer, std_g, small_
 
 def test_srb_density_deterministic(perturbed_map, fejer, std_g, small_grid):
     M0 = assemble(perturbed_map, fejer, std_g, 0.0, small_grid)
-    a = srb_density(M0, small_grid)
-    b = srb_density(M0, small_grid)
+    a = baseline(M0, std_g)
+    b = baseline(M0, std_g)
     assert np.array_equal(a.density, b.density)
     assert riemann_integral(a.density) == pytest.approx(1.0, abs=1e-10)
 
@@ -78,12 +77,12 @@ def test_srb_density_deterministic(perturbed_map, fejer, std_g, small_grid):
 def test_centered_observable_linear_map(linear_cat, fejer, std_g):
     grid = GridSpec(16, 128)
     M0 = assemble(linear_cat, fejer, std_g, 0.0, grid)
-    cen = centered_observable(std_g, M0, grid)
+    cen = baseline(M0, std_g)
     assert abs(cen.shift) < 1e-12
     const = TrigPolynomial((((0, 0), 2.5),))
-    cen = centered_observable(const, M0, grid)
+    cen = baseline(M0, const)
     assert cen.shift == pytest.approx(2.5, abs=1e-12)
-    assert np.abs(cen.samples).max() < 1e-12
+    assert np.abs(cen.centered).max() < 1e-12
 
 
 def test_variance_cat_map_analytic(linear_cat, fejer, std_g):
@@ -103,7 +102,7 @@ def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
     res = variance(perturbed_map, fejer, std_g, grid)
     # independent truncated-series oracle
     M0 = assemble(perturbed_map, fejer, std_g, 0.0, grid)
-    srb = srb_density(M0, grid)
+    srb = baseline(M0, std_g)
     gs = std_g.sample(*fine_points(grid.N))
     gc = gs - riemann_integral(gs * srb.density).real
     x = restrict_to_coarse(forward_transform(gc * srb.density), grid.n).coeffs
@@ -162,6 +161,40 @@ def test_rate_function_boundary_flag(perturbed_map, fejer, std_g, small_grid):
     assert tab.bracket_expanded
     assert tab.z_bracket == (-0.1, 0.1)
     assert tab.rows[0].at_bracket_boundary
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, k, g, grid: rate_function(m, k, g, grid, [0.0, 0.1]),
+        lambda m, k, g, grid: lambda_curve(m, k, g, grid, [-0.1, 0.0, 0.1]),
+    ],
+    ids=["rate_function", "lambda_curve"],
+)
+def test_untwisted_baseline_computed_once(
+    perturbed_map, fejer, std_g, monkeypatch, run
+):
+    import anosov.stats as stats_mod
+
+    twists = {"assemble": [], "eig": []}
+    assemble_orig = stats_mod.assemble
+    eig_orig = stats_mod.leading_eigenpair
+
+    def counting_assemble(*args, **kwargs):
+        M = assemble_orig(*args, **kwargs)
+        twists["assemble"].append(M.z)
+        return M
+
+    def counting_eig(M):
+        twists["eig"].append(M.z)
+        return eig_orig(M)
+
+    monkeypatch.setattr(stats_mod, "assemble", counting_assemble)
+    monkeypatch.setattr(stats_mod, "leading_eigenpair", counting_eig)
+    run(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    assert twists["assemble"].count(0) == 1
+    assert twists["eig"].count(0) == 1
+    assert len(twists["eig"]) == len(twists["assemble"])
 
 
 def test_power_iteration_path(perturbed_map, fejer, std_g, monkeypatch):
