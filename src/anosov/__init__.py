@@ -56,8 +56,6 @@ from .torus import (
     TorusPoint,
     TrigPolynomial,
     cat_map,
-    eval_map,
-    eval_observable,
     standard_observable,
 )
 from .ulam import UlamMatrix, build_ulam, ulam_srb, ulam_variance
@@ -104,8 +102,6 @@ __all__ = [
     "TorusPoint",
     "TrigPolynomial",
     "cat_map",
-    "eval_map",
-    "eval_observable",
     "standard_observable",
     "UlamMatrix",
     "build_ulam",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: certify, srb, variance, rate, lambda-curve, ulam.  Options can
-be preloaded from a JSON config file (--config); explicit flags win over the
-file.  Every run writes a JSON summary with the scalar results, residuals
-and provenance (config echo, config hash, versions, backend, wall time).
-Grids are dumped in the GRID binary format, tables as CSV.
+be preloaded from a JSON config file (--config): its values become the
+subcommand's defaults, so any explicit flag, alias or abbreviation included,
+wins over the file.  Every run writes a JSON summary with the scalar
+results, residuals and provenance (config echo, config hash, versions,
+backend, wall time).  Grids are dumped in the GRID binary format, tables as
+CSV.  --workers sets the FFT thread count through scipy.fft.set_workers.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -20,13 +22,13 @@ import sys
 import time
 
 import numpy as np
-import scipy
+import scipy.fft
 
 from . import __version__, backend
 from .certificate import certify
 from .grids import GridSpec, write_grid, write_grid_csv
 from .kernels import BumpKernel, FejerKernel, NoRootError, match_epsilon
-from .operators import assemble, set_fft_workers, write_opmat
+from .operators import assemble, write_opmat
 from .stats import NumericalError, baseline, lambda_curve, rate_function, variance
 from .torus import LinearToral, PerturbedCat, TrigPolynomial, standard_observable
 from .ulam import build_ulam, ulam_srb, ulam_variance
@@ -74,7 +76,13 @@ def _make_observable(args):
         raise ConfigError(f"bad observable spec {spec!r}: {exc}") from None
 
 
-def _make_kernel(args, grid: GridSpec):
+def _fourier_problem(args):
+    """Map, kernel, observable and grid of a Fourier-scheme run.
+
+    Also returns the bump-width fields every such summary reports: the
+    epsilon in use and, when it was matched, the matching residual.
+    """
+    grid = GridSpec(args.n, args.fine)
     matched = {"epsilon": None, "matching_residual": None}
     if args.scheme == "fejer":
         kern = FejerKernel()
@@ -87,13 +95,21 @@ def _make_kernel(args, grid: GridSpec):
         kern = BumpKernel(eps)
     else:
         raise ConfigError(f"scheme {args.scheme!r} is not a Fourier scheme")
-    return kern, matched
+    return _make_map(args), kern, _make_observable(args), grid, matched
 
 
 def _out_dir(args) -> str:
     d = args.out_dir or os.environ.get("ANOSOV_OUT", ".")
     os.makedirs(d, exist_ok=True)
     return d
+
+
+def _write_csv(path: str, header: list, rows) -> str:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _write_summary(args, task: str, payload: dict, started: float) -> str:
@@ -123,29 +139,22 @@ def _write_summary(args, task: str, payload: dict, started: float) -> str:
 def _cmd_certify(args, started):
     report = certify(args.delta, args.alpha)
     _write_summary(args, "certify", report.to_dict(), started)
-    return 0
 
 
 def _cmd_variance(args, started):
-    g = _make_observable(args)
     if args.scheme == "ulam":
-        res = ulam_variance(_make_map(args), args.boxes, args.samples, g)
-        payload = res.to_dict()
+        g = _make_observable(args)
+        payload = ulam_variance(_make_map(args), args.boxes, args.samples, g).to_dict()
     else:
-        grid = GridSpec(args.n, args.fine)
-        kern, matched = _make_kernel(args, grid)
-        res = variance(_make_map(args), kern, g, grid)
-        payload = res.to_dict()
+        map_model, kern, g, grid, matched = _fourier_problem(args)
+        payload = variance(map_model, kern, g, grid).to_dict()
         payload.update(matched)
     _write_summary(args, "variance", payload, started)
-    return 0
 
 
 def _cmd_srb(args, started):
-    grid = GridSpec(args.n, args.fine)
-    kern, matched = _make_kernel(args, grid)
-    g = _make_observable(args)
-    M0 = assemble(_make_map(args), kern, g, 0.0, grid)
+    map_model, kern, g, grid, matched = _fourier_problem(args)
+    M0 = assemble(map_model, kern, g, 0.0, grid)
     base = baseline(M0, g)
     out = _out_dir(args)
     grid_path = os.path.join(out, "srb_density.grid")
@@ -164,23 +173,18 @@ def _cmd_srb(args, started):
         payload["operator_file"] = op_path
     payload.update(matched)
     _write_summary(args, "srb", payload, started)
-    return 0
 
 
 def _cmd_rate(args, started):
-    grid = GridSpec(args.n, args.fine)
-    kern, matched = _make_kernel(args, grid)
-    g = _make_observable(args)
+    map_model, kern, g, grid, matched = _fourier_problem(args)
     s_values = _parse_range(args.s)
     bracket = tuple(float(x) for x in args.z_bracket.split(","))
-    table = rate_function(_make_map(args), kern, g, grid, s_values, bracket)
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "rate_table.csv")
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["s", "z_star", "r", "iterations", "boundary_flag"])
-        for row in table.to_rows():
-            writer.writerow(row)
+    table = rate_function(map_model, kern, g, grid, s_values, bracket)
+    csv_path = _write_csv(
+        os.path.join(_out_dir(args), "rate_table.csv"),
+        ["s", "z_star", "r", "iterations", "boundary_flag"],
+        table.to_rows(),
+    )
     payload = {
         "rows": len(table.rows),
         "sigma2": table.sigma2,
@@ -191,29 +195,22 @@ def _cmd_rate(args, started):
     }
     payload.update(matched)
     _write_summary(args, "rate", payload, started)
-    return 0
 
 
 def _cmd_lambda_curve(args, started):
-    grid = GridSpec(args.n, args.fine)
-    kern, matched = _make_kernel(args, grid)
-    g = _make_observable(args)
-    zs = _parse_range(args.z)
-    points = lambda_curve(_make_map(args), kern, g, grid, zs)
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "lambda_curve.csv")
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["z", "lambda_re", "lambda_im", "log_abs_lambda"])
-        for p in points:
-            writer.writerow([p.z, p.lam.real, p.lam.imag, np.log(abs(p.lam))])
+    map_model, kern, g, grid, matched = _fourier_problem(args)
+    points = lambda_curve(map_model, kern, g, grid, _parse_range(args.z))
+    csv_path = _write_csv(
+        os.path.join(_out_dir(args), "lambda_curve.csv"),
+        ["z", "lambda_re", "lambda_im", "log_abs_lambda"],
+        ([p.z, p.lam.real, p.lam.imag, np.log(abs(p.lam))] for p in points),
+    )
     payload = {
         "points": [{"z": p.z, "lambda": p.lam} for p in points],
         "table_file": csv_path,
     }
     payload.update(matched)
     _write_summary(args, "lambda-curve", payload, started)
-    return 0
 
 
 def _cmd_ulam(args, started):
@@ -237,7 +234,6 @@ def _cmd_ulam(args, started):
         payload["sigma2"] = res.sigma2
         payload["mean_shift"] = res.shift
     _write_summary(args, "ulam", payload, started)
-    return 0
 
 
 def _add_common(p):
@@ -262,11 +258,13 @@ def _add_common(p):
         "--workers",
         type=int,
         default=1,
-        help="FFT worker threads during assembly; does not change results",
+        help="FFT threads as in scipy.fft.set_workers: nonzero, negative counts "
+        "back from the CPU count; does not change results",
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="anosov",
         description="Spectral and Ulam approximation of statistical data of torus maps",
@@ -303,10 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--variance", action="store_true", help="also compute sigma^2")
     p.set_defaults(func=_cmd_ulam)
-    return ap
+    return ap, sub.choices
 
 
-def _apply_config_file(args, argv):
+def _parse_args(argv):
+    """Parse argv; with --config, the file's values become the subcommand's
+    defaults and argv is parsed again, so explicit flags win."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     if not args.config:
         return args
     try:
@@ -314,28 +316,23 @@ def _apply_config_file(args, argv):
             loaded = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    explicit = {
-        a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")
-    }
+    config = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        if attr not in explicit:
-            setattr(args, attr, value)
-    return args
+        config[attr] = value
+    commands[args.command].set_defaults(**config)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     started = time.perf_counter()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(args, argv)
-        set_fft_workers(getattr(args, "workers", 1))
-        return args.func(args, started)
+        args = _parse_args(argv)
+        with scipy.fft.set_workers(args.workers):
+            args.func(args, started)
+        return 0
     # LinAlgError subclasses ValueError, so it must be caught first
     except (
         NumericalError,

@@ -14,6 +14,7 @@ coefficient magnitude equals the smallest Fejer coefficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +44,15 @@ def fejer_coefficients(n: int) -> SpectralVector:
     return SpectralVector(n, np.outer(w, w).astype(complex))
 
 
-_radius2_cache: dict = {}
-
-
-def _torus_radius2(N: int):
-    if N not in _radius2_cache:
-        a = np.arange(N) / N
-        r = np.where(a >= 0.5, a - 1.0, a)
-        r1, r2 = np.meshgrid(r, r, indexing="ij")
-        _radius2_cache[N] = r1 * r1 + r2 * r2
-    return _radius2_cache[N]
+@functools.lru_cache(maxsize=1)
+def _torus_radius2(N: int) -> np.ndarray:
+    """Squared torus distance of each fine point to the origin (read-only)."""
+    a = np.arange(N) / N
+    r = np.where(a >= 0.5, a - 1.0, a)
+    r1, r2 = np.meshgrid(r, r, indexing="ij")
+    d2 = r1 * r1 + r2 * r2
+    d2.flags.writeable = False
+    return d2
 
 
 def bump_spatial(epsilon: float, N: int) -> np.ndarray:

@@ -9,7 +9,8 @@ Assembly is row-blocked: the map images T(y) are sampled once on the fine
 grid, power tables exp(-2 pi i j T)^|j| are cached per (map, grid), and each
 block of rows is one batched FFT.  The kernel only scales rows, so the
 kernel-independent base matrix is cached and reused across kernels at the
-same (map, twist, grid).
+same (map, twist, grid).  The FFTs use scipy.fft's thread count, set with
+scipy.fft.set_workers; it does not change results.
 
 Memory guard: n > 128 is refused unless allow_large=True (the dense matrix
 has n^4 complex entries).  The -k column lookup requires N >= 2n so that all
@@ -18,6 +19,7 @@ negated coarse frequencies are representable on the fine grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -38,15 +40,6 @@ from .torus import MapModel, Observable
 
 MAX_COARSE_ORDER = 128
 EXP_GUARD = 700.0
-
-# batched-FFT worker count used during assembly; parallelism only batches
-# independent transforms, so results do not depend on it
-FFT_WORKERS = 1
-
-
-def set_fft_workers(workers: int) -> None:
-    global FFT_WORKERS
-    FFT_WORKERS = max(1, int(workers))
 
 
 @dataclass
@@ -107,7 +100,7 @@ class OperatorAssembler:
         for i1, j1 in enumerate(js):
             j1s = np.full(n, j1, dtype=np.int64)
             backend.twisted_rows(pow1, pow2, w, j1s, j2s, block)
-            C = sfft.fft2(block, axes=(-2, -1), overwrite_x=True, workers=FFT_WORKERS)
+            C = sfft.fft2(block, axes=(-2, -1), overwrite_x=True)
             C *= 1.0 / (N * N)
             base[i1 * n : (i1 + 1) * n, :] = C[:, gat[:, None], gat[None, :]].reshape(
                 n, n * n
@@ -117,16 +110,10 @@ class OperatorAssembler:
         return base
 
 
-_assemblers: dict = {}
-
-
+@functools.lru_cache(maxsize=2)
 def get_assembler(map_model: MapModel, grid: GridSpec) -> OperatorAssembler:
-    key = (map_model, grid)
-    if key not in _assemblers:
-        if len(_assemblers) >= 2:
-            _assemblers.pop(next(iter(_assemblers)))
-        _assemblers[key] = OperatorAssembler(map_model, grid)
-    return _assemblers[key]
+    """The process-wide assembler of (map, grid), two most recently used kept."""
+    return OperatorAssembler(map_model, grid)
 
 
 def assemble(

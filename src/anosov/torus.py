@@ -131,11 +131,6 @@ class PerturbedCat(MapModel):
         return f"perturbed-cat[{self.form},delta={self.delta!r}]"
 
 
-def eval_map(m: MapModel, p: TorusPoint) -> TorusPoint:
-    """T(p) reduced mod 1."""
-    return m(p)
-
-
 class Observable:
     """Base class: a real-valued function on T^2."""
 
@@ -213,7 +208,3 @@ def standard_observable() -> TrigPolynomial:
             ((0, -1), 0.5j),
         )
     )
-
-
-def eval_observable(g: Observable, p: TorusPoint) -> float:
-    return g(p)

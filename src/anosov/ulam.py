@@ -51,11 +51,8 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
         raise ValueError("samples per box must be a perfect square")
     o1, o2 = _sample_offsets(m, ks)
     nboxes = m * m
-    indptr = np.zeros(nboxes + 1, dtype=np.int64)
-    index_chunks = []
-    data_chunks = []
+    keys, counts = [], []
     gbox = np.empty(nboxes) if g is not None else None
-    row = 0
     for i1 in range(m):
         # one row of boxes at a time: (m, k) sample coordinates
         x1 = (i1 / m + o1)[None, :] + np.zeros((m, 1))
@@ -64,20 +61,15 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
         dest = (y1 * m).astype(np.int64) % m * m + (y2 * m).astype(np.int64) % m
         if g is not None:
             gbox[i1 * m : (i1 + 1) * m] = g.sample(x1, x2).mean(axis=1)
-        combined = np.arange(m, dtype=np.int64)[:, None] * (nboxes + 1) + dest
-        uniq, counts = np.unique(combined.ravel(), return_counts=True)
-        local = uniq // (nboxes + 1)
-        cols = uniq % (nboxes + 1)
-        for i2 in range(m):
-            sel = local == i2
-            index_chunks.append(cols[sel])
-            data_chunks.append(counts[sel] / k)
-            row += 1
-            indptr[row] = indptr[row - 1] + int(sel.sum())
-    P = sp.csr_matrix(
-        (np.concatenate(data_chunks), np.concatenate(index_chunks), indptr),
-        shape=(nboxes, nboxes),
-    )
+        # (box, destination) pairs encoded as box * nboxes + destination
+        boxes = np.arange(i1 * m, (i1 + 1) * m, dtype=np.int64)
+        pairs = (boxes[:, None] * nboxes + dest).ravel()
+        uniq, c = np.unique(pairs, return_counts=True)
+        keys.append(uniq)
+        counts.append(c)
+    rows, cols = np.divmod(np.concatenate(keys), nboxes)
+    data = np.concatenate(counts) / k
+    P = sp.csr_matrix((data, (rows, cols)), shape=(nboxes, nboxes))
     return UlamMatrix(m, P, k), gbox
 
 

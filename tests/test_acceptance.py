@@ -30,7 +30,6 @@ from anosov import (
     rate_function,
     restrict_to_coarse,
     riemann_integral,
-    standard_observable,
     translate_bound_product,
     ulam_variance,
     variance,

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import anosov.cli as cli_mod
 import anosov.ulam as ulam_mod
@@ -202,24 +203,43 @@ def test_ulam_command_with_variance(tmp_path, monkeypatch):
     assert summary["results"]["sigma2"] == res.sigma2
 
 
-def test_config_file_with_flag_override(tmp_path):
+@pytest.mark.parametrize(
+    "flags, key, value",
+    [
+        (["--n", "8"], "n", 8),
+        (["--N", "64"], "fine", 64),
+        (["--fin", "64"], "fine", 64),
+        (["--fine=64"], "fine", 64),
+    ],
+    ids=["n", "N-alias", "abbreviation", "equals"],
+)
+def test_config_file_with_flag_override(tmp_path, flags, key, value):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"map": "cat", "n": 16, "fine": 64, "scheme": "fejer"}))
-    code = main(
-        [
-            "variance",
-            "--config",
-            str(cfg),
-            "--n",
-            "8",
-            "--out-dir",
-            str(tmp_path),
-        ]
-    )
+    cfg.write_text(json.dumps({"map": "cat", "n": 16, "fine": 128, "scheme": "fejer"}))
+    code = main(["variance", "--config", str(cfg), *flags, "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = _load_summary(tmp_path, "variance_summary.json")
-    assert summary["config"]["n"] == 8  # flag wins
-    assert summary["config"]["map"] == "cat"  # from the file
+    config = _load_summary(tmp_path, "variance_summary.json")["config"]
+    # the flag wins, whatever spelling it was given in; the rest is from the file
+    expected = {"map": "cat", "n": 16, "fine": 128, "scheme": "fejer", key: value}
+    assert {k: config[k] for k in expected} == expected
+
+
+def test_config_file_strings_are_type_converted(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"delta": "0.02", "alpha": "0.1"}))
+    assert main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    summary = _load_summary(tmp_path, "certify_summary.json")
+    assert summary["config"]["delta"] == 0.02 and summary["config"]["alpha"] == 0.1
+
+
+def test_fft_workers_do_not_change_results(tmp_path):
+    argv = ["variance", "--n", "8", "--fine", "64", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--json-name", "w1.json"]) == 0
+    assert main(argv + ["--workers", "2", "--json-name", "w2.json"]) == 0
+    a = _load_summary(tmp_path, "w1.json")["results"]
+    b = _load_summary(tmp_path, "w2.json")["results"]
+    assert a == b
+    assert scipy.fft.get_workers() == 1  # the setting does not outlive the run
 
 
 def test_bad_configuration_exits_one(tmp_path, capsys):
@@ -227,6 +247,8 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
     assert main(["variance", "--config", str(cfg)]) == 1
+    assert main(["variance", "--workers", "0", "--out-dir", str(tmp_path)]) == 1
+    assert "workers must not be zero" in capsys.readouterr().err
 
 
 def test_rerun_reproduces_scalars_bitwise(tmp_path):

@@ -10,7 +10,7 @@ from anosov import (
     match_epsilon,
     summability_check,
 )
-from anosov.kernels import NoRootError, ResolutionError, bump_spatial
+from anosov.kernels import NoRootError, ResolutionError, _torus_radius2, bump_spatial
 
 
 def test_fejer_closed_form():
@@ -48,6 +48,15 @@ def test_bump_spatial_properties():
     r1, r2 = np.meshgrid(r, r, indexing="ij")
     outside = r1 * r1 + r2 * r2 >= eps * eps
     assert np.all(q[outside] == 0.0)
+
+
+def test_torus_radius2_is_shared_read_only():
+    d2 = _torus_radius2(64)
+    assert not d2.flags.writeable
+    with pytest.raises(ValueError):
+        d2[0, 0] = 1.0
+    assert _torus_radius2(64) is d2
+    assert d2[0, 32] == 0.25 and d2[63, 63] == 2 / 64**2
 
 
 def test_bump_resolution_guard():

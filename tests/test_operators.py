@@ -10,10 +10,9 @@ from anosov import (
     assemble,
     cat_map,
     coarse_freqs,
-    standard_observable,
 )
 from anosov.grids import freq_index
-from anosov.operators import read_opmat, write_opmat
+from anosov.operators import get_assembler, read_opmat, write_opmat
 
 
 def _index_pairs(n):
@@ -130,3 +129,14 @@ def test_opmat_round_trip(tmp_path, perturbed_map, fejer, std_g):
     pairs[..., 0] = M.entries.real
     pairs[..., 1] = M.entries.imag
     assert path.read_bytes() == b"OPMAT 8 0.25 0.0\n" + pairs.astype("<f8").tobytes()
+
+
+def test_assembler_cache_keeps_the_two_most_recently_used(perturbed_map):
+    g1, g2, g3 = GridSpec(8, 64), GridSpec(8, 128), GridSpec(16, 64)
+    first = get_assembler(perturbed_map, g1)
+    assert get_assembler(perturbed_map, g1) is first
+    get_assembler(perturbed_map, g2)
+    assert get_assembler(perturbed_map, g1) is first  # g1 is now the most recent
+    get_assembler(perturbed_map, g3)  # evicts g2, the least recently used
+    assert get_assembler.cache_info().currsize <= 2
+    assert get_assembler(perturbed_map, g1) is first

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from anosov import (
-    FejerKernel,
     GridSpec,
     SpectralVector,
     TrigPolynomial,
     assemble,
     baseline,
-    cat_map,
     evaluate_on_fine,
     lambda_curve,
     leading_eigenpair,
     rate_function,
     restrict_to_coarse,
     riemann_integral,
-    standard_observable,
     variance,
 )
 from anosov.grids import fine_points, forward_transform, freq_index

@@ -8,8 +8,6 @@ from anosov import (
     TorusPoint,
     TrigPolynomial,
     cat_map,
-    eval_map,
-    eval_observable,
     standard_observable,
 )
 
@@ -26,20 +24,20 @@ def test_torus_point_reduction():
 
 def test_linear_map_fixed_point():
     m = cat_map()
-    img = eval_map(m, TorusPoint(0.0, 0.0))
+    img = m(TorusPoint(0.0, 0.0))
     assert img == TorusPoint(0.0, 0.0)
 
 
 def test_perturbed_cat_delta_zero_matches_linear():
     m = PerturbedCat(0.0, "section7")
-    img = eval_map(m, TorusPoint(0.25, 0.5))
+    img = m(TorusPoint(0.25, 0.5))
     assert img.x1 == pytest.approx(0.0, abs=1e-15)
     assert img.x2 == pytest.approx(0.75, abs=1e-15)
 
 
 def test_perturbed_cat_direct_substitution():
     m = PerturbedCat(0.01, "section7")
-    img = eval_map(m, TorusPoint(0.0, 0.0))
+    img = m(TorusPoint(0.0, 0.0))
     assert img.x1 == pytest.approx(0.02, abs=1e-15)
     assert img.x2 == pytest.approx((0.01 * np.sin(1.0)) % 1.0, abs=1e-15)
 
@@ -48,8 +46,8 @@ def test_appendix_form_cosine_amplitude():
     half = PerturbedCat(0.01, "appendix")
     full = PerturbedCat(0.01, "section7")
     p = TorusPoint(0.0, 0.0)
-    assert eval_map(half, p).x1 == pytest.approx(0.01, abs=1e-15)
-    assert eval_map(full, p).x1 == pytest.approx(0.02, abs=1e-15)
+    assert half(p).x1 == pytest.approx(0.01, abs=1e-15)
+    assert full(p).x1 == pytest.approx(0.02, abs=1e-15)
 
 
 def test_linear_toral_requires_automorphism():
@@ -62,9 +60,9 @@ def test_linear_additivity_mod1(rng):
     for _ in range(50):
         p = rng.random(2)
         q = rng.random(2)
-        both = eval_map(m, TorusPoint(*(p + q)))
-        sep1 = eval_map(m, TorusPoint(*p))
-        sep2 = eval_map(m, TorusPoint(*q))
+        both = m(TorusPoint(*(p + q)))
+        sep1 = m(TorusPoint(*p))
+        sep2 = m(TorusPoint(*q))
         diff1 = (both.x1 - sep1.x1 - sep2.x1) % 1.0
         diff2 = (both.x2 - sep1.x2 - sep2.x2) % 1.0
         assert min(diff1, 1 - diff1) < 1e-12
@@ -108,8 +106,8 @@ def _lifted(m, x1, x2):
 
 def test_standard_observable_values():
     g = standard_observable()
-    assert eval_observable(g, TorusPoint(0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
-    assert eval_observable(g, TorusPoint(0.25, 0.25)) == pytest.approx(0.0, abs=1e-14)
+    assert g(TorusPoint(0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
+    assert g(TorusPoint(0.25, 0.25)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_trig_polynomial_euler_identity():

@@ -5,7 +5,6 @@ from anosov import (
     LinearToral,
     build_ulam,
     cat_map,
-    standard_observable,
     ulam_srb,
     ulam_variance,
 )
