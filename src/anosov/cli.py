@@ -8,7 +8,8 @@ results, residuals and provenance (config echo, config hash, versions,
 backend, wall time).  Grids are dumped in the GRID binary format, tables as
 CSV.  --workers sets the FFT thread count through scipy.fft.set_workers.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error (argparse usage errors
+included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ from .ulam import build_ulam, ulam_srb, ulam_variance
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1) instead of SystemExit(2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _parse_range(text: str) -> list:
@@ -265,7 +274,7 @@ def _add_common(p):
 
 def build_parser():
     """The top-level parser and its subcommand parsers by name."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="anosov",
         description="Spectral and Ulam approximation of statistical data of torus maps",
     )

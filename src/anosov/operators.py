@@ -5,16 +5,32 @@ Entry (j, k) of the n^2 x n^2 matrix is
     q_hat(j) * F[ exp(-2 pi i j.T(y)) * exp(z g(y)) ](-k)
 
 where F is the fine-grid forward transform and q_hat the kernel coefficients.
-Assembly is row-blocked: the map images T(y) are sampled once on the fine
-grid, power tables exp(-2 pi i j T)^|j| are cached per (map, grid), and each
-block of rows is one batched FFT.  The kernel only scales rows, so the
-kernel-independent base matrix is cached and reused across kernels at the
-same (map, twist, grid).  The FFTs use scipy.fft's thread count, set with
-scipy.fft.set_workers; it does not change results.
+:func:`assemble` picks one of two paths; the caller never chooses.
 
-Memory guard: n > 128 is refused unless allow_large=True (the dense matrix
-has n^4 complex entries).  The -k column lookup requires N >= 2n so that all
-negated coarse frequencies are representable on the fine grid.
+Factored path: when the map is T(x) = A x + (phi1(x1), phi2(x2)) and the
+observable is g1(x1) + g2(x2) (both expose ``separable_parts()``), the
+integrand is a shift by A^T j times one function of x1 times one of x2, so
+
+    L[j, k] = q_hat(j) * U1[j1, (A^T j)_1 - k1] * U2[j2, (A^T j)_2 - k2]
+
+with U_i[j_i] the 1-D transform of exp(-2 pi i j_i phi_i) * exp(z g_i).  This
+is 2n one-dimensional FFTs of length N and one gather.  It keeps no state: a
+full rebuild at n = 32, N = 512 takes about 15 ms.
+
+Generic path: for any other map or observable (mixed Fourier modes, a
+callable observable).  It is row-blocked: the map images T(y) are sampled
+once on the fine grid, power tables exp(-2 pi i j T)^|j| are cached per
+(map, grid), and each block of rows is one batched 2-D FFT.  The kernel only
+scales rows, so the kernel-independent base matrix is cached and reused
+across kernels at the same (map, twist, grid).  The power tables and the
+base cache serve this path only; it is also the oracle the tests check the
+factored path against.
+
+The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
+does not change results.  Both paths share the guards, checked before
+dispatch: N >= 2n (ValueError), n > 128 refused unless allow_large=True
+(MemoryError; the dense matrix has n^4 complex entries), and |Re z| sup|g|
+above the exp range guard (OverflowError).
 """
 
 from __future__ import annotations
@@ -55,11 +71,9 @@ class OperatorMatrix:
 
 
 class OperatorAssembler:
-    """Caches fine-grid map data and the kernel-independent base matrix."""
+    """Generic path: caches fine-grid map data and the kernel-free base matrix."""
 
     def __init__(self, map_model: MapModel, grid: GridSpec):
-        if grid.N < 2 * grid.n:
-            raise ValueError("operator assembly requires N >= 2n")
         self.map = map_model
         self.grid = grid
         self._pow1 = None
@@ -116,6 +130,30 @@ def get_assembler(map_model: MapModel, grid: GridSpec) -> OperatorAssembler:
     return OperatorAssembler(map_model, grid)
 
 
+def _factored_entries(map_parts, g_parts, z: complex, q, grid: GridSpec):
+    """q_hat(j) U1[j1, (A^T j)_1 - k1] U2[j2, (A^T j)_2 - k2] for all coarse j, k."""
+    A, phi1, phi2 = map_parts
+    n, N = grid.n, grid.N
+    js = coarse_freqs(n)
+    x = np.arange(N) / N
+    zg = [z * gi(x) for gi in g_parts]
+    # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
+    # exponent out of it and put the sum, max Re(z g), back into q.
+    tops = [float(e.real.max()) for e in zg]
+    U1, U2 = (
+        sfft.fft(np.exp(-2j * np.pi * js[:, None] * phi(x) + (e - top)), axis=-1) / N
+        for phi, e, top in zip((phi1, phi2), zg, tops)
+    )
+    J1, J2 = np.meshgrid(js, js, indexing="ij")
+    shift1 = (A[0, 0] * J1 + A[1, 0] * J2)[:, :, None] - js
+    shift2 = (A[0, 1] * J1 + A[1, 1] * J2)[:, :, None] - js
+    rows = np.arange(n)
+    f1 = U1[rows[:, None, None], shift1 % N]  # [j1, j2, k1]
+    f2 = U2[rows[None, :, None], shift2 % N]  # [j1, j2, k2]
+    f1 *= q.reshape(n, n, 1) * np.exp(tops[0] + tops[1])
+    return (f1[:, :, :, None] * f2[:, :, None, :]).reshape(n * n, n * n)
+
+
 def assemble(
     map_model: MapModel,
     kernel,
@@ -126,26 +164,30 @@ def assemble(
 ) -> OperatorMatrix:
     """Assemble the twisted operator matrix at twist parameter z.
 
-    The weight exp(z g(y)) is evaluated once on the fine grid and reused
-    across all rows.  Raises OverflowError when |Re z| * sup|g| exceeds the
-    double-precision exp range guard.
+    Uses the factored path when both the map and the observable are
+    separable, else the generic path (see the module docstring).  Raises
+    OverflowError when |Re z| * sup|g| exceeds the double-precision exp
+    range guard.
     """
     if grid.n > MAX_COARSE_ORDER and not allow_large:
         raise MemoryError(
             f"coarse order {grid.n} exceeds the memory guard; pass allow_large=True"
         )
-    asm = get_assembler(map_model, grid)
+    if grid.N < 2 * grid.n:
+        raise ValueError("operator assembly requires N >= 2n")
     z = complex(z)
-    if z == 0:
-        w = np.ones((grid.N, grid.N), dtype=complex)
-    else:
+    gs = None
+    if z != 0:
         gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
         if abs(z.real) * float(np.abs(gs).max()) > EXP_GUARD:
             raise OverflowError("twist weight exp(z g) would overflow")
-        w = np.exp(z * gs)
-    base = asm.base_matrix(w)
     q = kernel.coefficients(grid).coeffs.real
-    entries = q[:, None] * base
+    map_parts, g_parts = map_model.separable_parts(), g.separable_parts()
+    if map_parts is not None and g_parts is not None:
+        entries = _factored_entries(map_parts, g_parts, z, q, grid)
+    else:
+        w = np.ones((grid.N, grid.N), dtype=complex) if gs is None else np.exp(z * gs)
+        entries = q[:, None] * get_assembler(map_model, grid).base_matrix(w)
     return OperatorMatrix(
         n=grid.n,
         entries=entries,

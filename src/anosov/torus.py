@@ -51,6 +51,13 @@ class MapModel:
     def jacobian(self, p: TorusPoint) -> np.ndarray:
         raise NotImplementedError
 
+    def separable_parts(self):
+        """(A, phi1, phi2) when T(x) = A x + (phi1(x1), phi2(x2)) mod 1, else None.
+
+        A is the integer 2 x 2 matrix; phi1 and phi2 map 1-D arrays to arrays.
+        """
+        return None
+
     @property
     def label(self) -> str:
         raise NotImplementedError
@@ -82,6 +89,10 @@ class LinearToral(MapModel):
     def jacobian(self, p: TorusPoint) -> np.ndarray:
         return self.matrix
 
+    def separable_parts(self):
+        A = np.array([[self.a11, self.a12], [self.a21, self.a22]])
+        return A, np.zeros_like, np.zeros_like
+
     @property
     def label(self) -> str:
         return f"linear[{self.a11},{self.a12};{self.a21},{self.a22}]"
@@ -112,9 +123,9 @@ class PerturbedCat(MapModel):
         return 2.0 if self.form == "section7" else 1.0
 
     def image_arrays(self, x1, x2):
-        amp, d = self.cos_amp, self.delta
-        y1 = (2.0 * x1 + x2 + amp * d * np.cos(TWO_PI * x1)) % 1.0
-        y2 = (x1 + x2 + d * np.sin(2.0 * TWO_PI * x2 + 1.0)) % 1.0
+        _, phi1, phi2 = self.separable_parts()
+        y1 = (2.0 * x1 + x2 + phi1(x1)) % 1.0
+        y2 = (x1 + x2 + phi2(x2)) % 1.0
         return y1, y2
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:
@@ -124,6 +135,14 @@ class PerturbedCat(MapModel):
                 [2.0 - self.cos_amp * TWO_PI * d * np.sin(TWO_PI * p.x1), 1.0],
                 [1.0, 1.0 + 2.0 * TWO_PI * d * np.cos(2.0 * TWO_PI * p.x2 + 1.0)],
             ]
+        )
+
+    def separable_parts(self):
+        amp, d = self.cos_amp, self.delta
+        return (
+            np.array([[2, 1], [1, 1]]),
+            lambda x1: amp * d * np.cos(TWO_PI * x1),
+            lambda x2: d * np.sin(2.0 * TWO_PI * x2 + 1.0),
         )
 
     @property
@@ -143,6 +162,10 @@ class Observable:
     def shifted(self, a: float) -> "Observable":
         """The observable g - a."""
         raise NotImplementedError
+
+    def separable_parts(self):
+        """(g1, g2) with g(x) = g1(x1) + g2(x2), each mapping 1-D arrays, or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -173,6 +196,14 @@ class TrigPolynomial(Observable):
         m = dict(self.modes)
         m[(0, 0)] = m.get((0, 0), 0.0) - a
         return TrigPolynomial(tuple(m.items()))
+
+    def separable_parts(self):
+        """None when a mode has j1 != 0 and j2 != 0; g1 carries the constant."""
+        if any(j1 and j2 for (j1, j2), _ in self.modes):
+            return None
+        g1 = TrigPolynomial(tuple((j, c) for j, c in self.modes if j[1] == 0))
+        g2 = TrigPolynomial(tuple((j, c) for j, c in self.modes if j[1] != 0))
+        return (lambda x1: g1.sample(x1, 0.0)), (lambda x2: g2.sample(0.0, x2))
 
     @property
     def label(self) -> str:

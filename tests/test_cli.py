@@ -251,6 +251,20 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert "workers must not be zero" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_one_and_help_exits_zero(tmp_path, capsys):
+    assert main(["certify", "--delta", "abc", "--out-dir", str(tmp_path)]) == 1
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"n": "abc"}))
+    assert main(["variance", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    for argv in (["--help"], ["variance", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: anosov" in capsys.readouterr().out
+
+
 def test_rerun_reproduces_scalars_bitwise(tmp_path):
     argv = [
         "variance",

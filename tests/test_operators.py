@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from anosov import (
     BumpKernel,
+    CallableObservable,
     FejerKernel,
     GridSpec,
+    LinearToral,
+    PerturbedCat,
     SpectralVector,
+    TrigPolynomial,
     apply,
     assemble,
+    backend,
     cat_map,
     coarse_freqs,
+    standard_observable,
 )
-from anosov.grids import freq_index
+from anosov.grids import fine_points, freq_index
+from anosov.kernels import ResolutionError
 from anosov.operators import get_assembler, read_opmat, write_opmat
 
 
@@ -140,3 +148,138 @@ def test_assembler_cache_keeps_the_two_most_recently_used(perturbed_map):
     get_assembler(perturbed_map, g3)  # evicts g2, the least recently used
     assert get_assembler.cache_info().currsize <= 2
     assert get_assembler(perturbed_map, g1) is first
+
+
+def _generic_entries(map_model, kernel, g, z, grid):
+    """The generic path run alone: the cached base matrix scaled by q_hat."""
+    z = complex(z)
+    if z == 0:
+        w = np.ones((grid.N, grid.N), dtype=complex)
+    else:
+        w = np.exp(z * g.sample(*fine_points(grid.N)))
+    q = kernel.coefficients(grid).coeffs.real
+    return q[:, None] * get_assembler(map_model, grid).base_matrix(w)
+
+
+@pytest.mark.parametrize("n, N", [(8, 16), (8, 64), (16, 256)])
+@pytest.mark.parametrize(
+    "map_model",
+    [
+        PerturbedCat(0.01, "section7"),
+        PerturbedCat(0.01, "appendix"),
+        cat_map(),
+        LinearToral(1, 1, 1, 2),
+        LinearToral(2, 1, 3, 2),  # not symmetric: tells A^T j from A j
+    ],
+    ids=["section7", "appendix", "cat", "linear-1112", "linear-2132"],
+)
+def test_factored_assembly_matches_generic(map_model, n, N, std_g):
+    grid = GridSpec(n, N)
+    for z in (0.0, 0.3, -0.5, 0.2 + 0.1j):
+        for kernel in (FejerKernel(), BumpKernel(0.1)):
+            if isinstance(kernel, BumpKernel) and N == 16:
+                # 9 fine points inside the support: refused before dispatch
+                with pytest.raises(ResolutionError):
+                    assemble(map_model, kernel, std_g, z, grid)
+                continue
+            M = assemble(map_model, kernel, std_g, z, grid)
+            expected = _generic_entries(map_model, kernel, std_g, z, grid)
+            assert np.abs(M.entries - expected).max() <= 1e-13
+
+
+def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):
+    """exp(z g) passes the guard while exp(z g2) alone would overflow."""
+    N = 64
+    x = np.arange(N) / N
+    spike = sum(np.cos(2 * np.pi * k * x) for k in range(1, 5))  # max 4, min -1.5
+    const = -(spike.max() + spike.min()) / 2
+    modes = [((0, k), 0.5) for k in (1, 2, 3, 4, -1, -2, -3, -4)] + [((0, 0), const)]
+    g = TrigPolynomial(tuple(modes))
+    z = 690.0 / np.abs(g.sample(*fine_points(N))).max()
+    assert z * spike.max() > 710.0
+    grid = GridSpec(8, N)
+    M = assemble(perturbed_map, fejer, g, z, grid)
+    expected = _generic_entries(perturbed_map, fejer, g, z, grid)
+    assert np.isfinite(M.entries).all()
+    assert np.abs(M.entries - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _jacobi_anger_factors(delta, amp, n, freqs):
+    """Closed-form U1[j1, p] and U2[j2, p] at z = 0 for the perturbed cat map.
+
+    exp(-i b cos 2 pi x) = sum_m (-i)^m J_m(b) e^{2 pi i m x} with
+    b = 2 pi j1 amp delta, and exp(-i b sin t) = sum_m J_m(b) e^{-i m t} with
+    t = 4 pi x + 1 and b = 2 pi j2 delta, so frequency p = -2m.
+    """
+    js = coarse_freqs(n)
+    U1 = (-1j) ** freqs * scipy.special.jv(freqs, 2 * np.pi * amp * delta * js[:, None])
+    half = -freqs // 2
+    U2 = np.where(
+        freqs % 2 == 0,
+        scipy.special.jv(half, 2 * np.pi * delta * js[:, None]) * np.exp(-1j * half),
+        0.0,
+    )
+    return U1, U2
+
+
+def test_jacobi_anger_cross_check_at_zero_twist(std_g):
+    """U at z = 0 from its Bessel expansion, independent of both assembly paths."""
+    m = PerturbedCat(0.01, "section7")
+    n, N = 8, 64
+    js = coarse_freqs(n)
+    freqs = np.arange(-(N // 2) + 1, N // 2 + 1)
+    U1, U2 = _jacobi_anger_factors(m.delta, m.cos_amp, n, freqs)
+    _, phi1, phi2 = m.separable_parts()
+    x = np.arange(N) / N
+    for phi, U in ((phi1, U1), (phi2, U2)):
+        sampled = np.fft.fft(np.exp(-2j * np.pi * js[:, None] * phi(x)), axis=-1) / N
+        assert np.abs(sampled[:, freqs % N] - U).max() <= 1e-12
+
+    # the whole matrix: L[j, k] = q(j) U1[j1, (A^T j)_1 - k1] U2[j2, (A^T j)_2 - k2]
+    q = FejerKernel().coefficients(GridSpec(n, N)).coeffs.real
+    col = {int(p): i for i, p in enumerate(freqs)}
+    expected = np.empty((n * n, n * n), dtype=complex)
+    for i1, j1 in enumerate(js):
+        for i2, j2 in enumerate(js):
+            m1, m2 = 2 * j1 + j2, j1 + j2
+            u1 = U1[i1, [col[m1 - k] for k in js]]
+            u2 = U2[i2, [col[m2 - k] for k in js]]
+            expected[i1 * n + i2] = q[i1 * n + i2] * np.outer(u1, u2).ravel()
+    M = assemble(m, FejerKernel(), std_g, 0.0, GridSpec(n, N))
+    assert np.abs(M.entries - expected).max() <= 1e-12
+
+
+def test_assembly_dispatch(monkeypatch, perturbed_map, fejer):
+    calls = [0]
+    fill = backend.twisted_rows
+
+    def counting_fill(*args):
+        calls[0] += 1
+        return fill(*args)
+
+    monkeypatch.setattr(backend, "twisted_rows", counting_fill)
+    grid, z = GridSpec(8, 64), 0.3
+    std = standard_observable()
+    observables = {
+        "standard": (std, True),
+        "shifted": (std.shifted(0.1), True),
+        "mixed": (
+            TrigPolynomial((((1, 1), 0.25), ((-1, -1), 0.25), ((2, 0), 0.5), ((-2, 0), 0.5))),
+            False,
+        ),
+        "callable": (CallableObservable(lambda x1, x2: std.sample(x1, x2)), False),
+    }
+    results = {}
+    for name, (g, factored) in observables.items():
+        get_assembler.cache_clear()
+        calls[0] = 0
+        M = assemble(perturbed_map, fejer, g, z, grid)
+        assert (calls[0] == 0) == factored, name
+        generic = _generic_entries(perturbed_map, fejer, g, z, grid)
+        if factored:
+            assert np.abs(M.entries - generic).max() <= 1e-13, name
+        else:
+            assert np.array_equal(M.entries, generic), name
+        results[name] = M.entries
+    # the callable wraps the standard observable: same operator either way
+    assert np.abs(results["callable"] - results["standard"]).max() <= 1e-13
