@@ -112,16 +112,13 @@ class FejerKernel:
     def spatial(self, grid: GridSpec) -> np.ndarray:
         # The full Fejer Fourier series is supported on ||j||_inf <= n/2,
         # which needs the symmetric index -n/2 as well; evaluate it from a
-        # symmetric embedding into the next-larger coarse order.
+        # symmetric embedding into the coarse order 2n, where frequency -n/2
+        # sits at index n/2 - 1.
         n = grid.n
-        j = np.arange(-(n // 2), n // 2 + 1)
-        w = 1.0 - np.abs(j) / (n // 2 + 1)
-        m = {}
-        for i1, j1 in enumerate(j):
-            for i2, j2 in enumerate(j):
-                m[(int(j1), int(j2))] = w[i1] * w[i2]
-        full = SpectralVector.from_modes(2 * n, m)
-        return evaluate_on_fine(full, grid.N).real
+        w = 1.0 - np.abs(np.arange(-(n // 2), n // 2 + 1)) / (n // 2 + 1)
+        full = np.zeros((2 * n, 2 * n), dtype=complex)
+        full[n // 2 - 1 : 3 * n // 2, n // 2 - 1 : 3 * n // 2] = np.outer(w, w)
+        return evaluate_on_fine(SpectralVector(2 * n, full), grid.N).real
 
     @property
     def label(self) -> str:

@@ -6,10 +6,11 @@ sample points per box, so the construction is fully reproducible: entry
 (i, j) is the fraction of box i's samples whose image lands in box j.  Rows
 are exact integer counts divided by k.
 
-The invariant density is the leading left eigenvector (power iteration on
-the transpose); the variance mirrors the spectral-method formula in the box
-basis with the same zero-mode row-replacement deflation, the constant mode
-playing the role of the zero frequency.
+The invariant density is the leading left eigenvector (ARPACK on the
+transpose, from the uniform vector); the variance mirrors the
+spectral-method formula in the box basis with the same zero-mode
+row-replacement deflation, the constant mode playing the role of the zero
+frequency.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import _is_pow2
-from .stats import NonConvergenceError, SingularSolveError
+from .stats import SingularSolveError, _arpack_leading
 from .torus import MapModel, Observable
-
-SRB_MAX_ITER = 100_000
-SRB_TOL = 1e-14
 
 
 @dataclass
@@ -82,20 +80,12 @@ def build_ulam(map_model: MapModel, m: int, k: int) -> UlamMatrix:
 def ulam_srb(U: UlamMatrix) -> np.ndarray:
     """Invariant density per box (averages one), from the left eigenvector.
 
-    Power iteration on P^T from the uniform vector; converges when the
-    stationary update moves by less than 1e-14 in l1.  Raises
-    NonConvergenceError after 1e5 iterations.
+    ARPACK on P^T from the uniform vector; raises NonConvergenceError when
+    ARPACK fails.
     """
     nboxes = U.m * U.m
-    PT = U.P.T.tocsr()
-    pi = np.full(nboxes, 1.0 / nboxes)
-    for _ in range(SRB_MAX_ITER):
-        new = PT @ pi
-        new /= new.sum()
-        if np.abs(new - pi).sum() < SRB_TOL:
-            return new * nboxes
-        pi = new
-    raise NonConvergenceError("Ulam stationary-vector iteration did not converge")
+    _, v = _arpack_leading(U.P.T, np.full(nboxes, 1.0 / nboxes))
+    return (v / v.sum()).real * nboxes
 
 
 @dataclass

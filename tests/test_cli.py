@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import anosov.cli as cli_mod
+import anosov.stats as stats_mod
 import anosov.ulam as ulam_mod
 from anosov import build_ulam, cat_map, standard_observable, ulam_srb, ulam_variance
 from anosov.cli import main
 from anosov.grids import read_grid
 from anosov.kernels import NoRootError
+from anosov.stats import NonConvergenceError
 
 
 def _load_summary(tmp_path, name):
@@ -336,14 +339,18 @@ def test_numerical_failure_exits_two(tmp_path):
     [
         ("variance", np.linalg.LinAlgError("Eigenvalues did not converge"), "fejer"),
         ("match_epsilon", NoRootError("no root in the scan range"), "bump"),
+        # inside variance: ARPACK's own error is reported as NonConvergenceError
+        ("eigs", ArpackNoConvergence("No convergence (3 iterations)", [], []), "fejer"),
     ],
 )
 def test_solver_exceptions_exit_two(tmp_path, monkeypatch, capsys, target, exc, scheme):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli_mod, target, fail)
+    owner = stats_mod.spla if target == "eigs" else cli_mod
+    monkeypatch.setattr(owner, target, fail)
     argv = ["variance", "--map", "cat", "--scheme", scheme, "--n", "8", "--fine", "64"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     diag = json.loads(capsys.readouterr().err)
-    assert diag == {"error": type(exc).__name__, "message": str(exc)}
+    shown = NonConvergenceError if isinstance(exc, ArpackError) else type(exc)
+    assert diag == {"error": shown.__name__, "message": str(exc)}

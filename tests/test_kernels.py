@@ -23,6 +23,18 @@ def test_fejer_closed_form():
     assert np.all(vals > 0) and np.all(vals <= 1)
 
 
+def test_fejer_spatial_closed_form():
+    # F_K(x) = (1/K) (sin(pi K x) / sin(pi x))^2 with K = n/2 + 1, and F_K(0) = K
+    n, N = 8, 64
+    K = n // 2 + 1
+    x = np.arange(N) / N
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = np.where(x == 0, K, (np.sin(np.pi * K * x) / np.sin(np.pi * x)) ** 2 / K)
+    q = FejerKernel().spatial(GridSpec(n, N))
+    assert np.abs(q - np.outer(F, F)).max() <= 1e-12
+    assert q.mean() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fejer_symmetry():
     v = fejer_coefficients(16)
     for j1 in range(-7, 8):

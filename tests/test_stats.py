@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from anosov import (
+    BumpKernel,
+    FejerKernel,
     GridSpec,
     SpectralVector,
     TrigPolynomial,
@@ -194,25 +197,42 @@ def test_untwisted_baseline_computed_once(
     assert len(twists["eig"]) == len(twists["assemble"])
 
 
-def test_power_iteration_path(perturbed_map, fejer, std_g, monkeypatch):
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("z", [0.0, 0.7, -0.5])
+def test_arpack_path_matches_dense(perturbed_map, std_g, monkeypatch, kernel, n, z):
     import anosov.stats as stats_mod
 
-    monkeypatch.setattr(stats_mod, "DENSE_EIG_MAX_ORDER", 4)
-    M0 = assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(8, 64))
-    eig = leading_eigenpair(M0)
-    assert eig.method == "power"
-    assert abs(eig.lam - 1.0) < 1e-10
-    assert eig.residual < 1e-8
+    M = assemble(perturbed_map, kernel, std_g, z, GridSpec(n, 64))
+    eig = leading_eigenpair(M)
+    monkeypatch.setattr(stats_mod, "DENSE_EIG_MAX_ORDER", n)
+    ref = leading_eigenpair(M)
+    assert (eig.method, ref.method) == ("arpack", "dense")
+    assert abs(eig.lam - ref.lam) <= 1e-13
+    assert np.abs(eig.right_vector.coeffs - ref.right_vector.coeffs).max() <= 1e-10
+    assert eig.residual < 1e-12
 
 
-def test_power_iteration_non_convergence(perturbed_map, fejer, std_g, monkeypatch):
+def test_arpack_exact_start_vector_is_reproducible(linear_cat, fejer, std_g):
+    # the zero mode is an exact eigenvector of the cat map's operator: M e0 = e0
+    M0 = assemble(linear_cat, fejer, std_g, 0.0, GridSpec(16, 128))
+    a, b = leading_eigenpair(M0), leading_eigenpair(M0)
+    assert a.method == "arpack"
+    assert a.lam == b.lam
+    assert np.array_equal(a.right_vector.coeffs, b.right_vector.coeffs)
+    assert abs(a.lam - 1.0) < 1e-12
+
+
+def test_arpack_non_convergence_raises(perturbed_map, fejer, std_g, monkeypatch):
     import anosov.stats as stats_mod
     from anosov.stats import NonConvergenceError
 
-    monkeypatch.setattr(stats_mod, "DENSE_EIG_MAX_ORDER", 4)
-    monkeypatch.setattr(stats_mod, "POWER_MAX_ITER", 2)
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("No convergence (2 iterations)", [], [])
+
+    monkeypatch.setattr(stats_mod.spla, "eigs", stalled)
     M0 = assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(8, 64))
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="No convergence"):
         leading_eigenpair(M0)
 
 

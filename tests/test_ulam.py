@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import anosov.ulam as ulam_mod
 from anosov import (
     LinearToral,
     build_ulam,
@@ -23,6 +24,23 @@ class Translation(MapModel):
     @property
     def label(self):
         return f"translation[{self.t1},{self.t2}]"
+
+
+def _power_srb(U, tol=1e-14, max_iter=100_000):
+    """Reference density: power iteration on P^T from the uniform vector.
+
+    Stops when the normalised update moves by less than tol in l1.
+    """
+    nboxes = U.m * U.m
+    PT = U.P.T.tocsr()
+    pi = np.full(nboxes, 1.0 / nboxes)
+    for _ in range(max_iter):
+        new = PT @ pi
+        new /= new.sum()
+        if np.abs(new - pi).sum() < tol:
+            return new * nboxes
+        pi = new
+    raise AssertionError("reference power iteration did not converge")
 
 
 def test_identity_map_gives_identity_matrix():
@@ -88,3 +106,13 @@ def test_ulam_srb_perturbed_density_positive(perturbed_map):
     density = ulam_srb(U)
     assert density.min() >= -1e-12
     assert density.sum() == pytest.approx(256.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_ulam_srb_matches_power_iteration(perturbed_map, std_g, monkeypatch, m):
+    U = build_ulam(perturbed_map, m, 64)
+    density = ulam_srb(U)
+    assert np.abs(density - _power_srb(U)).max() <= 1e-12
+    sigma2 = ulam_variance(perturbed_map, m, 64, std_g).sigma2
+    monkeypatch.setattr(ulam_mod, "ulam_srb", _power_srb)
+    assert abs(ulam_variance(perturbed_map, m, 64, std_g).sigma2 - sigma2) <= 1e-12
