@@ -8,6 +8,12 @@ Two families are supported:
 * ``FejerKernel()``: the square Fejer kernel slaved to the coarse order n,
   with closed-form coefficients (1 - |j1|/(n/2+1)) (1 - |j2|/(n/2+1)).
 
+The bump is evaluated only on the K x K window of fine offsets |i| <= eps N
+(K about 2 eps N + 1) that holds its support disk.  Its coefficients are the
+cosine sums Cm @ q @ Cm^T, Cm[j, i] = cos(2 pi j i / N).  This is the fine
+DFT itself: N is a power of two, so offsets i and -i have exactly opposite
+coordinates, and the samples, even in each axis, cancel every sine term.
+
 ``match_epsilon`` picks the bump width so the smallest coarse-grid bump
 coefficient magnitude equals the smallest Fejer coefficient.
 """
@@ -18,15 +24,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
-from .grids import (
-    GridSpec,
-    SpectralVector,
-    coarse_freqs,
-    evaluate_on_fine,
-    fft_index,
-)
+from .grids import GridSpec, SpectralVector, coarse_freqs, evaluate_on_fine
 
 
 class ResolutionError(ValueError):
@@ -55,38 +54,57 @@ def _torus_radius2(N: int) -> np.ndarray:
     return d2
 
 
-def bump_spatial(epsilon: float, N: int) -> np.ndarray:
-    """Fine-grid samples of the bump, rescaled so (1/N^2) sum = 1.
+def _bump_window(epsilon: float, N: int):
+    """Offsets i with |i| <= eps N and the unnormalised bump on that window.
 
-    Raises ResolutionError when fewer than 16 fine points fall inside the
-    support disk.
+    Raises ResolutionError when fewer than 16 fine points lie in the disk.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must lie in (0, 1/2)")
-    u2 = _torus_radius2(N) / (epsilon * epsilon)
+    i = np.arange(-int(epsilon * N), int(epsilon * N) + 1)
+    r2 = (i / N) ** 2
+    u2 = np.add.outer(r2, r2) / (epsilon * epsilon)
     inside = u2 < 1.0
-    if int(inside.sum()) < 16:
+    count = int(inside.sum())
+    if count < 16:
         raise ResolutionError(
-            f"bump of width {epsilon} covers only {int(inside.sum())} fine points"
+            f"bump of width {epsilon} covers only {count} fine points"
         )
-    q = np.zeros((N, N))
+    q = np.zeros(u2.shape)
     q[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
+    return i, q
+
+
+def bump_spatial(epsilon: float, N: int) -> np.ndarray:
+    """Fine-grid samples of the bump, rescaled so (1/N^2) sum = 1."""
+    i, window = _bump_window(epsilon, N)
+    q = np.zeros((N, N))
+    q[np.ix_(i % N, i % N)] = window
     return q * (N * N / q.sum())
 
 
-def bump_coefficients(epsilon: float, grid: GridSpec) -> SpectralVector:
-    """Coarse-grid Fourier coefficients of the discretely normalised bump.
+def _cosine_table(N: int, jmax: int) -> np.ndarray:
+    """cos(2 pi j i / N) for j = 0..jmax (rows) and i = 0..N/2 - 1 (columns)."""
+    ji = np.outer(np.arange(jmax + 1), np.arange(N // 2)) % N
+    return np.cos(2.0 * np.pi * ji / N)
 
-    The coefficient array is divided by its (0,0) entry, so the zero mode is
-    exactly one.  An even real kernel has real coefficients; the imaginary
-    round-off is dropped.
+
+def _bump_cosine_block(epsilon: float, N: int, cos: np.ndarray) -> np.ndarray:
+    """Real bump coefficients at j1, j2 = 0..jmax, entry (0, 0) exactly 1.
+
+    ``cos`` is ``_cosine_table(N, jmax)``.  Raises as ``bump_spatial`` does.
     """
-    q = bump_spatial(epsilon, grid.N)
-    C = sfft.fft2(q) / (grid.N * grid.N)
-    C = C / C[0, 0].real
-    js = fft_index(coarse_freqs(grid.n), grid.N)
-    block = C[np.ix_(js, js)].real.astype(complex)
-    return SpectralVector(grid.n, block)
+    i, q = _bump_window(epsilon, N)
+    Cm = cos[:, np.abs(i)]
+    block = Cm @ q @ Cm.T
+    return block / block[0, 0]
+
+
+def bump_coefficients(epsilon: float, grid: GridSpec) -> SpectralVector:
+    """Coarse-grid Fourier coefficients of the bump; real, zero mode exactly one."""
+    a = np.abs(coarse_freqs(grid.n))
+    block = _bump_cosine_block(epsilon, grid.N, _cosine_table(grid.N, grid.n // 2))
+    return SpectralVector(grid.n, block[np.ix_(a, a)])
 
 
 @dataclass(frozen=True)
@@ -125,22 +143,6 @@ class FejerKernel:
         return "fejer"
 
 
-def _coarse_min_abs(epsilon: float, grid: GridSpec) -> float:
-    """min over the coarse grid of |bump coefficient|, via the real FFT.
-
-    The bump samples are even in each axis, so the coarse-grid minimum equals
-    the minimum over rows {-n/2..n/2} and columns {0..n/2} of the half-plane
-    transform.
-    """
-    n, N = grid.n, grid.N
-    q = bump_spatial(epsilon, N)
-    C = sfft.rfft2(q)
-    C = C / C[0, 0].real
-    rows = fft_index(np.arange(-(n // 2), n // 2 + 1), N)
-    block = C[rows, : n // 2 + 1]
-    return float(np.abs(block).min())
-
-
 def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
     """Bump width whose smallest coarse coefficient matches the Fejer minimum.
 
@@ -152,16 +154,17 @@ def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
     resolution: a step 1e-4 scan of [8/N, 0.25] finds the rightmost point at
     or above the Fejer minimum and bisection refines the sign change on its
     right, so the achieved residual is at round-off level.  Structure finer
-    than the scan step is treated as noise.
+    than the scan step is treated as noise.  Each evaluation is a minimum over
+    j in {0..n/2}^2 of the window cosine sums, from one cosine table per call.
     """
     grid = GridSpec(n, grid.N)
     target = float(np.abs(fejer_coefficients(n).coeffs).min())
+    cos = _cosine_table(grid.N, n // 2)
 
     def f(eps):
-        return _coarse_min_abs(eps, grid) - target
+        return float(np.abs(_bump_cosine_block(eps, grid.N, cos)).min()) - target
 
-    lo_end, hi_end = 8.0 / grid.N, 0.25
-    scan = np.arange(lo_end, hi_end, 1e-4)
+    scan = np.arange(8.0 / grid.N, 0.25, 1e-4)
     vals = np.array([f(e) for e in scan])
     above = np.nonzero(vals >= 0)[0]
     if len(above) == 0 or above[-1] == len(scan) - 1:
@@ -175,10 +178,7 @@ def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
         else:
             hi = mid
     eps = 0.5 * (lo + hi)
-    residual = f(eps) / target
-    if full_output:
-        return eps, residual
-    return eps
+    return (eps, f(eps) / target) if full_output else eps
 
 
 def summability_check(kernel, eta: float, grid: GridSpec) -> float:

@@ -30,7 +30,9 @@ The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
 does not change results.  Both paths share the guards, checked before
 dispatch: N >= 2n (ValueError), n > 128 refused unless allow_large=True
 (MemoryError; the dense matrix has n^4 complex entries), and |Re z| sup|g|
-above the exp range guard (OverflowError).
+above the exp range guard (OverflowError).  The factored path takes sup|g|
+from the 1-D samples of g1 and g2; the generic path samples g on the fine
+grid, which its weight needs anyway.
 """
 
 from __future__ import annotations
@@ -130,13 +132,13 @@ def get_assembler(map_model: MapModel, grid: GridSpec) -> OperatorAssembler:
     return OperatorAssembler(map_model, grid)
 
 
-def _factored_entries(map_parts, g_parts, z: complex, q, grid: GridSpec):
+def _factored_entries(map_parts, g_samples, z: complex, q, grid: GridSpec):
     """q_hat(j) U1[j1, (A^T j)_1 - k1] U2[j2, (A^T j)_2 - k2] for all coarse j, k."""
     A, phi1, phi2 = map_parts
     n, N = grid.n, grid.N
     js = coarse_freqs(n)
     x = np.arange(N) / N
-    zg = [z * gi(x) for gi in g_parts]
+    zg = [z * gi for gi in g_samples]
     # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
     # exponent out of it and put the sum, max Re(z g), back into q.
     tops = [float(e.real.max()) for e in zg]
@@ -176,15 +178,22 @@ def assemble(
     if grid.N < 2 * grid.n:
         raise ValueError("operator assembly requires N >= 2n")
     z = complex(z)
-    gs = None
-    if z != 0:
-        gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
-        if abs(z.real) * float(np.abs(gs).max()) > EXP_GUARD:
-            raise OverflowError("twist weight exp(z g) would overflow")
-    q = kernel.coefficients(grid).coeffs.real
     map_parts, g_parts = map_model.separable_parts(), g.separable_parts()
-    if map_parts is not None and g_parts is not None:
-        entries = _factored_entries(map_parts, g_parts, z, q, grid)
+    factored = map_parts is not None and g_parts is not None
+    gs, sup = None, 0.0
+    if factored:
+        x = np.arange(grid.N) / grid.N
+        g1, g2 = (gi(x) for gi in g_parts)
+        # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
+        sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
+    elif z != 0:
+        gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
+        sup = float(np.abs(gs).max())
+    if abs(z.real) * sup > EXP_GUARD:
+        raise OverflowError("twist weight exp(z g) would overflow")
+    q = kernel.coefficients(grid).coeffs.real
+    if factored:
+        entries = _factored_entries(map_parts, (g1, g2), z, q, grid)
     else:
         w = np.ones((grid.N, grid.N), dtype=complex) if gs is None else np.exp(z * gs)
         entries = q[:, None] * get_assembler(map_model, grid).base_matrix(w)

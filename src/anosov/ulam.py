@@ -35,29 +35,31 @@ class UlamMatrix:
     samples_per_box: int
 
 
-def _sample_offsets(m: int, ks: int):
-    off = (np.arange(ks) + 0.5) / (m * ks)
-    o1, o2 = np.meshgrid(off, off, indexing="ij")
-    return o1.ravel(), o2.ravel()
-
-
 def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     if not _is_pow2(m):
         raise ValueError("m must be a power of two")
     ks = int(round(np.sqrt(k)))
     if ks * ks != k:
         raise ValueError("samples per box must be a perfect square")
-    o1, o2 = _sample_offsets(m, ks)
+    off = (np.arange(ks) + 0.5) / (m * ks)
+    o1, o2 = (o.ravel() for o in np.meshgrid(off, off, indexing="ij"))
     nboxes = m * m
     keys, counts = [], []
-    gbox = np.empty(nboxes) if g is not None else None
+    parts = None if g is None else g.separable_parts()
+    gbox = None if g is None else np.empty(nboxes)
+    if parts is not None:
+        # On the tensor sub-lattice the box mean of g1(x1) + g2(x2) is the
+        # mean of g1 over the row offsets plus the mean of g2 over the columns.
+        x = (np.arange(m)[:, None] / m + off).ravel()
+        g1, g2 = (gi(x).reshape(m, ks).mean(axis=1) for gi in parts)
+        gbox = np.add.outer(g1, g2).ravel()
     for i1 in range(m):
         # one row of boxes at a time: (m, k) sample coordinates
         x1 = (i1 / m + o1)[None, :] + np.zeros((m, 1))
         x2 = (np.arange(m)[:, None] / m) + o2[None, :]
         y1, y2 = map_model.image_arrays(x1, x2)
         dest = (y1 * m).astype(np.int64) % m * m + (y2 * m).astype(np.int64) % m
-        if g is not None:
+        if g is not None and parts is None:
             gbox[i1 * m : (i1 + 1) * m] = g.sample(x1, x2).mean(axis=1)
         # (box, destination) pairs encoded as box * nboxes + destination
         boxes = np.arange(i1 * m, (i1 + 1) * m, dtype=np.int64)

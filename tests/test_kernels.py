@@ -1,16 +1,49 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from anosov import (
     BumpKernel,
     FejerKernel,
     GridSpec,
     bump_coefficients,
+    coarse_freqs,
     fejer_coefficients,
+    kernels,
     match_epsilon,
     summability_check,
 )
 from anosov.kernels import NoRootError, ResolutionError, _torus_radius2, bump_spatial
+
+
+def _full_grid_bump(epsilon, N):
+    """Oracle: the unnormalised bump evaluated on all N^2 fine points."""
+    u2 = _torus_radius2(N) / (epsilon * epsilon)
+    inside = u2 < 1.0
+    q = np.zeros((N, N))
+    q[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
+    return q
+
+
+@functools.lru_cache(maxsize=8192)
+def _rfft2_block(epsilon, N, jmax):
+    """Oracle: rows -jmax..jmax, columns 0..jmax of the normalised rfft2 of the bump.
+
+    Its smallest modulus is the matching objective as a full-grid transform.
+    """
+    C = sfft.rfft2(_full_grid_bump(epsilon, N))
+    C = C / C[0, 0].real
+    return C[np.arange(-jmax, jmax + 1) % N, : jmax + 1]
+
+
+def _fft2_coefficients(epsilon, grid):
+    """Oracle: coarse-grid bump coefficients read from the full-grid fft2."""
+    C = sfft.fft2(_full_grid_bump(epsilon, grid.N)) / (grid.N * grid.N)
+    C = C / C[0, 0].real
+    js = coarse_freqs(grid.n) % grid.N
+    return C[np.ix_(js, js)]
 
 
 def test_fejer_closed_form():
@@ -99,3 +132,52 @@ def test_match_epsilon_no_root_for_tiny_order():
     # at n = 2 the Fejer minimum is 1/4, far above any bump coefficient
     with pytest.raises(NoRootError):
         match_epsilon(2, GridSpec(2, 64))
+
+
+def test_window_bump_equals_full_grid_bump():
+    for epsilon, N in [(0.1, 256), (0.067, 512), (0.038, 512), (0.3, 64), (0.49, 128)]:
+        q = _full_grid_bump(epsilon, N)
+        assert np.array_equal(bump_spatial(epsilon, N), q * (N * N / q.sum()))
+
+
+@pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
+def test_matching_objective_matches_rfft2_over_the_scan(n, N):
+    target = float(np.abs(fejer_coefficients(n).coeffs).min())
+    cos = kernels._cosine_table(N, n // 2)
+    for eps in np.arange(8.0 / N, 0.25, 1e-4):
+        got = float(np.abs(kernels._bump_cosine_block(eps, N, cos)).min())
+        want = float(np.abs(_rfft2_block(eps, N, n // 2)).min())
+        assert abs(got - want) <= 1e-14, eps
+        assert (got - target >= 0) == (want - target >= 0), eps
+
+
+@pytest.mark.parametrize("n, N", [(8, 64), (16, 128), (16, 256)])
+def test_match_epsilon_matches_rfft2_matching(monkeypatch, n, N):
+    eps = match_epsilon(n, GridSpec(n, N))
+    monkeypatch.setattr(
+        kernels, "_bump_cosine_block", lambda e, N, cos: _rfft2_block(e, N, cos.shape[0] - 1)
+    )
+    assert abs(eps - match_epsilon(n, GridSpec(n, N))) <= 1e-12
+
+
+@pytest.mark.parametrize("n, N, epsilon", [(16, 256, 0.1), (32, 512, 0.067), (64, 512, 0.038)])
+def test_bump_coefficients_match_fft2(n, N, epsilon):
+    grid = GridSpec(n, N)
+    got = bump_coefficients(epsilon, grid).coeffs.reshape(n, n)
+    assert np.abs(got - _fft2_coefficients(epsilon, grid)).max() <= 1e-14
+    assert np.abs(got.imag).max() == 0.0
+
+
+def test_bump_cosine_block_resolution_guard():
+    cos = kernels._cosine_table(64, 4)
+    with pytest.raises(ResolutionError, match="covers only"):
+        kernels._bump_cosine_block(0.005, 64, cos)
+    with pytest.raises(ValueError):
+        kernels._bump_cosine_block(0.7, 64, cos)
+
+
+def test_match_epsilon_pins_the_cli_bump_width():
+    # the bump width of `anosov variance --scheme bump --n 16 --fine 256`
+    eps, residual = match_epsilon(16, GridSpec(16, 256), full_output=True)
+    assert abs(eps - 0.09523105128506545) <= 1e-10
+    assert abs(residual) <= 1e-13

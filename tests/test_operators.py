@@ -20,7 +20,7 @@ from anosov import (
 )
 from anosov.grids import fine_points, freq_index
 from anosov.kernels import ResolutionError
-from anosov.operators import get_assembler, read_opmat, write_opmat
+from anosov.operators import EXP_GUARD, get_assembler, read_opmat, write_opmat
 
 
 def _index_pairs(n):
@@ -202,6 +202,34 @@ def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):
     expected = _generic_entries(perturbed_map, fejer, g, z, grid)
     assert np.isfinite(M.entries).all()
     assert np.abs(M.entries - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_exp_guard_from_separable_parts(monkeypatch, perturbed_map, fejer):
+    """The 1-D guard decides as the N x N guard does, and never samples g on N x N."""
+    grid, g = GridSpec(8, 64), standard_observable()
+    wrapped = CallableObservable(g.sample)
+    z_edge = EXP_GUARD / np.abs(g.sample(*fine_points(grid.N))).max()
+    for z in (z_edge * (1 - 1e-9), z_edge * (1 + 1e-9), -z_edge * (1 + 1e-9)):
+        raised = []
+        for obs in (g, wrapped):
+            try:
+                assemble(perturbed_map, fejer, obs, z, grid)
+                raised.append(False)
+            except OverflowError:
+                raised.append(True)
+        assert raised[0] == raised[1] == (abs(z) > z_edge), z
+
+    shapes = []
+    sample = TrigPolynomial.sample
+
+    def recording_sample(self, x1, x2):
+        shapes.append(np.broadcast(x1, x2).shape)
+        return sample(self, x1, x2)
+
+    monkeypatch.setattr(TrigPolynomial, "sample", recording_sample)
+    for z in (0.0, 0.3, -0.5, 0.2 + 0.1j):
+        assemble(perturbed_map, fejer, g, z, grid)
+    assert shapes and all(shape == (grid.N,) for shape in shapes)
 
 
 def _jacobi_anger_factors(delta, amp, n, freqs):

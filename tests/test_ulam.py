@@ -3,6 +3,7 @@ import pytest
 
 import anosov.ulam as ulam_mod
 from anosov import (
+    CallableObservable,
     LinearToral,
     build_ulam,
     cat_map,
@@ -116,3 +117,16 @@ def test_ulam_srb_matches_power_iteration(perturbed_map, std_g, monkeypatch, m):
     sigma2 = ulam_variance(perturbed_map, m, 64, std_g).sigma2
     monkeypatch.setattr(ulam_mod, "ulam_srb", _power_srb)
     assert abs(ulam_variance(perturbed_map, m, 64, std_g).sigma2 - sigma2) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_separable_box_means_match_sampled_means(perturbed_map, std_g, m):
+    # CallableObservable has no separable parts, so it samples every box.
+    sampled = CallableObservable(std_g.sample)
+    _, gbox = ulam_mod._build(perturbed_map, m, 1600, std_g)
+    _, oracle = ulam_mod._build(perturbed_map, m, 1600, sampled)
+    assert np.abs(gbox - oracle).max() <= 1e-14
+    a = ulam_variance(perturbed_map, m, 1600, std_g)
+    b = ulam_variance(perturbed_map, m, 1600, sampled)
+    assert abs(a.sigma2 - b.sigma2) <= 1e-12
+    assert np.array_equal(a.density, b.density)
