@@ -198,8 +198,10 @@ def _cmd_rate(args, started):
         "rows": len(table.rows),
         "sigma2": table.sigma2,
         "mean_shift": table.shift,
+        "solve_rcond": table.solve_rcond,
         "z_bracket": list(table.z_bracket),
         "bracket_expanded": table.bracket_expanded,
+        "legendre_evals": table.legendre_evals,
         "table_file": csv_path,
     }
     payload.update(matched)

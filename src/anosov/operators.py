@@ -6,6 +6,8 @@ Entry (j, k) of the n^2 x n^2 matrix is
 
 where F is the fine-grid forward transform and q_hat the kernel coefficients.
 :func:`assemble` picks one of two paths; the caller never chooses.
+:func:`assemble_derivative` gives d/dz of the same matrix, the weight
+exp(z g) replaced by g exp(z g), by the same two paths.
 
 Factored path: when the map is T(x) = A x + (phi1(x1), phi2(x2)) and the
 observable is g1(x1) + g2(x2) (both expose ``separable_parts()``), the
@@ -27,12 +29,12 @@ base cache serve this path only; it is also the oracle the tests check the
 factored path against.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
-does not change results.  Both paths share the guards, checked before
-dispatch: N >= 2n (ValueError), n > 128 refused unless allow_large=True
-(MemoryError; the dense matrix has n^4 complex entries), and |Re z| sup|g|
-above the exp range guard (OverflowError).  The factored path takes sup|g|
-from the 1-D samples of g1 and g2; the generic path samples g on the fine
-grid, which its weight needs anyway.
+does not change results.  Both paths and both functions share the guards,
+checked before dispatch: N >= 2n (ValueError), n > 128 refused unless
+allow_large=True (MemoryError; the dense matrix has n^4 complex entries), and
+|Re z| sup|g| above the exp range guard (OverflowError).  The factored path
+takes sup|g| from the 1-D samples of g1 and g2; the generic path samples g on
+the fine grid, which its weight needs anyway.
 """
 
 from __future__ import annotations
@@ -132,8 +134,14 @@ def get_assembler(map_model: MapModel, grid: GridSpec) -> OperatorAssembler:
     return OperatorAssembler(map_model, grid)
 
 
-def _factored_entries(map_parts, g_samples, z: complex, q, grid: GridSpec):
-    """q_hat(j) U1[j1, (A^T j)_1 - k1] U2[j2, (A^T j)_2 - k2] for all coarse j, k."""
+def _factored_entries(map_parts, g_samples, z: complex, q, grid: GridSpec, derivative):
+    """q_hat(j) U1[j1, (A^T j)_1 - k1] U2[j2, (A^T j)_2 - k2] for all coarse j, k.
+
+    With ``derivative`` the z-derivative instead: its weight g e^{zg} is
+    g1 e^{zg1} e^{zg2} + e^{zg1} g2 e^{zg2}, so it is the sum of two such
+    products, D1 U2 + U1 D2, with D_i the transform of g_i times U_i's
+    integrand, gathered at the same shifts.
+    """
     A, phi1, phi2 = map_parts
     n, N = grid.n, grid.N
     js = coarse_freqs(n)
@@ -142,18 +150,70 @@ def _factored_entries(map_parts, g_samples, z: complex, q, grid: GridSpec):
     # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
     # exponent out of it and put the sum, max Re(z g), back into q.
     tops = [float(e.real.max()) for e in zg]
-    U1, U2 = (
-        sfft.fft(np.exp(-2j * np.pi * js[:, None] * phi(x) + (e - top)), axis=-1) / N
+    E1, E2 = (
+        np.exp(-2j * np.pi * js[:, None] * phi(x) + (e - top))
         for phi, e, top in zip((phi1, phi2), zg, tops)
     )
     J1, J2 = np.meshgrid(js, js, indexing="ij")
     shift1 = (A[0, 0] * J1 + A[1, 0] * J2)[:, :, None] - js
     shift2 = (A[0, 1] * J1 + A[1, 1] * J2)[:, :, None] - js
     rows = np.arange(n)
-    f1 = U1[rows[:, None, None], shift1 % N]  # [j1, j2, k1]
-    f2 = U2[rows[None, :, None], shift2 % N]  # [j1, j2, k2]
-    f1 *= q.reshape(n, n, 1) * np.exp(tops[0] + tops[1])
-    return (f1[:, :, :, None] * f2[:, :, None, :]).reshape(n * n, n * n)
+    idx1 = rows[:, None, None], shift1 % N  # [j1, j2, k1]
+    idx2 = rows[None, :, None], shift2 % N  # [j1, j2, k2]
+    f1 = (sfft.fft(E1, axis=-1) / N)[idx1]
+    f2 = (sfft.fft(E2, axis=-1) / N)[idx2]
+    scale = q.reshape(n, n, 1) * np.exp(tops[0] + tops[1])
+    f1 *= scale
+    if not derivative:
+        return (f1[:, :, :, None] * f2[:, :, None, :]).reshape(n * n, n * n)
+    g1, g2 = g_samples
+    d1 = (sfft.fft(E1 * g1, axis=-1) / N)[idx1]
+    d2 = (sfft.fft(E2 * g2, axis=-1) / N)[idx2]
+    d1 *= scale
+    return (
+        d1[:, :, :, None] * f2[:, :, None, :] + f1[:, :, :, None] * d2[:, :, None, :]
+    ).reshape(n * n, n * n)
+
+
+def _twisted(map_model, kernel, g, z, grid, allow_large, derivative):
+    """The guards, the dispatch and the matrix of :func:`assemble` or
+    :func:`assemble_derivative`."""
+    if grid.n > MAX_COARSE_ORDER and not allow_large:
+        raise MemoryError(
+            f"coarse order {grid.n} exceeds the memory guard; pass allow_large=True"
+        )
+    if grid.N < 2 * grid.n:
+        raise ValueError("operator assembly requires N >= 2n")
+    z = complex(z)
+    map_parts, g_parts = map_model.separable_parts(), g.separable_parts()
+    factored = map_parts is not None and g_parts is not None
+    gs, sup = None, 0.0
+    if factored:
+        x = np.arange(grid.N) / grid.N
+        g1, g2 = (gi(x) for gi in g_parts)
+        # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
+        sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
+    elif z != 0 or derivative:
+        gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
+        sup = float(np.abs(gs).max())
+    if abs(z.real) * sup > EXP_GUARD:
+        raise OverflowError("twist weight exp(z g) would overflow")
+    q = kernel.coefficients(grid).coeffs.real
+    if factored:
+        entries = _factored_entries(map_parts, (g1, g2), z, q, grid, derivative)
+    else:
+        w = np.ones((grid.N, grid.N), dtype=complex) if gs is None else np.exp(z * gs)
+        if derivative:
+            w *= gs
+        entries = q[:, None] * get_assembler(map_model, grid).base_matrix(w)
+    return OperatorMatrix(
+        n=grid.n,
+        entries=entries,
+        map_label=map_model.label,
+        kernel_label=kernel.label,
+        z=z,
+        grid=grid,
+    )
 
 
 def assemble(
@@ -171,40 +231,17 @@ def assemble(
     OverflowError when |Re z| * sup|g| exceeds the double-precision exp
     range guard.
     """
-    if grid.n > MAX_COARSE_ORDER and not allow_large:
-        raise MemoryError(
-            f"coarse order {grid.n} exceeds the memory guard; pass allow_large=True"
-        )
-    if grid.N < 2 * grid.n:
-        raise ValueError("operator assembly requires N >= 2n")
-    z = complex(z)
-    map_parts, g_parts = map_model.separable_parts(), g.separable_parts()
-    factored = map_parts is not None and g_parts is not None
-    gs, sup = None, 0.0
-    if factored:
-        x = np.arange(grid.N) / grid.N
-        g1, g2 = (gi(x) for gi in g_parts)
-        # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
-        sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
-    elif z != 0:
-        gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
-        sup = float(np.abs(gs).max())
-    if abs(z.real) * sup > EXP_GUARD:
-        raise OverflowError("twist weight exp(z g) would overflow")
-    q = kernel.coefficients(grid).coeffs.real
-    if factored:
-        entries = _factored_entries(map_parts, (g1, g2), z, q, grid)
-    else:
-        w = np.ones((grid.N, grid.N), dtype=complex) if gs is None else np.exp(z * gs)
-        entries = q[:, None] * get_assembler(map_model, grid).base_matrix(w)
-    return OperatorMatrix(
-        n=grid.n,
-        entries=entries,
-        map_label=map_model.label,
-        kernel_label=kernel.label,
-        z=z,
-        grid=grid,
-    )
+    return _twisted(map_model, kernel, g, z, grid, allow_large, derivative=False)
+
+
+def assemble_derivative(
+    map_model: MapModel, kernel, g: Observable, z: complex, grid: GridSpec
+) -> OperatorMatrix:
+    """d/dz of the twisted operator at z: the weight exp(z g) becomes g exp(z g).
+
+    Same paths and guards as :func:`assemble` (n > 128 always refused).
+    """
+    return _twisted(map_model, kernel, g, z, grid, False, derivative=True)
 
 
 def apply(M: OperatorMatrix, v: SpectralVector) -> SpectralVector:

@@ -5,7 +5,9 @@ density and the observable centered against it form one :class:`Baseline`,
 built once per call; the CLT variance comes from a single deflated linear
 solve; the twisted eigenvalue curve lambda(z) gives
 the large-deviations rate function r(s) = sup_z (s z - ln|lambda(z)|) by a
-warm-started golden-section search.
+safeguarded Newton solve of Lambda'(z) = s, Lambda = ln|lambda|, with
+Lambda' from the Hellmann-Feynman formula (left and right eigenvectors and
+the derivative operator).
 
 The eigenvalue 1 of the untwisted operator makes Id - L singular on the zero
 mode; every resolvent solve here replaces the zero-mode row with the
@@ -32,7 +34,7 @@ from .grids import (
     restrict_to_coarse,
     riemann_integral,
 )
-from .operators import OperatorMatrix, assemble
+from .operators import OperatorMatrix, assemble, assemble_derivative
 from .torus import MapModel, Observable
 
 
@@ -96,6 +98,18 @@ def _arpack_leading(A, v0: np.ndarray):
     return complex(vals[0]), vecs[:, 0]
 
 
+def _leading(A: np.ndarray, n: int):
+    """(lam, v, method): dense eig for n <= 4, ARPACK from the zero mode beyond."""
+    if n <= DENSE_EIG_MAX_ORDER:
+        vals, vecs = np.linalg.eig(A)
+        i = _pick_leading(vals)
+        return complex(vals[i]), vecs[:, i], "dense"
+    v0 = np.zeros(n * n, dtype=complex)
+    v0[freq_index(0, 0, n)] = 1.0
+    lam, v = _arpack_leading(A, v0)
+    return lam, v, "arpack"
+
+
 def leading_eigenpair(M: OperatorMatrix) -> EigenData:
     """Max-modulus eigenpair: dense for n <= 4, ARPACK beyond.
 
@@ -104,17 +118,7 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
     is ||A v - lam v|| / ||v|| for the mass-normalised v.
     """
     A = M.entries
-    if M.n <= DENSE_EIG_MAX_ORDER:
-        vals, vecs = np.linalg.eig(A)
-        i = _pick_leading(vals)
-        lam = complex(vals[i])
-        v = vecs[:, i]
-        method = "dense"
-    else:
-        v0 = np.zeros(A.shape[0], dtype=complex)
-        v0[freq_index(0, 0, M.n)] = 1.0
-        lam, v = _arpack_leading(A, v0)
-        method = "arpack"
+    lam, v, method = _leading(A, M.n)
     v = _normalise(M.n, v)
     residual = float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
     return EigenData(lam, SpectralVector(M.n, v), residual, method)
@@ -153,9 +157,10 @@ def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
 def _deflated_solve(M: OperatorMatrix, rhs: np.ndarray):
     """Solve (Id - M) w = rhs with the zero-mode row pinned to w_0 = 0.
 
-    Returns (w, residual) where the residual is measured on the original
-    equations off the zero mode.  Raises SingularSolveError when the
-    one-norm condition estimate exceeds 1e14.
+    Returns (w, residual, rcond): the residual is measured on the original
+    equations off the zero mode, rcond is LAPACK's reciprocal one-norm
+    condition estimate.  Raises SingularSolveError when the condition
+    estimate exceeds 1e14.
     """
     n2 = M.entries.shape[0]
     izero = freq_index(0, 0, M.n)
@@ -177,7 +182,7 @@ def _deflated_solve(M: OperatorMatrix, rhs: np.ndarray):
     res_vec = A @ w - rhs
     res_vec[izero] = 0.0
     residual = float(np.linalg.norm(res_vec))
-    return w, residual
+    return w, residual, float(rcond)
 
 
 @dataclass
@@ -185,6 +190,7 @@ class VarianceResult:
     sigma2: float
     shift: float
     solve_residual: float
+    solve_rcond: float
     n: int
     N: int
     kernel_label: str
@@ -194,6 +200,7 @@ class VarianceResult:
             "sigma2": self.sigma2,
             "mean_shift": self.shift,
             "solve_residual": self.solve_residual,
+            "solve_rcond": self.solve_rcond,
             "n": self.n,
             "N": self.N,
             "kernel": self.kernel_label,
@@ -217,7 +224,7 @@ def _variance(base: Baseline) -> VarianceResult:
     n, N = M0.grid.n, M0.grid.N
     b = M0.entries @ restrict_to_coarse(forward_transform(gc * v), n).coeffs
     b[freq_index(0, 0, n)] = 0.0
-    w, residual = _deflated_solve(M0, b)
+    w, residual, rcond = _deflated_solve(M0, b)
     w_spatial = evaluate_on_fine(SpectralVector(n, w), N)
     sigma2 = complex(riemann_integral(gc * gc * v + 2.0 * gc * w_spatial))
     if sigma2.real < -1e-8:
@@ -226,6 +233,7 @@ def _variance(base: Baseline) -> VarianceResult:
         sigma2=float(sigma2.real),
         shift=base.shift,
         solve_residual=residual,
+        solve_rcond=rcond,
         n=n,
         N=N,
         kernel_label=M0.kernel_label,
@@ -279,8 +287,10 @@ class RateTable:
     rows: list
     sigma2: float
     shift: float
+    solve_rcond: float
     z_bracket: tuple
-    bracket_expanded: bool = False
+    bracket_expanded: bool
+    legendre_evals: int
 
     def to_rows(self):
         return [
@@ -289,56 +299,21 @@ class RateTable:
         ]
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_EVALS = 60
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-6):
-    """Golden-section maximisation on [lo, hi]; returns (x, f(x), iterations)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iters = 0
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        iters += 1
-    x = c if fc >= fd else d
-    return x, max(fc, fd), iters
+def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
+    """(Lambda, Lambda') at M's twist, Lambda = ln|lam|.
 
-
-def _bracket_from_seed(f, seed, lo, hi, step=0.25):
-    """Expand around a seed until the maximum is interior or a bound is hit."""
-    seed = min(max(seed, lo), hi)
-    a = max(lo, seed - step)
-    b = min(hi, seed + step)
-    fa, fs, fb = f(a), f(seed), f(b)
-    evals = 3
-    while not (fs >= fa and fs >= fb):
-        if fb > fs:
-            a, fa = seed, fs
-            seed, fs = b, fb
-            step *= 2.0
-            b = min(hi, seed + step)
-            if b == seed:
-                break
-            fb = f(b)
-        else:
-            b, fb = seed, fs
-            seed, fs = a, fa
-            step *= 2.0
-            a = max(lo, seed - step)
-            if a == seed:
-                break
-            fa = f(a)
-        evals += 1
-    return a, b, evals
+    Hellmann-Feynman: Lambda' = Re <l, dM r> / (lam <l, r>), with r the right
+    eigenvector in ``eig``, l the left one (the leading eigenvector of M^H,
+    from the same start vector) and dM the derivative operator.
+    """
+    _, left, _ = _leading(M.entries.conj().T, M.n)
+    r = eig.right_vector.coeffs
+    slope = np.vdot(left, dM.entries @ r) / (eig.lam * np.vdot(left, r))
+    return math.log(abs(eig.lam)), float(slope.real)
 
 
 def rate_function(
@@ -349,13 +324,26 @@ def rate_function(
     s_values,
     z_bracket=(-4.0, 4.0),
 ) -> RateTable:
-    """Legendre transform r(s) = sup_z (s z - ln|lambda(z)|) over the bracket.
+    """Legendre transform r(s) = sup_z (s z - Lambda(z)) over the bracket.
 
-    Each s is maximised by golden-section search refined to |dz| < 1e-6,
-    warm-started at the previous optimiser.  A row is flagged when its
-    optimiser sits within 1e-4 of the bracket boundary; the bracket is
-    doubled once (for the whole table) if that happens, and flags surviving
-    the expansion are reported as the domain edge of the rate function.
+    Lambda = ln|lambda| is convex, so the supremum sits where Lambda'(z) = s.
+    Each s, in increasing order, is solved by Newton's method from the
+    previous optimiser (the first from z = 0).  Lambda' comes from the
+    Hellmann-Feynman formula; Lambda'' is the secant through the last two
+    evaluations, sigma^2 = Lambda''(0) before there are two.  The evaluated
+    twists split the bracket by the sign of Lambda' - s; a Newton step that
+    would leave that sign bracket evaluates the bracket end instead, or
+    bisects when the end is already known.  z* is the last evaluated z,
+    accepted once the proposed step is below 1e-9, so r = s z* - Lambda(z*)
+    needs no further evaluation.  If Lambda' - s keeps its sign up to a
+    bracket end, z* is that end.
+
+    A row is flagged when z* sits within 1e-4 of the bracket boundary; the
+    bracket is doubled once (for the whole table) if that happens and the
+    row is solved again, and flags surviving the expansion are reported as
+    the domain edge of the rate function.  A row's ``iterations`` counts the
+    evaluations made while solving it; ``legendre_evals`` counts all of
+    them, z = 0 included.
     """
     s_values = sorted(float(s) for s in s_values)
     z_lo, z_hi = float(z_bracket[0]), float(z_bracket[1])
@@ -366,38 +354,77 @@ def rate_function(
     gc = g.shifted(base.shift)
     var = _variance(base)
 
-    memo: dict = {}
+    def derivative(z):
+        return assemble_derivative(map_model, kernel, gc, z, grid)
 
-    def log_lam(z: float) -> float:
-        if z not in memo:
-            memo[z] = math.log(abs(_leading_lam(base, map_model, kernel, gc, z)))
-        return memo[z]
+    # (Lambda, Lambda') by twist, in evaluation order
+    points = {0.0: _legendre_point(base.M0, base.eigen, derivative(0.0))}
+
+    def evaluate(z: float) -> float:
+        M = assemble(map_model, kernel, gc, z, grid)
+        points[z] = _legendre_point(M, leading_eigenpair(M), derivative(z))
+        return points[z][1]
+
+    def curvature() -> float:
+        if len(points) < 2:
+            return var.sigma2
+        (z0, (_, d0)), (z1, (_, d1)) = list(points.items())[-2:]
+        return (d1 - d0) / (z1 - z0)
+
+    def solve(s: float, z: float) -> float:
+        """z* for Lambda'(z*) = s on [z_lo, z_hi], from the evaluated z."""
+        lo = max([z_lo] + [x for x, (_, d) in points.items() if d < s])
+        hi = min([z_hi] + [x for x, (_, d) in points.items() if d > s])
+        for _ in range(_NEWTON_MAX_EVALS):
+            if lo == z_hi or hi == z_lo:  # the sign holds up to that end
+                return lo if lo == z_hi else hi
+            h = curvature()
+            z_new = z + (s - points[z][1]) / h if h > 0.0 else math.nan
+            if not lo < z_new < hi:
+                if z_new >= hi == z_hi and z_hi not in points:
+                    z_new = z_hi
+                elif z_new <= lo == z_lo and z_lo not in points:
+                    z_new = z_lo
+                else:
+                    z_new = 0.5 * (lo + hi)
+            if abs(z_new - z) < _NEWTON_TOL:
+                return z
+            z = z_new
+            d = evaluate(z)
+            if d < s:
+                lo = z
+            elif d > s:
+                hi = z
+            else:
+                return z
+        raise NonConvergenceError(
+            f"Newton-Legendre solve at s = {s!r} took {_NEWTON_MAX_EVALS} evaluations"
+        )
 
     expanded = False
     rows = []
-    seed = 0.0
+    z_star = 0.0
+    done = len(points)
     i = 0
     while i < len(s_values):
         s = s_values[i]
-
-        def phi(z):
-            return s * z - log_lam(z)
-
-        a, b, evals = _bracket_from_seed(phi, seed, z_lo, z_hi)
-        z_star, r, iters = _golden_max(phi, a, b)
+        z_star = solve(s, z_star)
         on_edge = min(abs(z_star - z_lo), abs(z_star - z_hi)) < 1e-4
         if on_edge and not expanded:
             expanded = True
             z_lo *= 2.0
             z_hi *= 2.0
             continue
-        rows.append(RateRow(s, z_star, r, iters + evals, on_edge))
-        seed = z_star
+        r = s * z_star - points[z_star][0]
+        rows.append(RateRow(s, z_star, r, len(points) - done, on_edge))
+        done = len(points)
         i += 1
     return RateTable(
         rows=rows,
         sigma2=var.sigma2,
         shift=base.shift,
+        solve_rcond=var.solve_rcond,
         z_bracket=(z_lo, z_hi),
         bracket_expanded=expanded,
+        legendre_evals=len(points),
     )

@@ -289,6 +289,17 @@ def test_rerun_reproduces_scalars_bitwise(tmp_path):
     assert a == b
 
 
+def test_rate_rerun_reproduces_table_bytewise(tmp_path):
+    argv = ["rate", "--scheme", "fejer", "--n", "8", "--fine", "64", "--s", "0:0.1:1.8"]
+    for run in ("a", "b"):
+        assert main(argv + ["--out-dir", str(tmp_path / run)]) == 0
+    a, b = (_load_summary(tmp_path / run, "rate_summary.json")["results"] for run in "ab")
+    assert a["legendre_evals"] == b["legendre_evals"] <= 100
+    assert a["solve_rcond"] == b["solve_rcond"] > 0.0
+    tables = [(tmp_path / run / "rate_table.csv").read_bytes() for run in "ab"]
+    assert tables[0] == tables[1]
+
+
 def test_srb_operator_dump(tmp_path):
     from anosov.operators import read_opmat
 

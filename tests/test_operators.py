@@ -20,7 +20,13 @@ from anosov import (
 )
 from anosov.grids import fine_points, freq_index
 from anosov.kernels import ResolutionError
-from anosov.operators import EXP_GUARD, get_assembler, read_opmat, write_opmat
+from anosov.operators import (
+    EXP_GUARD,
+    assemble_derivative,
+    get_assembler,
+    read_opmat,
+    write_opmat,
+)
 
 
 def _index_pairs(n):
@@ -185,6 +191,52 @@ def test_factored_assembly_matches_generic(map_model, n, N, std_g):
             M = assemble(map_model, kernel, std_g, z, grid)
             expected = _generic_entries(map_model, kernel, std_g, z, grid)
             assert np.abs(M.entries - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
+@pytest.mark.parametrize(
+    "map_model",
+    [PerturbedCat(0.01, "section7"), LinearToral(2, 1, 3, 2)],
+    ids=["section7", "linear-2132"],
+)
+def test_factored_derivative_matches_generic(map_model, n, N, std_g):
+    """d/dz L: the factored D1 U2 + U1 D2 against the generic weight g exp(z g)."""
+    grid = GridSpec(n, N)
+    g = std_g.shifted(0.1)  # a constant in g1, as in the centered observable
+    gs = g.sample(*fine_points(N))
+    for z in (0.0, 0.3, -0.5):
+        base = get_assembler(map_model, grid).base_matrix(gs * np.exp(z * gs))
+        for kernel in (FejerKernel(), BumpKernel(0.1)):
+            q = kernel.coefficients(grid).coeffs.real
+            dM = assemble_derivative(map_model, kernel, g, z, grid)
+            assert dM.z == z
+            assert np.abs(dM.entries - q[:, None] * base).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        standard_observable(),
+        TrigPolynomial((((1, 1), 0.25), ((-1, -1), 0.25), ((2, 0), 0.5), ((-2, 0), 0.5))),
+    ],
+    ids=["factored", "generic"],
+)
+def test_derivative_is_the_central_difference(perturbed_map, fejer, g):
+    grid, h = GridSpec(8, 64), 1e-5
+    for z in (0.0, 0.7):
+        dM = assemble_derivative(perturbed_map, fejer, g, z, grid).entries
+        hi = assemble(perturbed_map, fejer, g, z + h, grid).entries
+        lo = assemble(perturbed_map, fejer, g, z - h, grid).entries
+        assert np.abs(dM - (hi - lo) / (2 * h)).max() <= 1e-8 * np.abs(dM).max()
+
+
+def test_derivative_shares_the_assembly_guards(perturbed_map, fejer, std_g):
+    with pytest.raises(OverflowError):
+        assemble_derivative(perturbed_map, fejer, std_g, 400.0, GridSpec(8, 64))
+    with pytest.raises(ValueError, match="N >= 2n"):
+        assemble_derivative(perturbed_map, fejer, std_g, 0.0, GridSpec(8, 8))
+    with pytest.raises(MemoryError):
+        assemble_derivative(perturbed_map, fejer, std_g, 0.0, GridSpec(256, 512))
 
 
 def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):

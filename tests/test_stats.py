@@ -16,11 +16,17 @@ from anosov import (
     rate_function,
     restrict_to_coarse,
     riemann_integral,
+    standard_observable,
     variance,
 )
 from anosov.grids import fine_points, forward_transform, freq_index
-from anosov.operators import OperatorMatrix
-from anosov.stats import SingularSolveError, _deflated_solve
+from anosov.operators import OperatorMatrix, assemble_derivative
+from anosov.stats import (
+    SingularSolveError,
+    _deflated_solve,
+    _leading_lam,
+    _legendre_point,
+)
 
 
 def _toy_matrix(diag):
@@ -249,3 +255,205 @@ def test_deflated_solve_flags_singular():
     )
     with pytest.raises(SingularSolveError):
         _deflated_solve(M, np.zeros(n * n, dtype=complex))
+
+
+# -- Newton-Legendre rate function -------------------------------------------
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float = 1e-6):
+    """Golden-section maximisation on [lo, hi]; returns (x, f(x), iterations)."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    iters = 0
+    while b - a > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        iters += 1
+    x = c if fc >= fd else d
+    return x, max(fc, fd), iters
+
+
+def _bracket_from_seed(f, seed, lo, hi, step=0.25):
+    """Expand around a seed until the maximum is interior or a bound is hit."""
+    seed = min(max(seed, lo), hi)
+    a = max(lo, seed - step)
+    b = min(hi, seed + step)
+    fa, fs, fb = f(a), f(seed), f(b)
+    evals = 3
+    while not (fs >= fa and fs >= fb):
+        if fb > fs:
+            a, fa = seed, fs
+            seed, fs = b, fb
+            step *= 2.0
+            b = min(hi, seed + step)
+            if b == seed:
+                break
+            fb = f(b)
+        else:
+            b, fb = seed, fs
+            seed, fs = a, fa
+            step *= 2.0
+            a = max(lo, seed - step)
+            if a == seed:
+                break
+            fa = f(a)
+        evals += 1
+    return a, b, evals
+
+
+def _golden_rate_table(map_model, kernel, g, grid, s_values, z_bracket):
+    """The rate table by warm-started golden section: the oracle for Newton.
+
+    Returns ((s, z*, r, flag) rows, final bracket, expanded, log_lam) with the
+    same bracket-doubling and boundary-flag rules as ``rate_function``.
+    """
+    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
+    gc = g.shifted(base.shift)
+    memo = {}
+
+    def log_lam(z):
+        if z not in memo:
+            memo[z] = np.log(abs(_leading_lam(base, map_model, kernel, gc, z)))
+        return memo[z]
+
+    z_lo, z_hi = z_bracket
+    expanded, rows, seed, i = False, [], 0.0, 0
+    s_values = sorted(s_values)
+    while i < len(s_values):
+        s = s_values[i]
+
+        def phi(z):
+            return s * z - log_lam(z)
+
+        a, b, _ = _bracket_from_seed(phi, seed, z_lo, z_hi)
+        z_star, r, _ = _golden_max(phi, a, b)
+        on_edge = min(abs(z_star - z_lo), abs(z_star - z_hi)) < 1e-4
+        if on_edge and not expanded:
+            expanded, z_lo, z_hi = True, 2 * z_lo, 2 * z_hi
+            continue
+        rows.append((s, z_star, r, on_edge))
+        seed = z_star
+        i += 1
+    return rows, (z_lo, z_hi), expanded, log_lam
+
+
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
+def test_newton_rate_matches_golden_section_oracle(perturbed_map, std_g, kernel):
+    grid, s_values = GridSpec(8, 64), [-0.9, -0.45, -0.1, 0.0, 0.2, 0.6, 0.9]
+    tab = rate_function(perturbed_map, kernel, std_g, grid, s_values)
+    rows, bracket, expanded, _ = _golden_rate_table(
+        perturbed_map, kernel, std_g, grid, s_values, (-4.0, 4.0)
+    )
+    assert (tab.z_bracket, tab.bracket_expanded) == (bracket, expanded)
+    for row, (s, z_star, r, flag) in zip(tab.rows, rows, strict=True):
+        assert (row.s, row.at_bracket_boundary) == (s, flag)
+        assert abs(row.z_star - z_star) <= 1e-6, s
+        assert abs(row.r - r) <= 1e-10, s
+
+
+def test_newton_rate_boundary_rows_match_oracle(perturbed_map, fejer, std_g):
+    """Both ends hit: z* is the end, r its value there, the bracket doubled once."""
+    grid, s_values = GridSpec(8, 64), [-1.0, 0.0, 1.0]
+    tab = rate_function(perturbed_map, fejer, std_g, grid, s_values, (-0.05, 0.05))
+    rows, bracket, expanded, log_lam = _golden_rate_table(
+        perturbed_map, fejer, std_g, grid, s_values, (-0.05, 0.05)
+    )
+    assert (tab.z_bracket, tab.bracket_expanded) == (bracket, expanded) == ((-0.1, 0.1), True)
+    assert [row.at_bracket_boundary for row in tab.rows] == [True, False, True]
+    for row, (s, z_star, r, flag) in zip(tab.rows, rows, strict=True):
+        assert row.at_bracket_boundary == flag
+        assert abs(row.z_star - z_star) <= 1e-6, s
+        if flag:
+            # golden section stops within 1e-6 of the end, where dr/dz = s - Lambda'
+            # is not 0: its r is good to about 1e-6, the end value to rounding
+            assert row.z_star in bracket
+            assert abs(row.r - (s * row.z_star - log_lam(row.z_star))) <= 1e-10
+            assert abs(row.r - r) <= 1e-6
+        else:
+            assert abs(row.r - r) <= 1e-10
+
+
+def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
+    """Bump, n = 8: two eigenvalues swap as the leading one near z = 3.05, so
+    Lambda has a kink there and Lambda' jumps from about 1.0 to 1.6.  For s
+    inside the jump the supremum sits on the kink: Newton's sign bracket closes
+    on it, and golden section lands within 1e-6 of it."""
+    kernel, grid, s_values = BumpKernel(0.1), GridSpec(8, 64), [1.1, 1.4]
+    tab = rate_function(perturbed_map, kernel, std_g, grid, s_values)
+    rows, _, _, log_lam = _golden_rate_table(
+        perturbed_map, kernel, std_g, grid, s_values, (-4.0, 4.0)
+    )
+    kink = tab.rows[0].z_star
+    h = 1e-4
+    left = (log_lam(kink) - log_lam(kink - h)) / h
+    right = (log_lam(kink + h) - log_lam(kink)) / h
+    assert left < 1.01 and right > 1.6
+    for row, (s, z_star, r, _) in zip(tab.rows, rows, strict=True):
+        assert abs(row.z_star - kink) <= 1e-9
+        assert abs(row.z_star - z_star) <= 1e-6
+        # r is not smooth at the kink: golden's is only first-order close, and
+        # never above the supremum Newton found
+        assert r - 1e-12 <= row.r <= r + 1e-6
+
+
+def test_rate_table_legendre_budget(perturbed_map, fejer, std_g):
+    s_values = [round(0.1 * i, 1) for i in range(19)]
+    tab = rate_function(perturbed_map, fejer, std_g, GridSpec(8, 64), s_values)
+    assert tab.bracket_expanded and tab.z_bracket == (-8.0, 8.0)
+    assert tab.legendre_evals <= 100
+    # every evaluation is charged to the row that made it, except z = 0
+    assert sum(row.iterations for row in tab.rows) == tab.legendre_evals - 1
+    assert 0.0 < tab.solve_rcond <= 1.0
+
+
+def test_newton_evaluation_cap_raises(perturbed_map, fejer, std_g, monkeypatch):
+    import anosov.stats as stats_mod
+    from anosov.stats import NonConvergenceError
+
+    monkeypatch.setattr(stats_mod, "_NEWTON_MAX_EVALS", 2)
+    with pytest.raises(NonConvergenceError, match="s = 0.5 took 2 evaluations"):
+        rate_function(perturbed_map, fejer, std_g, GridSpec(8, 64), [0.5])
+
+
+_MIXED = TrigPolynomial(
+    (
+        ((1, 1), 0.25),
+        ((-1, -1), 0.25),
+        ((2, 0), 0.5),
+        ((-2, 0), 0.5),
+        ((0, 1), -0.5j),
+        ((0, -1), 0.5j),
+    )
+)
+
+
+@pytest.mark.parametrize("g", [standard_observable(), _MIXED], ids=["standard", "mixed"])
+def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer, g):
+    grid, h = GridSpec(8, 64), 1e-4
+    assert (g.separable_parts() is None) == (g is _MIXED)  # mixed: the generic path
+    base = baseline(assemble(perturbed_map, fejer, g, 0.0, grid), g)
+    gc = g.shifted(base.shift)
+    for z in (-0.5, 0.0, 0.3, 1.0, 3.0):
+        M = assemble(perturbed_map, fejer, gc, z, grid)
+        dM = assemble_derivative(perturbed_map, fejer, gc, z, grid)
+        log_lam, slope = _legendre_point(M, leading_eigenpair(M), dM)
+        assert log_lam == np.log(abs(leading_eigenpair(M).lam))
+        lo, hi = lambda_curve(perturbed_map, fejer, g, grid, [z - h, z + h])
+        central = (np.log(abs(hi.lam)) - np.log(abs(lo.lam))) / (2 * h)
+        assert abs(slope - central) <= 1e-8, z
+
+
+def test_variance_reports_solve_rcond(perturbed_map, fejer, std_g):
+    res = variance(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    assert 0.0 < res.solve_rcond <= 1.0
+    assert res.to_dict()["solve_rcond"] == res.solve_rcond
