@@ -202,6 +202,8 @@ def _cmd_rate(args, started):
         "z_bracket": list(table.z_bracket),
         "bracket_expanded": table.bracket_expanded,
         "legendre_evals": table.legendre_evals,
+        "lambda_imag_max": table.lambda_imag_max,
+        "slope_monotone": table.slope_monotone,
         "table_file": csv_path,
     }
     payload.update(matched)
@@ -244,6 +246,8 @@ def _cmd_ulam(args, started):
     if res is not None:
         payload["sigma2"] = res.sigma2
         payload["mean_shift"] = res.shift
+        payload["solve_residual"] = res.solve_residual
+        payload["solve_terms"] = res.solve_terms
     _write_summary(args, "ulam", payload, started)
 
 

@@ -291,6 +291,8 @@ class RateTable:
     z_bracket: tuple
     bracket_expanded: bool
     legendre_evals: int
+    lambda_imag_max: float  # largest |Im lambda| / |lambda| over the evaluations
+    slope_monotone: bool  # Lambda' nondecreasing over the evaluated z, in z order
 
     def to_rows(self):
         return [
@@ -333,17 +335,23 @@ def rate_function(
     evaluations, sigma^2 = Lambda''(0) before there are two.  The evaluated
     twists split the bracket by the sign of Lambda' - s; a Newton step that
     would leave that sign bracket evaluates the bracket end instead, or
-    bisects when the end is already known.  z* is the last evaluated z,
-    accepted once the proposed step is below 1e-9, so r = s z* - Lambda(z*)
-    needs no further evaluation.  If Lambda' - s keeps its sign up to a
-    bracket end, z* is that end.
+    bisects when the end is already known.  As in rtsafe (Numerical
+    Recipes), a step longer than half the step before last bisects too; a
+    secant across s (through evaluations on both sides of it) must halve
+    the last step.  z* is the last evaluated z, accepted once the proposed
+    Newton step is below 1e-9, so r = s z* - Lambda(z*) needs no further
+    evaluation.  A secant across s may span a kink of Lambda, where the
+    leading eigenvalue changes branch; after one, z* is accepted only once
+    Lambda'(z*) is within 1e-9 of s or the sign bracket is narrower than
+    1e-9.  If Lambda' - s keeps its sign up to a bracket end, z* is that end.
 
     A row is flagged when z* sits within 1e-4 of the bracket boundary; the
     bracket is doubled once (for the whole table) if that happens and the
     row is solved again, and flags surviving the expansion are reported as
     the domain edge of the rate function.  A row's ``iterations`` counts the
     evaluations made while solving it; ``legendre_evals`` counts all of
-    them, z = 0 included.
+    them, z = 0 included.  ``slope_monotone`` and ``lambda_imag_max`` show
+    where the discretised Lambda is not convex or lambda not real.
     """
     s_values = sorted(float(s) for s in s_values)
     z_lo, z_hi = float(z_bracket[0]), float(z_bracket[1])
@@ -357,38 +365,55 @@ def rate_function(
     def derivative(z):
         return assemble_derivative(map_model, kernel, gc, z, grid)
 
-    # (Lambda, Lambda') by twist, in evaluation order
+    # (Lambda, Lambda') by twist, in evaluation order, and |Im lam| / |lam|
     points = {0.0: _legendre_point(base.M0, base.eigen, derivative(0.0))}
+    imag = [abs(base.eigen.lam.imag) / abs(base.eigen.lam)]
 
     def evaluate(z: float) -> float:
         M = assemble(map_model, kernel, gc, z, grid)
-        points[z] = _legendre_point(M, leading_eigenpair(M), derivative(z))
+        eig = leading_eigenpair(M)
+        points[z] = _legendre_point(M, eig, derivative(z))
+        imag.append(abs(eig.lam.imag) / abs(eig.lam))
         return points[z][1]
 
-    def curvature() -> float:
+    def secant(s: float):
+        """(Lambda'' estimate, whether the last two evaluations straddle s)."""
         if len(points) < 2:
-            return var.sigma2
+            return var.sigma2, False
         (z0, (_, d0)), (z1, (_, d1)) = list(points.items())[-2:]
-        return (d1 - d0) / (z1 - z0)
+        return (d1 - d0) / (z1 - z0), (d0 - s) * (d1 - s) < 0.0
 
     def solve(s: float, z: float) -> float:
         """z* for Lambda'(z*) = s on [z_lo, z_hi], from the evaluated z."""
         lo = max([z_lo] + [x for x, (_, d) in points.items() if d < s])
         hi = min([z_hi] + [x for x, (_, d) in points.items() if d > s])
+        step = step_before = math.inf  # the last two steps taken
         for _ in range(_NEWTON_MAX_EVALS):
             if lo == z_hi or hi == z_lo:  # the sign holds up to that end
                 return lo if lo == z_hi else hi
-            h = curvature()
+            if hi - lo < _NEWTON_TOL and z in (lo, hi):
+                return z
+            h, across = secant(s)
             z_new = z + (s - points[z][1]) / h if h > 0.0 else math.nan
-            if not lo < z_new < hi:
+            # a Newton step stays in the sign bracket and, as in rtsafe, is at
+            # most half the step before last; a secant across s must halve
+            # the last step, so it cannot creep in from one end of the bracket
+            limit = 0.5 * abs(step if across else step_before)
+            newton = lo < z_new < hi and abs(z_new - z) <= limit
+            if not newton:
                 if z_new >= hi == z_hi and z_hi not in points:
                     z_new = z_hi
                 elif z_new <= lo == z_lo and z_lo not in points:
                     z_new = z_lo
                 else:
                     z_new = 0.5 * (lo + hi)
-            if abs(z_new - z) < _NEWTON_TOL:
+            # across a kink the secant's steps shrink with the bracket, not
+            # with the error: trust it only once Lambda' meets s
+            elif abs(z_new - z) < _NEWTON_TOL and (
+                not across or abs(points[z][1] - s) < _NEWTON_TOL
+            ):
                 return z
+            step_before, step = step, z_new - z
             z = z_new
             d = evaluate(z)
             if d < s:
@@ -419,6 +444,7 @@ def rate_function(
         rows.append(RateRow(s, z_star, r, len(points) - done, on_edge))
         done = len(points)
         i += 1
+    slopes = [d for _, (_, d) in sorted(points.items())]
     return RateTable(
         rows=rows,
         sigma2=var.sigma2,
@@ -427,4 +453,6 @@ def rate_function(
         z_bracket=(z_lo, z_hi),
         bracket_expanded=expanded,
         legendre_evals=len(points),
+        lambda_imag_max=max(imag),
+        slope_monotone=all(a <= b for a, b in zip(slopes, slopes[1:])),
     )

@@ -46,6 +46,11 @@ class MapModel:
         return TorusPoint(float(y1[0]), float(y2[0]))
 
     def image_arrays(self, x1, x2):
+        """(y1, y2) = T(x1, x2) mod 1, elementwise.
+
+        x1 and x2 broadcast against each other as numpy arrays do, and the
+        images match, bit for bit, an evaluation on the broadcast arrays.
+        """
         raise NotImplementedError
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:
@@ -124,8 +129,8 @@ class PerturbedCat(MapModel):
 
     def image_arrays(self, x1, x2):
         _, phi1, phi2 = self.separable_parts()
-        y1 = (2.0 * x1 + x2 + phi1(x1)) % 1.0
-        y2 = (x1 + x2 + phi2(x2)) % 1.0
+        y1 = mod1(2.0 * x1 + x2 + phi1(x1))
+        y2 = mod1(x1 + x2 + phi2(x2))
         return y1, y2
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:

@@ -7,10 +7,11 @@ sample points per box, so the construction is fully reproducible: entry
 are exact integer counts divided by k.
 
 The invariant density is the leading left eigenvector (ARPACK on the
-transpose, from the uniform vector); the variance mirrors the
-spectral-method formula in the box basis with the same zero-mode
-row-replacement deflation, the constant mode playing the role of the zero
-frequency.
+transpose, from the uniform vector).  The variance is the Green-Kubo sum in
+the box basis: for a mixing P the deflated resolvent solution is the
+fundamental-matrix series w = sum_{j>=1} P^j g_c (Kemeny-Snell), summed
+with the constant mode projected off each term, the constant mode playing
+the role of the spectral method's zero frequency.  No matrix is factored.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import _is_pow2
 from .stats import SingularSolveError, _arpack_leading
@@ -42,7 +42,6 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     if ks * ks != k:
         raise ValueError("samples per box must be a perfect square")
     off = (np.arange(ks) + 0.5) / (m * ks)
-    o1, o2 = (o.ravel() for o in np.meshgrid(off, off, indexing="ij"))
     nboxes = m * m
     keys, counts = [], []
     parts = None if g is None else g.separable_parts()
@@ -53,14 +52,19 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
         x = (np.arange(m)[:, None] / m + off).ravel()
         g1, g2 = (gi(x).reshape(m, ks).mean(axis=1) for gi in parts)
         gbox = np.add.outer(g1, g2).ravel()
+    # one row of boxes at a time, on the lattice (box i2, offset a, offset b):
+    # x1 varies along a and x2 along (i2, b), broadcast to (m, ks, ks), which
+    # flattens to the (m, k) samples in row-major (a, b) order
+    x2 = np.arange(m)[:, None, None] / m + off
     for i1 in range(m):
-        # one row of boxes at a time: (m, k) sample coordinates
-        x1 = (i1 / m + o1)[None, :] + np.zeros((m, 1))
-        x2 = (np.arange(m)[:, None] / m) + o2[None, :]
+        x1 = (i1 / m + off)[:, None]
         y1, y2 = map_model.image_arrays(x1, x2)
-        dest = (y1 * m).astype(np.int64) % m * m + (y2 * m).astype(np.int64) % m
+        # & (m - 1) is % m on int64 for a power-of-two m, and much cheaper
+        j1, j2 = ((y * m).astype(np.int64) & (m - 1) for y in (y1, y2))
+        dest = np.broadcast_to(j1 * m + j2, (m, ks, ks)).reshape(m, k)
         if g is not None and parts is None:
-            gbox[i1 * m : (i1 + 1) * m] = g.sample(x1, x2).mean(axis=1)
+            gs = g.sample(*np.broadcast_arrays(x1, x2))
+            gbox[i1 * m : (i1 + 1) * m] = gs.reshape(m, k).mean(axis=1)
         # (box, destination) pairs encoded as box * nboxes + destination
         boxes = np.arange(i1 * m, (i1 + 1) * m, dtype=np.int64)
         pairs = (boxes[:, None] * nboxes + dest).ravel()
@@ -90,11 +94,39 @@ def ulam_srb(U: UlamMatrix) -> np.ndarray:
     return (v / v.sum()).real * nboxes
 
 
+# Green-Kubo terms summed before a P that does not mix counts as singular
+_SERIES_MAX_TERMS = 10_000
+
+
+def _green_kubo(P: sp.csr_matrix, pi: np.ndarray, gc: np.ndarray):
+    """(w, terms): w = sum_{j>=1} P^j g_c with the constant mode projected off.
+
+    Each term is v <- P v, v <- v - (pi.v), from v = g_c, so w does not
+    depend on the constant part of g_c and the rounding drift of pi.v
+    cannot accumulate.  The sum stops once max|v| <= 1e-16 max(1, max|w|)
+    and is shifted to w[0] = 0: then w solves (Id - P) w = P g_c with the
+    first row replaced by w[0] = 0.  A P that does not mix (no convergence
+    in _SERIES_MAX_TERMS terms) raises SingularSolveError.
+    """
+    v = gc
+    w = np.zeros_like(gc)
+    for terms in range(1, _SERIES_MAX_TERMS + 1):
+        v = P @ v
+        v -= pi @ v
+        w += v
+        if np.abs(v).max() <= 1e-16 * max(1.0, np.abs(w).max()):
+            return w - w[0], terms
+    raise SingularSolveError(
+        f"Green-Kubo series did not converge in {_SERIES_MAX_TERMS} terms"
+    )
+
+
 @dataclass
 class UlamVarianceResult:
     sigma2: float
     shift: float
     solve_residual: float
+    solve_terms: int
     m: int
     samples_per_box: int
     density: np.ndarray  # invariant density per box, as from ulam_srb; not in to_dict
@@ -104,6 +136,7 @@ class UlamVarianceResult:
             "sigma2": self.sigma2,
             "mean_shift": self.shift,
             "solve_residual": self.solve_residual,
+            "solve_terms": self.solve_terms,
             "m": self.m,
             "samples_per_box": self.samples_per_box,
         }
@@ -112,28 +145,25 @@ class UlamVarianceResult:
 def ulam_variance(
     map_model: MapModel, m: int, k: int, g: Observable
 ) -> UlamVarianceResult:
-    """Variance in the Ulam basis, mirroring the spectral linear-solve form.
+    """Variance in the Ulam basis from the Green-Kubo series.
 
-    g is box-averaged and centered by the stationary weights; w solves
-    (Id - P) w = P g_c deflated on the constant mode (row replacement, first
-    row), and sigma^2 = sum_i pi_i (g_c_i^2 + 2 g_c_i w_i).
+    g is box-averaged and centered by the stationary weights pi; w is the
+    series sum_{j>=1} P^j g_c of _green_kubo, and
+    sigma^2 = sum_i pi_i (g_c_i^2 + 2 g_c_i w_i).  The residual of the
+    deflated system (Id - P) w = P g_c, first row excluded, is checked
+    afterwards.
     """
     U, gbox = _build(map_model, m, k, g)
-    nboxes = m * m
     density = ulam_srb(U)
-    pi = density / nboxes
+    pi = density / (m * m)
     shift = float(pi @ gbox)
     gc = gbox - shift
+    w, terms = _green_kubo(U.P, pi, gc)
+    if not np.all(np.isfinite(w)):
+        raise SingularSolveError("Green-Kubo series produced non-finite values")
     rhs = U.P @ gc
     rhs[0] = 0.0
-    A = (sp.eye(nboxes, format="csr") - U.P).tolil()
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    A = A.tocsc()
-    w = spla.spsolve(A, rhs)
-    if not np.all(np.isfinite(w)):
-        raise SingularSolveError("sparse deflated solve produced non-finite values")
-    res_vec = (sp.eye(nboxes, format="csr") - U.P) @ w - rhs
+    res_vec = w - U.P @ w - rhs
     res_vec[0] = 0.0
     residual = float(np.linalg.norm(res_vec))
     scale = max(1.0, float(np.linalg.norm(rhs)))
@@ -144,6 +174,7 @@ def ulam_variance(
         sigma2=sigma2,
         shift=shift,
         solve_residual=residual,
+        solve_terms=terms,
         m=m,
         samples_per_box=k,
         density=density,

@@ -8,7 +8,14 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import anosov.cli as cli_mod
 import anosov.stats as stats_mod
 import anosov.ulam as ulam_mod
-from anosov import build_ulam, cat_map, standard_observable, ulam_srb, ulam_variance
+from anosov import (
+    LinearToral,
+    build_ulam,
+    cat_map,
+    standard_observable,
+    ulam_srb,
+    ulam_variance,
+)
 from anosov.cli import main
 from anosov.grids import read_grid
 from anosov.kernels import NoRootError
@@ -298,6 +305,41 @@ def test_rate_rerun_reproduces_table_bytewise(tmp_path):
     assert a["solve_rcond"] == b["solve_rcond"] > 0.0
     tables = [(tmp_path / run / "rate_table.csv").read_bytes() for run in "ab"]
     assert tables[0] == tables[1]
+
+
+def test_rate_at_an_eigenvalue_crossing_succeeds(tmp_path):
+    # the Newton-Legendre row at s = 1.0 sits on the bump kernel's kink near
+    # z = 3.05, where it used to run out of evaluations (exit 2)
+    argv = ["rate", "--map", "perturbed-cat", "--scheme", "bump", "--epsilon", "0.1"]
+    argv += ["--n", "8", "--fine", "64", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--s", "1.0"]) == 0
+    single = _load_summary(tmp_path, "rate_summary.json")["results"]
+    assert main(argv + ["--s", "0:0.1:1.0"]) == 0
+    table = _load_summary(tmp_path, "rate_summary.json")["results"]
+    # the evaluations reach past the kink, where Lambda' decreases
+    assert single["slope_monotone"] is False and table["slope_monotone"] is False
+    assert 0.0 <= single["lambda_imag_max"] < 1.0 and 0.0 <= table["lambda_imag_max"] < 1.0
+    rows = (tmp_path / "rate_table.csv").read_text().splitlines()
+    assert rows[0] == "s,z_star,r,iterations,boundary_flag" and len(rows) == 12
+
+
+def test_ulam_rerun_reproduces_density_bytewise(tmp_path):
+    argv = ["ulam", "--boxes", "16", "--samples", "100", "--variance"]
+    for run in ("a", "b"):
+        assert main(argv + ["--out-dir", str(tmp_path / run)]) == 0
+    a, b = (_load_summary(tmp_path / run, "ulam_summary.json")["results"] for run in "ab")
+    assert a.pop("density_file") != b.pop("density_file")
+    assert a == b
+    assert 0 < a["solve_terms"] < 100 and a["solve_residual"] < 1e-12
+    grids = [(tmp_path / run / "ulam_density.grid").read_bytes() for run in "ab"]
+    assert grids[0] == grids[1]
+
+
+def test_ulam_non_mixing_map_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "_make_map", lambda args: LinearToral(1, 0, 0, 1))
+    argv = ["ulam", "--boxes", "8", "--samples", "16", "--variance"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "SingularSolveError" in capsys.readouterr().err
 
 
 def test_srb_operator_dump(tmp_path):

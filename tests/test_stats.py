@@ -406,6 +406,63 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
         assert r - 1e-12 <= row.r <= r + 1e-6
 
 
+def _kink(map_model, kernel, g, grid, lo=3.0, hi=3.1):
+    """The eigenvalue crossing where Lambda' jumps across 1.3, by bisection
+    on the sign of the Hellmann-Feynman slope minus 1.3, to the last bit."""
+    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
+    gc = g.shifted(base.shift)
+
+    def slope(z):
+        M = assemble(map_model, kernel, gc, z, grid)
+        dM = assemble_derivative(map_model, kernel, gc, z, grid)
+        return _legendre_point(M, leading_eigenpair(M), dM)[1]
+
+    assert slope(lo) < 1.3 < slope(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if slope(mid) < 1.3 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize(
+    "s_values",
+    [[round(0.1 * i, 1) for i in range(16)], [1.0]],
+    ids=["table-0-1.5", "single-1.0"],
+)
+def test_newton_rate_closes_on_the_kink(perturbed_map, std_g, s_values):
+    """Bump, n = 8: for s = 1.0 the supremum sits on the kink near z = 3.05.
+
+    Secant steps across the jump in Lambda' used to creep in from one side
+    and run into the evaluation cap; the rtsafe bisection rule and the
+    kink acceptance close the bracket on it instead."""
+    kernel, grid = BumpKernel(0.1), GridSpec(8, 64)
+    kink = _kink(perturbed_map, kernel, std_g, grid)
+    tab = rate_function(perturbed_map, kernel, std_g, grid, s_values)
+    rows, _, _, _ = _golden_rate_table(
+        perturbed_map, kernel, std_g, grid, s_values, (-4.0, 4.0)
+    )
+    assert [row.s for row in tab.rows] == s_values
+    for row, (s, z_star, _, _) in zip(tab.rows, rows, strict=True):
+        if s >= 1.0:
+            assert abs(row.z_star - kink) <= 1e-9, s
+        assert abs(row.z_star - z_star) <= 1e-6, s
+    # 36 (table) and 41 (single row) evaluations at s = 1.0, of the cap of
+    # 60; without the halving rule for secants across s it takes 48 and 49
+    assert max(row.iterations for row in tab.rows) <= 45
+
+
+def test_rate_table_reports_convexity_and_complex_eigenvalues(perturbed_map, fejer, std_g):
+    """Fejer, n = 8: Lambda' is monotone up to s = 1.8, where lambda is complex.
+    Bump, n = 8: past the kink at z = 3.05, Lambda' decreases."""
+    grid = GridSpec(8, 64)
+    s_values = [round(0.1 * i, 1) for i in range(19)]
+    tab = rate_function(perturbed_map, fejer, std_g, grid, s_values)
+    assert tab.slope_monotone
+    assert tab.lambda_imag_max > 1e-3
+    bump = rate_function(perturbed_map, BumpKernel(0.1), std_g, grid, s_values[:16])
+    assert not bump.slope_monotone
+    assert 0.0 <= bump.lambda_imag_max < 1.0
+
+
 def test_rate_table_legendre_budget(perturbed_map, fejer, std_g):
     s_values = [round(0.1 * i, 1) for i in range(19)]
     tab = rate_function(perturbed_map, fejer, std_g, GridSpec(8, 64), s_values)

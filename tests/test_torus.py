@@ -135,3 +135,37 @@ def test_observable_shift():
     assert g(TorusPoint(0.0, 0.0)) == pytest.approx(0.7, abs=1e-14)
     c = CallableObservable(lambda x1, x2: np.ones_like(x1) * 2.0, name="const")
     assert c.shifted(2.0)(TorusPoint(0.1, 0.9)) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PerturbedCat(0.01, "section7"),
+        PerturbedCat(0.05, "appendix"),
+        cat_map(),
+        LinearToral(1, 0, 0, 1),
+    ],
+    ids=["section7", "appendix", "cat", "identity"],
+)
+def test_image_arrays_broadcast_matches_meshgrid(model):
+    # the Ulam lattice: x1 along the sub-box rows, x2 along (box, sub-box column)
+    m, ks = 8, 5
+    off = (np.arange(ks) + 0.5) / (m * ks)
+    x1 = (3 / m + off)[:, None]
+    x2 = np.arange(m)[:, None, None] / m + off
+    full1, full2 = (np.array(a) for a in np.broadcast_arrays(x1, x2))
+    for y, y_full in zip(model.image_arrays(x1, x2), model.image_arrays(full1, full2)):
+        assert y.shape == (m, ks, ks)
+        assert np.array_equal(y, y_full)
+
+
+@pytest.mark.parametrize("form", ["section7", "appendix"])
+def test_perturbed_cat_images_match_remainder_formula(form, rng):
+    # x - floor(x) and x % 1.0 round the same way, negative x included
+    model = PerturbedCat(0.3, form)
+    _, phi1, phi2 = model.separable_parts()
+    x1 = np.concatenate([rng.uniform(-3.0, 3.0, 4000), [-1e-17, -0.0, 0.0, 1.0, -2.0]])
+    x2 = np.concatenate([rng.uniform(-3.0, 3.0, 4000), [1e-17, 0.5, -0.5, 0.0, 3.0]])
+    y1, y2 = model.image_arrays(x1, x2)
+    assert np.array_equal(y1, (2.0 * x1 + x2 + phi1(x1)) % 1.0)
+    assert np.array_equal(y2, (x1 + x2 + phi2(x2)) % 1.0)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import anosov.ulam as ulam_mod
 from anosov import (
     CallableObservable,
     LinearToral,
+    PerturbedCat,
     build_ulam,
     cat_map,
     ulam_srb,
     ulam_variance,
 )
+from anosov.stats import SingularSolveError
 from anosov.torus import MapModel, mod1
 
 
@@ -130,3 +134,110 @@ def test_separable_box_means_match_sampled_means(perturbed_map, std_g, m):
     b = ulam_variance(perturbed_map, m, 1600, sampled)
     assert abs(a.sigma2 - b.sigma2) <= 1e-12
     assert np.array_equal(a.density, b.density)
+
+
+# -- oracles: the pointwise build and the sparse LU solve ---------------------
+
+
+def _pointwise_build(map_model, m, k, g):
+    """(P, box means of g) with every sample coordinate spelled out.
+
+    Each row of boxes evaluates the map on full (m, k) coordinate arrays, and
+    a g without separable parts is sampled on them: the oracle for the
+    broadcast lattice of ``ulam._build``.
+    """
+    ks = int(round(np.sqrt(k)))
+    off = (np.arange(ks) + 0.5) / (m * ks)
+    o1, o2 = (o.ravel() for o in np.meshgrid(off, off, indexing="ij"))
+    nboxes = m * m
+    keys, counts = [], []
+    parts = g.separable_parts()
+    gbox = np.empty(nboxes)
+    if parts is not None:
+        x = (np.arange(m)[:, None] / m + off).ravel()
+        g1, g2 = (gi(x).reshape(m, ks).mean(axis=1) for gi in parts)
+        gbox = np.add.outer(g1, g2).ravel()
+    for i1 in range(m):
+        x1 = (i1 / m + o1)[None, :] + np.zeros((m, 1))
+        x2 = (np.arange(m)[:, None] / m) + o2[None, :]
+        y1, y2 = map_model.image_arrays(x1, x2)
+        dest = (y1 * m).astype(np.int64) % m * m + (y2 * m).astype(np.int64) % m
+        if parts is None:
+            gbox[i1 * m : (i1 + 1) * m] = g.sample(x1, x2).mean(axis=1)
+        boxes = np.arange(i1 * m, (i1 + 1) * m, dtype=np.int64)
+        uniq, c = np.unique((boxes[:, None] * nboxes + dest).ravel(), return_counts=True)
+        keys.append(uniq)
+        counts.append(c)
+    rows, cols = np.divmod(np.concatenate(keys), nboxes)
+    data = np.concatenate(counts) / k
+    return sp.csr_matrix((data, (rows, cols)), shape=(nboxes, nboxes)), gbox
+
+
+def _spsolve_deflated(P, gc):
+    """w from (Id - P) w = P g_c with the first row replaced by w[0] = 0, by
+    sparse LU: the oracle for the Green-Kubo series."""
+    nboxes = P.shape[0]
+    rhs = P @ gc
+    rhs[0] = 0.0
+    A = (sp.eye(nboxes, format="csr") - P).tolil()
+    A[0, :] = 0.0
+    A[0, 0] = 1.0
+    return spla.spsolve(A.tocsc(), rhs)
+
+
+def _centred(map_model, m, k, g):
+    """(P, pi, g_c) as ``ulam_variance`` forms them."""
+    U, gbox = ulam_mod._build(map_model, m, k, g)
+    pi = ulam_srb(U) / (m * m)
+    return U.P, pi, gbox - pi @ gbox
+
+
+_MAPS = {
+    "section7": PerturbedCat(0.01, "section7"),
+    "appendix": PerturbedCat(0.01, "appendix"),
+    "cat": cat_map(),
+    "translation": Translation(0.3, 0.7),
+}
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["separable-g", "callable-g"])
+@pytest.mark.parametrize("m", [8, 16, 32])
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_build_matches_pointwise_oracle(std_g, name, m, sampled):
+    g = CallableObservable(std_g.sample) if sampled else std_g
+    U, gbox = ulam_mod._build(_MAPS[name], m, 100, g)
+    P, oracle = _pointwise_build(_MAPS[name], m, 100, g)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(U.P, attr), getattr(P, attr)), attr
+    assert np.array_equal(gbox, oracle)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_green_kubo_matches_spsolve_oracle(perturbed_map, std_g, m):
+    P, pi, gc = _centred(perturbed_map, m, 1600, std_g)
+    w, terms = ulam_mod._green_kubo(P, pi, gc)
+    oracle = _spsolve_deflated(P, gc)
+    assert w[0] == 0.0
+    assert np.abs(w - oracle).max() <= 1e-12
+    assert 0 < terms < 100
+    res = ulam_variance(perturbed_map, m, 1600, std_g)
+    sigma2 = float(pi @ (gc * gc + 2.0 * gc * oracle))
+    assert abs(res.sigma2 - sigma2) <= 1e-12
+    assert res.solve_terms == terms
+    assert res.to_dict()["solve_terms"] == terms
+
+
+def test_green_kubo_ignores_the_constant_mode(perturbed_map, std_g):
+    # the projection deflates the constant mode: without it a constant in
+    # g_c would never decay and the series would not converge
+    P, pi, gc = _centred(perturbed_map, 16, 64, std_g)
+    w, terms = ulam_mod._green_kubo(P, pi, gc)
+    w_shifted, terms_shifted = ulam_mod._green_kubo(P, pi, gc + 0.5)
+    assert np.abs(w_shifted - w).max() <= 1e-12
+    assert abs(terms_shifted - terms) <= 2
+
+
+def test_non_mixing_map_raises(std_g):
+    # the identity map gives P = I: nothing mixes, so the series cannot converge
+    with pytest.raises(SingularSolveError, match="did not converge"):
+        ulam_variance(LinearToral(1, 0, 0, 1), 8, 16, std_g)
