@@ -204,6 +204,7 @@ def _cmd_rate(args, started):
         "legendre_evals": table.legendre_evals,
         "lambda_imag_max": table.lambda_imag_max,
         "slope_monotone": table.slope_monotone,
+        "eigvec_overlap_min": table.eigvec_overlap_min,
         "table_file": csv_path,
     }
     payload.update(matched)

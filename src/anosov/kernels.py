@@ -20,7 +20,6 @@ coefficient magnitude equals the smallest Fejer coefficient.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +40,6 @@ def fejer_coefficients(n: int) -> SpectralVector:
     j = coarse_freqs(n)
     w = 1.0 - np.abs(j) / (n // 2 + 1)
     return SpectralVector(n, np.outer(w, w).astype(complex))
-
-
-@functools.lru_cache(maxsize=1)
-def _torus_radius2(N: int) -> np.ndarray:
-    """Squared torus distance of each fine point to the origin (read-only)."""
-    a = np.arange(N) / N
-    r = np.where(a >= 0.5, a - 1.0, a)
-    r1, r2 = np.meshgrid(r, r, indexing="ij")
-    d2 = r1 * r1 + r2 * r2
-    d2.flags.writeable = False
-    return d2
 
 
 def _bump_window(epsilon: float, N: int):
@@ -186,5 +174,7 @@ def summability_check(kernel, eta: float, grid: GridSpec) -> float:
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
     q = kernel.spatial(grid)
-    outside = _torus_radius2(grid.N) >= eta * eta
+    a = np.arange(grid.N) / grid.N
+    r = np.where(a >= 0.5, a - 1.0, a)  # signed torus distance to 0 per axis
+    outside = np.add.outer(r * r, r * r) >= eta * eta
     return float(np.sum(q[outside]) / (grid.N * grid.N))

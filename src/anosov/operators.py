@@ -2,45 +2,48 @@
 
 Entry (j, k) of the n^2 x n^2 matrix is
 
-    q_hat(j) * F[ exp(-2 pi i j.T(y)) * exp(z g(y)) ](-k)
+    q_hat(j) * F[ exp(-2 pi i j.T(y)) * w(y) ](-k)
 
-where F is the fine-grid forward transform and q_hat the kernel coefficients.
-:func:`assemble` picks one of two paths; the caller never chooses.
-:func:`assemble_derivative` gives d/dz of the same matrix, the weight
-exp(z g) replaced by g exp(z g), by the same two paths.
+where F is the fine-grid forward transform, q_hat the kernel coefficients
+and w the weight: exp(z g) for :func:`assemble`, its z-derivative
+g exp(z g) for :func:`assemble_derivative`.
 
-Factored path: when the map is T(x) = A x + (phi1(x1), phi2(x2)) and the
-observable is g1(x1) + g2(x2) (both expose ``separable_parts()``), the
-integrand is a shift by A^T j times one function of x1 times one of x2, so
+Every map is T(x) = A x + (phi1(x1), phi2(x2)) (``separable_parts()``), and
+the weight is written as a sum of R separable terms, w = sum_r a_r(x1) b_r(x2).
+The integrand is then a shift by A^T j times a sum of products of one
+function of x1 and one of x2, so
 
-    L[j, k] = q_hat(j) * U1[j1, (A^T j)_1 - k1] * U2[j2, (A^T j)_2 - k2]
+    L[j, k] = q_hat(j) sum_r U1_r[j1, (A^T j)_1 - k1] U2_r[j2, (A^T j)_2 - k2]
 
-with U_i[j_i] the 1-D transform of exp(-2 pi i j_i phi_i) * exp(z g_i).  This
-is 2n one-dimensional FFTs of length N and one gather.  It keeps no state: a
-full rebuild at n = 32, N = 512 takes about 15 ms.
+with U1_r[j1] the 1-D transform of exp(-2 pi i j1 phi1) a_r, and U2_r[j2]
+that of exp(-2 pi i j2 phi2) b_r.  The sum over r is a batched matrix product
+over the rows j, in blocks of ``TERM_BLOCK`` terms.  The terms are exact:
 
-Generic path: for any other map or observable (mixed Fourier modes, a
-callable observable).  It is row-blocked: the map images T(y) are sampled
-once on the fine grid, power tables exp(-2 pi i j T)^|j| are cached per
-(map, grid), and each block of rows is one batched 2-D FFT.  The kernel only
-scales rows, so the kernel-independent base matrix is cached and reused
-across kernels at the same (map, twist, grid).  The power tables and the
-base cache serve this path only; it is also the oracle the tests check the
-factored path against.
+* g = g1(x1) + g2(x2) (no mixed Fourier modes): one term, e^{z g1} e^{z g2};
+  its derivative two, g1 e^{z g1} e^{z g2} + e^{z g1} g2 e^{z g2};
+* z = 0: one term, the weight 1, whatever g is;
+* any other g (mixed modes, a callable): N terms, one per fine column c,
+  a_c = w[:, c] and b_c the indicator of x2 = c/N.
+
+One term costs 2n 1-D FFTs of length N and one gather: about 8 ms at
+n = 32, N = 512; the N-term weight takes about 1 s there.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
-does not change results.  Both paths and both functions share the guards,
-checked before dispatch: N >= 2n (ValueError), n > 128 refused unless
-allow_large=True (MemoryError; the dense matrix has n^4 complex entries), and
-|Re z| sup|g| above the exp range guard (OverflowError).  The factored path
-takes sup|g| from the 1-D samples of g1 and g2; the generic path samples g on
-the fine grid, which its weight needs anyway.
+does not change results.  Both functions share the guards: N >= 2n
+(ValueError), n > 128 refused unless allow_large=True (MemoryError; the dense
+matrix has n^4 complex entries), and |Re z| sup|g| above the exp range guard
+(OverflowError).  A separable g's sup comes from its 1-D samples; any other g
+is sampled on the fine grid, which its weight needs anyway.  A separable
+weight factor's largest exponent is taken out of it and put back into q_hat,
+so exp(z g) may pass the guard where exp(z g2) alone would overflow.
+
+:class:`OperatorAssembler` is the brute-force reference: n^2 two-dimensional
+FFTs of the full integrand over power tables of exp(-2 pi i T).  The
+assembly never calls it; the tests check every path against it.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,7 @@ from .torus import MapModel, Observable
 
 MAX_COARSE_ORDER = 128
 EXP_GUARD = 700.0
+TERM_BLOCK = 32
 
 
 @dataclass
@@ -75,15 +79,13 @@ class OperatorMatrix:
 
 
 class OperatorAssembler:
-    """Generic path: caches fine-grid map data and the kernel-free base matrix."""
+    """Brute-force reference: the full integrand's 2-D FFT, row by row."""
 
     def __init__(self, map_model: MapModel, grid: GridSpec):
         self.map = map_model
         self.grid = grid
         self._pow1 = None
         self._pow2 = None
-        self._base_key = None
-        self._base = None
 
     def _power_tables(self):
         if self._pow1 is None:
@@ -104,9 +106,6 @@ class OperatorAssembler:
 
     def base_matrix(self, weight: np.ndarray) -> np.ndarray:
         """Rows F[exp(-2 pi i j.T) * weight](-k) for all coarse j, k."""
-        key = hashlib.sha1(np.ascontiguousarray(weight).tobytes()).hexdigest()
-        if self._base_key == key:
-            return self._base
         n, N = self.grid.n, self.grid.N
         pow1, pow2 = self._power_tables()
         js = coarse_freqs(n)
@@ -123,61 +122,43 @@ class OperatorAssembler:
             base[i1 * n : (i1 + 1) * n, :] = C[:, gat[:, None], gat[None, :]].reshape(
                 n, n * n
             )
-        self._base_key = key
-        self._base = base
         return base
 
 
-@functools.lru_cache(maxsize=2)
-def get_assembler(map_model: MapModel, grid: GridSpec) -> OperatorAssembler:
-    """The process-wide assembler of (map, grid), two most recently used kept."""
-    return OperatorAssembler(map_model, grid)
+def _separable_sum(map_parts, a, b, q, grid: GridSpec) -> np.ndarray:
+    """q(j) sum_r U1_r[j1, (A^T j)_1 - k1] U2_r[j2, (A^T j)_2 - k2], all j, k.
 
-
-def _factored_entries(map_parts, g_samples, z: complex, q, grid: GridSpec, derivative):
-    """q_hat(j) U1[j1, (A^T j)_1 - k1] U2[j2, (A^T j)_2 - k2] for all coarse j, k.
-
-    With ``derivative`` the z-derivative instead: its weight g e^{zg} is
-    g1 e^{zg1} e^{zg2} + e^{zg1} g2 e^{zg2}, so it is the sum of two such
-    products, D1 U2 + U1 D2, with D_i the transform of g_i times U_i's
-    integrand, gathered at the same shifts.
+    ``a`` and ``b`` are (R, N) samples of the weight's terms a_r(x1), b_r(x2).
     """
     A, phi1, phi2 = map_parts
     n, N = grid.n, grid.N
     js = coarse_freqs(n)
     x = np.arange(N) / N
-    zg = [z * gi for gi in g_samples]
-    # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
-    # exponent out of it and put the sum, max Re(z g), back into q.
-    tops = [float(e.real.max()) for e in zg]
-    E1, E2 = (
-        np.exp(-2j * np.pi * js[:, None] * phi(x) + (e - top))
-        for phi, e, top in zip((phi1, phi2), zg, tops)
-    )
+    E1, E2 = (np.exp(-2j * np.pi * js[:, None] * phi(x)) for phi in (phi1, phi2))
     J1, J2 = np.meshgrid(js, js, indexing="ij")
-    shift1 = (A[0, 0] * J1 + A[1, 0] * J2)[:, :, None] - js
-    shift2 = (A[0, 1] * J1 + A[1, 1] * J2)[:, :, None] - js
-    rows = np.arange(n)
-    idx1 = rows[:, None, None], shift1 % N  # [j1, j2, k1]
-    idx2 = rows[None, :, None], shift2 % N  # [j1, j2, k2]
-    f1 = (sfft.fft(E1, axis=-1) / N)[idx1]
-    f2 = (sfft.fft(E2, axis=-1) / N)[idx2]
-    scale = q.reshape(n, n, 1) * np.exp(tops[0] + tops[1])
-    f1 *= scale
-    if not derivative:
-        return (f1[:, :, :, None] * f2[:, :, None, :]).reshape(n * n, n * n)
-    g1, g2 = g_samples
-    d1 = (sfft.fft(E1 * g1, axis=-1) / N)[idx1]
-    d2 = (sfft.fft(E2 * g2, axis=-1) / N)[idx2]
-    d1 *= scale
-    return (
-        d1[:, :, :, None] * f2[:, :, None, :] + f1[:, :, :, None] * d2[:, :, None, :]
-    ).reshape(n * n, n * n)
+    shift1 = (A[0, 0] * J1 + A[1, 0] * J2).reshape(-1, 1) - js
+    shift2 = (A[0, 1] * J1 + A[1, 1] * J2).reshape(-1, 1) - js
+    idx1 = J1.reshape(-1, 1) - js[0], shift1 % N  # [j, k1]
+    idx2 = J2.reshape(-1, 1) - js[0], shift2 % N  # [j, k2]
+    for r in range(0, len(a), TERM_BLOCK):
+        # U_i[j_i, p, r] for this block of terms, gathered to [j, k_i, r]
+        U1, U2 = (
+            np.moveaxis(sfft.fft(E * f[r : r + TERM_BLOCK, None], axis=-1) / N, 0, -1)
+            for E, f in ((E1, a), (E2, b))
+        )
+        G1 = U1[idx1]
+        G1 *= q[:, None, None]
+        block = G1 @ U2[idx2].transpose(0, 2, 1)
+        if r == 0:
+            out = block
+        else:
+            out += block
+    return out.reshape(n * n, n * n)
 
 
 def _twisted(map_model, kernel, g, z, grid, allow_large, derivative):
-    """The guards, the dispatch and the matrix of :func:`assemble` or
-    :func:`assemble_derivative`."""
+    """The guards, the weight's separable terms and the matrix of
+    :func:`assemble` or :func:`assemble_derivative`."""
     if grid.n > MAX_COARSE_ORDER and not allow_large:
         raise MemoryError(
             f"coarse order {grid.n} exceeds the memory guard; pass allow_large=True"
@@ -185,27 +166,35 @@ def _twisted(map_model, kernel, g, z, grid, allow_large, derivative):
     if grid.N < 2 * grid.n:
         raise ValueError("operator assembly requires N >= 2n")
     z = complex(z)
-    map_parts, g_parts = map_model.separable_parts(), g.separable_parts()
-    factored = map_parts is not None and g_parts is not None
-    gs, sup = None, 0.0
-    if factored:
-        x = np.arange(grid.N) / grid.N
+    N = grid.N
+    x = np.arange(N) / N
+    # at z = 0 the weight is 1, separable whatever g is
+    g_parts = (np.zeros_like,) * 2 if z == 0 and not derivative else g.separable_parts()
+    if g_parts is not None:
         g1, g2 = (gi(x) for gi in g_parts)
         # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
         sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
-    elif z != 0 or derivative:
-        gs = np.asarray(g.sample(*fine_points(grid.N)), dtype=float)
+    else:
+        gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
         sup = float(np.abs(gs).max())
     if abs(z.real) * sup > EXP_GUARD:
         raise OverflowError("twist weight exp(z g) would overflow")
     q = kernel.coefficients(grid).coeffs.real
-    if factored:
-        entries = _factored_entries(map_parts, (g1, g2), z, q, grid, derivative)
+    if g_parts is not None:
+        # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
+        # exponent out of it and put the sum, max Re(z g), back into q.
+        zg1, zg2 = z * g1, z * g2
+        top1, top2 = float(zg1.real.max()), float(zg2.real.max())
+        e1, e2 = np.exp(zg1 - top1), np.exp(zg2 - top2)
+        q = q * np.exp(top1 + top2)
+        a, b = ([g1 * e1, e1], [e2, g2 * e2]) if derivative else ([e1], [e2])
     else:
-        w = np.ones((grid.N, grid.N), dtype=complex) if gs is None else np.exp(z * gs)
+        w = np.exp(z * gs)
         if derivative:
             w *= gs
-        entries = q[:, None] * get_assembler(map_model, grid).base_matrix(w)
+        a, b = w.T, np.eye(N)  # column c of w times the indicator of x2 = c/N
+    parts = map_model.separable_parts()
+    entries = _separable_sum(parts, np.asarray(a), np.asarray(b), q, grid)
     return OperatorMatrix(
         n=grid.n,
         entries=entries,
@@ -226,10 +215,8 @@ def assemble(
 ) -> OperatorMatrix:
     """Assemble the twisted operator matrix at twist parameter z.
 
-    Uses the factored path when both the map and the observable are
-    separable, else the generic path (see the module docstring).  Raises
-    OverflowError when |Re z| * sup|g| exceeds the double-precision exp
-    range guard.
+    See the module docstring for the method.  Raises OverflowError when
+    |Re z| * sup|g| exceeds the double-precision exp range guard.
     """
     return _twisted(map_model, kernel, g, z, grid, allow_large, derivative=False)
 
@@ -239,7 +226,7 @@ def assemble_derivative(
 ) -> OperatorMatrix:
     """d/dz of the twisted operator at z: the weight exp(z g) becomes g exp(z g).
 
-    Same paths and guards as :func:`assemble` (n > 128 always refused).
+    Same method and guards as :func:`assemble` (n > 128 always refused).
     """
     return _twisted(map_model, kernel, g, z, grid, False, derivative=True)
 

@@ -293,6 +293,7 @@ class RateTable:
     legendre_evals: int
     lambda_imag_max: float  # largest |Im lambda| / |lambda| over the evaluations
     slope_monotone: bool  # Lambda' nondecreasing over the evaluated z, in z order
+    eigvec_overlap_min: float  # smallest |<l, r>| / (|l| |r|) over the evaluations
 
     def to_rows(self):
         return [
@@ -306,16 +307,20 @@ _NEWTON_MAX_EVALS = 60
 
 
 def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
-    """(Lambda, Lambda') at M's twist, Lambda = ln|lam|.
+    """(Lambda, Lambda', overlap) at M's twist, Lambda = ln|lam|.
 
     Hellmann-Feynman: Lambda' = Re <l, dM r> / (lam <l, r>), with r the right
     eigenvector in ``eig``, l the left one (the leading eigenvector of M^H,
-    from the same start vector) and dM the derivative operator.
+    from the same start vector) and dM the derivative operator.  The overlap
+    |<l, r>| / (|l| |r|) vanishes where two eigenvalues of equal modulus
+    cross and l and r belong to different ones; Lambda' is meaningless there.
     """
     _, left, _ = _leading(M.entries.conj().T, M.n)
     r = eig.right_vector.coeffs
-    slope = np.vdot(left, dM.entries @ r) / (eig.lam * np.vdot(left, r))
-    return math.log(abs(eig.lam)), float(slope.real)
+    inner = np.vdot(left, r)
+    slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)
+    overlap = abs(inner) / (np.linalg.norm(left) * np.linalg.norm(r))
+    return math.log(abs(eig.lam)), float(slope.real), float(overlap)
 
 
 def rate_function(
@@ -351,7 +356,9 @@ def rate_function(
     the domain edge of the rate function.  A row's ``iterations`` counts the
     evaluations made while solving it; ``legendre_evals`` counts all of
     them, z = 0 included.  ``slope_monotone`` and ``lambda_imag_max`` show
-    where the discretised Lambda is not convex or lambda not real.
+    where the discretised Lambda is not convex or lambda not real, and
+    ``eigvec_overlap_min`` where a Hellmann-Feynman slope came from left and
+    right eigenvectors of different eigenvalues.
     """
     s_values = sorted(float(s) for s in s_values)
     z_lo, z_hi = float(z_bracket[0]), float(z_bracket[1])
@@ -362,19 +369,23 @@ def rate_function(
     gc = g.shifted(base.shift)
     var = _variance(base)
 
-    def derivative(z):
-        return assemble_derivative(map_model, kernel, gc, z, grid)
+    # (Lambda, Lambda') by twist, in evaluation order; |Im lam| / |lam| and
+    # the eigenvector overlap of each evaluation
+    points, imag, overlaps = {}, [], []
 
-    # (Lambda, Lambda') by twist, in evaluation order, and |Im lam| / |lam|
-    points = {0.0: _legendre_point(base.M0, base.eigen, derivative(0.0))}
-    imag = [abs(base.eigen.lam.imag) / abs(base.eigen.lam)]
+    def record(z: float, M: OperatorMatrix, eig: EigenData) -> float:
+        dM = assemble_derivative(map_model, kernel, gc, z, grid)
+        log_lam, slope, overlap = _legendre_point(M, eig, dM)
+        points[z] = log_lam, slope
+        imag.append(abs(eig.lam.imag) / abs(eig.lam))
+        overlaps.append(overlap)
+        return slope
 
     def evaluate(z: float) -> float:
         M = assemble(map_model, kernel, gc, z, grid)
-        eig = leading_eigenpair(M)
-        points[z] = _legendre_point(M, eig, derivative(z))
-        imag.append(abs(eig.lam.imag) / abs(eig.lam))
-        return points[z][1]
+        return record(z, M, leading_eigenpair(M))
+
+    record(0.0, base.M0, base.eigen)
 
     def secant(s: float):
         """(Lambda'' estimate, whether the last two evaluations straddle s)."""
@@ -455,4 +466,5 @@ def rate_function(
         legendre_evals=len(points),
         lambda_imag_max=max(imag),
         slope_monotone=all(a <= b for a, b in zip(slopes, slopes[1:])),
+        eigvec_overlap_min=min(overlaps),
     )

@@ -57,11 +57,12 @@ class MapModel:
         raise NotImplementedError
 
     def separable_parts(self):
-        """(A, phi1, phi2) when T(x) = A x + (phi1(x1), phi2(x2)) mod 1, else None.
+        """(A, phi1, phi2) with T(x) = A x + (phi1(x1), phi2(x2)) mod 1.
 
         A is the integer 2 x 2 matrix; phi1 and phi2 map 1-D arrays to arrays.
+        Operator assembly needs this form.
         """
-        return None
+        raise NotImplementedError
 
     @property
     def label(self) -> str:

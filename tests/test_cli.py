@@ -303,6 +303,7 @@ def test_rate_rerun_reproduces_table_bytewise(tmp_path):
     a, b = (_load_summary(tmp_path / run, "rate_summary.json")["results"] for run in "ab")
     assert a["legendre_evals"] == b["legendre_evals"] <= 100
     assert a["solve_rcond"] == b["solve_rcond"] > 0.0
+    assert a["eigvec_overlap_min"] == b["eigvec_overlap_min"] > 0.02
     tables = [(tmp_path / run / "rate_table.csv").read_bytes() for run in "ab"]
     assert tables[0] == tables[1]
 
@@ -319,6 +320,7 @@ def test_rate_at_an_eigenvalue_crossing_succeeds(tmp_path):
     # the evaluations reach past the kink, where Lambda' decreases
     assert single["slope_monotone"] is False and table["slope_monotone"] is False
     assert 0.0 <= single["lambda_imag_max"] < 1.0 and 0.0 <= table["lambda_imag_max"] < 1.0
+    assert 0.0 <= single["eigvec_overlap_min"] <= 1.0
     rows = (tmp_path / "rate_table.csv").read_text().splitlines()
     assert rows[0] == "s,z_star,r,iterations,boundary_flag" and len(rows) == 12
 

@@ -15,7 +15,14 @@ from anosov import (
     match_epsilon,
     summability_check,
 )
-from anosov.kernels import NoRootError, ResolutionError, _torus_radius2, bump_spatial
+from anosov.kernels import NoRootError, ResolutionError, bump_spatial
+
+
+def _torus_radius2(N):
+    """Squared torus distance of each fine point to the origin."""
+    a = np.arange(N) / N
+    r = np.where(a >= 0.5, a - 1.0, a)
+    return np.add.outer(r * r, r * r)
 
 
 def _full_grid_bump(epsilon, N):
@@ -95,13 +102,32 @@ def test_bump_spatial_properties():
     assert np.all(q[outside] == 0.0)
 
 
-def test_torus_radius2_is_shared_read_only():
-    d2 = _torus_radius2(64)
-    assert not d2.flags.writeable
-    with pytest.raises(ValueError):
-        d2[0, 0] = 1.0
-    assert _torus_radius2(64) is d2
-    assert d2[0, 32] == 0.25 and d2[63, 63] == 2 / 64**2
+class _PointMass:
+    """A kernel whose whole mass sits on the fine point (a, b)."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def spatial(self, grid):
+        q = np.zeros((grid.N, grid.N))
+        q[self.a, self.b] = grid.N * grid.N
+        return q
+
+
+@pytest.mark.parametrize(
+    "point, d2",
+    [((0, 32), 0.25), ((0, 16), 1 / 16), ((60, 61), 25 / 64**2), ((63, 63), 2 / 64**2)],
+    ids=["half", "quarter", "wrapped-4-3", "wrapped-1-1"],
+)
+def test_summability_check_measures_torus_distance(point, d2):
+    """A point mass counts as outside B_eta(0) exactly when its squared torus
+    distance d2 is at least eta^2: (0, 32) sits at 1/2, and (60, 61) and
+    (63, 63) wrap to (-4, -3)/64 and (-1, -1)/64."""
+    grid, kernel = GridSpec(8, 64), _PointMass(*point)
+    eta = np.sqrt(d2)
+    for e in (np.nextafter(eta, 0.0), eta, np.nextafter(eta, 1.0)):
+        if e < 0.5:
+            assert summability_check(kernel, e, grid) == float(d2 >= e * e), e
 
 
 def test_bump_resolution_guard():

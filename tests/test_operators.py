@@ -22,10 +22,21 @@ from anosov.grids import fine_points, freq_index
 from anosov.kernels import ResolutionError
 from anosov.operators import (
     EXP_GUARD,
+    OperatorAssembler,
     assemble_derivative,
-    get_assembler,
     read_opmat,
     write_opmat,
+)
+
+_MIXED = TrigPolynomial(
+    (
+        ((1, 1), 0.25),
+        ((-1, -1), 0.25),
+        ((2, 0), 0.5),
+        ((-2, 0), 0.5),
+        ((0, 1), -0.5j),
+        ((0, -1), 0.5j),
+    )
 )
 
 
@@ -145,26 +156,13 @@ def test_opmat_round_trip(tmp_path, perturbed_map, fejer, std_g):
     assert path.read_bytes() == b"OPMAT 8 0.25 0.0\n" + pairs.astype("<f8").tobytes()
 
 
-def test_assembler_cache_keeps_the_two_most_recently_used(perturbed_map):
-    g1, g2, g3 = GridSpec(8, 64), GridSpec(8, 128), GridSpec(16, 64)
-    first = get_assembler(perturbed_map, g1)
-    assert get_assembler(perturbed_map, g1) is first
-    get_assembler(perturbed_map, g2)
-    assert get_assembler(perturbed_map, g1) is first  # g1 is now the most recent
-    get_assembler(perturbed_map, g3)  # evicts g2, the least recently used
-    assert get_assembler.cache_info().currsize <= 2
-    assert get_assembler(perturbed_map, g1) is first
-
-
-def _generic_entries(map_model, kernel, g, z, grid):
-    """The generic path run alone: the cached base matrix scaled by q_hat."""
-    z = complex(z)
-    if z == 0:
-        w = np.ones((grid.N, grid.N), dtype=complex)
-    else:
-        w = np.exp(z * g.sample(*fine_points(grid.N)))
-    q = kernel.coefficients(grid).coeffs.real
-    return q[:, None] * get_assembler(map_model, grid).base_matrix(w)
+def _reference_base(reference, g, z, derivative=False):
+    """The brute-force reference's kernel-free base matrix for the weight
+    exp(z g), or g exp(z g) with ``derivative``; row j of the operator is
+    q_hat(j) times row j of it."""
+    gs = g.sample(*fine_points(reference.grid.N))
+    w = np.exp(complex(z) * gs)
+    return reference.base_matrix(gs * w if derivative else w)
 
 
 @pytest.mark.parametrize("n, N", [(8, 16), (8, 64), (16, 256)])
@@ -180,17 +178,20 @@ def _generic_entries(map_model, kernel, g, z, grid):
     ids=["section7", "appendix", "cat", "linear-1112", "linear-2132"],
 )
 def test_factored_assembly_matches_generic(map_model, n, N, std_g):
+    """The one-term weight against the brute-force reference."""
     grid = GridSpec(n, N)
+    reference = OperatorAssembler(map_model, grid)
     for z in (0.0, 0.3, -0.5, 0.2 + 0.1j):
+        base = _reference_base(reference, std_g, z)
         for kernel in (FejerKernel(), BumpKernel(0.1)):
             if isinstance(kernel, BumpKernel) and N == 16:
-                # 9 fine points inside the support: refused before dispatch
+                # 9 fine points inside the support: refused before assembly
                 with pytest.raises(ResolutionError):
                     assemble(map_model, kernel, std_g, z, grid)
                 continue
+            q = kernel.coefficients(grid).coeffs.real
             M = assemble(map_model, kernel, std_g, z, grid)
-            expected = _generic_entries(map_model, kernel, std_g, z, grid)
-            assert np.abs(M.entries - expected).max() <= 1e-13
+            assert np.abs(M.entries - q[:, None] * base).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
@@ -200,17 +201,44 @@ def test_factored_assembly_matches_generic(map_model, n, N, std_g):
     ids=["section7", "linear-2132"],
 )
 def test_factored_derivative_matches_generic(map_model, n, N, std_g):
-    """d/dz L: the factored D1 U2 + U1 D2 against the generic weight g exp(z g)."""
+    """d/dz L: the two-term weight g1 e^{zg1} e^{zg2} + e^{zg1} g2 e^{zg2}
+    against the reference's weight g exp(z g)."""
     grid = GridSpec(n, N)
+    reference = OperatorAssembler(map_model, grid)
     g = std_g.shifted(0.1)  # a constant in g1, as in the centered observable
-    gs = g.sample(*fine_points(N))
     for z in (0.0, 0.3, -0.5):
-        base = get_assembler(map_model, grid).base_matrix(gs * np.exp(z * gs))
+        base = _reference_base(reference, g, z, derivative=True)
         for kernel in (FejerKernel(), BumpKernel(0.1)):
             q = kernel.coefficients(grid).coeffs.real
             dM = assemble_derivative(map_model, kernel, g, z, grid)
             assert dM.z == z
             assert np.abs(dM.entries - q[:, None] * base).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
+@pytest.mark.parametrize(
+    "map_model",
+    [PerturbedCat(0.01, "section7"), LinearToral(2, 1, 3, 2)],
+    ids=["section7", "linear-2132"],
+)
+def test_column_terms_match_reference(map_model, n, N):
+    """A weight that does not separate, from a mixed-mode polynomial or a
+    callable: N terms, one per fine column, for L and d/dz L against the
+    reference.  The callable wraps the polynomial, so both share one base;
+    each takes one of the two kernels."""
+    grid = GridSpec(n, N)
+    reference = OperatorAssembler(map_model, grid)
+    observables = (_MIXED, CallableObservable(_MIXED.sample))
+    for z in (0.0, -0.4 + 0.1j):
+        for derivative in (False, True):
+            base = _reference_base(reference, _MIXED, z, derivative)
+            for g, kernel in zip(observables, (FejerKernel(), BumpKernel(0.1))):
+                q = kernel.coefficients(grid).coeffs.real
+                if derivative:
+                    M = assemble_derivative(map_model, kernel, g, z, grid)
+                else:
+                    M = assemble(map_model, kernel, g, z, grid)
+                assert np.abs(M.entries - q[:, None] * base).max() <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -251,7 +279,8 @@ def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):
     assert z * spike.max() > 710.0
     grid = GridSpec(8, N)
     M = assemble(perturbed_map, fejer, g, z, grid)
-    expected = _generic_entries(perturbed_map, fejer, g, z, grid)
+    q = fejer.coefficients(grid).coeffs.real
+    expected = q[:, None] * _reference_base(OperatorAssembler(perturbed_map, grid), g, z)
     assert np.isfinite(M.entries).all()
     assert np.abs(M.entries - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -330,6 +359,8 @@ def test_jacobi_anger_cross_check_at_zero_twist(std_g):
 
 
 def test_assembly_dispatch(monkeypatch, perturbed_map, fejer):
+    """Every observable goes through the separable-term sum: the reference's
+    row fill is never called."""
     calls = [0]
     fill = backend.twisted_rows
 
@@ -341,25 +372,17 @@ def test_assembly_dispatch(monkeypatch, perturbed_map, fejer):
     grid, z = GridSpec(8, 64), 0.3
     std = standard_observable()
     observables = {
-        "standard": (std, True),
-        "shifted": (std.shifted(0.1), True),
-        "mixed": (
-            TrigPolynomial((((1, 1), 0.25), ((-1, -1), 0.25), ((2, 0), 0.5), ((-2, 0), 0.5))),
-            False,
-        ),
-        "callable": (CallableObservable(lambda x1, x2: std.sample(x1, x2)), False),
+        "standard": std,
+        "shifted": std.shifted(0.1),
+        "mixed": _MIXED,
+        "callable": CallableObservable(lambda x1, x2: std.sample(x1, x2)),
     }
     results = {}
-    for name, (g, factored) in observables.items():
-        get_assembler.cache_clear()
-        calls[0] = 0
+    for name, g in observables.items():
         M = assemble(perturbed_map, fejer, g, z, grid)
-        assert (calls[0] == 0) == factored, name
-        generic = _generic_entries(perturbed_map, fejer, g, z, grid)
-        if factored:
-            assert np.abs(M.entries - generic).max() <= 1e-13, name
-        else:
-            assert np.array_equal(M.entries, generic), name
+        dM = assemble_derivative(perturbed_map, fejer, g, z, grid)
+        assert calls[0] == 0, name
+        assert np.isfinite(M.entries).all() and np.isfinite(dM.entries).all(), name
         results[name] = M.entries
     # the callable wraps the standard observable: same operator either way
     assert np.abs(results["callable"] - results["standard"]).max() <= 1e-13

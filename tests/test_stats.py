@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -406,16 +408,27 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
         assert r - 1e-12 <= row.r <= r + 1e-6
 
 
-def _kink(map_model, kernel, g, grid, lo=3.0, hi=3.1):
-    """The eigenvalue crossing where Lambda' jumps across 1.3, by bisection
-    on the sign of the Hellmann-Feynman slope minus 1.3, to the last bit."""
+def _legendre_points(map_model, kernel, g, grid):
+    """z -> (Lambda, Lambda', eigenvector overlap) at twist z, for g centered
+    against the baseline as rate_function centers it."""
     base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
     gc = g.shifted(base.shift)
 
-    def slope(z):
+    def point(z):
         M = assemble(map_model, kernel, gc, z, grid)
         dM = assemble_derivative(map_model, kernel, gc, z, grid)
-        return _legendre_point(M, leading_eigenpair(M), dM)[1]
+        return _legendre_point(M, leading_eigenpair(M), dM)
+
+    return point
+
+
+def _kink(map_model, kernel, g, grid, lo=3.0, hi=3.1):
+    """The eigenvalue crossing where Lambda' jumps across 1.3, by bisection
+    on the sign of the Hellmann-Feynman slope minus 1.3, to the last bit."""
+    point = _legendre_points(map_model, kernel, g, grid)
+
+    def slope(z):
+        return point(z)[1]
 
     assert slope(lo) < 1.3 < slope(hi)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -450,6 +463,24 @@ def test_newton_rate_closes_on_the_kink(perturbed_map, std_g, s_values):
     assert max(row.iterations for row in tab.rows) <= 45
 
 
+def test_eigenvector_overlap_vanishes_at_the_kink(perturbed_map, std_g):
+    """Bump, n = 8: one step past the crossing at z = 3.0505, ARPACK's left and
+    right eigenvectors belong to different eigenvalues, so <l, r> vanishes
+    and the Hellmann-Feynman slope is meaningless.  Away from it the overlap
+    stays above 0.02 (0.031 at the last z before the crossing, 0.030 for
+    Fejer at z = 8)."""
+    kernel, grid = BumpKernel(0.1), GridSpec(8, 64)
+    point = _legendre_points(perturbed_map, kernel, std_g, grid)
+    kink = _kink(perturbed_map, kernel, std_g, grid)
+    _, slope, overlap = point(np.nextafter(kink, 4.0))
+    assert overlap < 1e-12 and abs(slope) > 1e9
+    for z in (0.0, 1.0, 3.0, 3.1, kink):
+        assert point(z)[2] > 0.02, z
+    fejer = _legendre_points(perturbed_map, FejerKernel(), std_g, grid)
+    for z in (0.0, 2.0, 4.0, 8.0):
+        assert fejer(z)[2] > 0.02, z
+
+
 def test_rate_table_reports_convexity_and_complex_eigenvalues(perturbed_map, fejer, std_g):
     """Fejer, n = 8: Lambda' is monotone up to s = 1.8, where lambda is complex.
     Bump, n = 8: past the kink at z = 3.05, Lambda' decreases."""
@@ -458,9 +489,11 @@ def test_rate_table_reports_convexity_and_complex_eigenvalues(perturbed_map, fej
     tab = rate_function(perturbed_map, fejer, std_g, grid, s_values)
     assert tab.slope_monotone
     assert tab.lambda_imag_max > 1e-3
+    assert 0.02 < tab.eigvec_overlap_min <= 1.0
     bump = rate_function(perturbed_map, BumpKernel(0.1), std_g, grid, s_values[:16])
     assert not bump.slope_monotone
     assert 0.0 <= bump.lambda_imag_max < 1.0
+    assert 0.0 <= bump.eigvec_overlap_min <= 1.0
 
 
 def test_rate_table_legendre_budget(perturbed_map, fejer, std_g):
@@ -497,14 +530,14 @@ _MIXED = TrigPolynomial(
 @pytest.mark.parametrize("g", [standard_observable(), _MIXED], ids=["standard", "mixed"])
 def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer, g):
     grid, h = GridSpec(8, 64), 1e-4
-    assert (g.separable_parts() is None) == (g is _MIXED)  # mixed: the generic path
+    assert (g.separable_parts() is None) == (g is _MIXED)
     base = baseline(assemble(perturbed_map, fejer, g, 0.0, grid), g)
     gc = g.shifted(base.shift)
     for z in (-0.5, 0.0, 0.3, 1.0, 3.0):
         M = assemble(perturbed_map, fejer, gc, z, grid)
         dM = assemble_derivative(perturbed_map, fejer, gc, z, grid)
-        log_lam, slope = _legendre_point(M, leading_eigenpair(M), dM)
-        assert log_lam == np.log(abs(leading_eigenpair(M).lam))
+        log_lam, slope, _ = _legendre_point(M, leading_eigenpair(M), dM)
+        assert log_lam == math.log(abs(leading_eigenpair(M).lam))
         lo, hi = lambda_curve(perturbed_map, fejer, g, grid, [z - h, z + h])
         central = (np.log(abs(hi.lam)) - np.log(abs(lo.lam))) / (2 * h)
         assert abs(slope - central) <= 1e-8, z
