@@ -198,7 +198,8 @@ def _cmd_rate(args, started):
         "rows": len(table.rows),
         "sigma2": table.sigma2,
         "mean_shift": table.shift,
-        "solve_rcond": table.solve_rcond,
+        "solve_terms": table.solve_terms,
+        "solve_rate": table.solve_rate,
         "z_bracket": list(table.z_bracket),
         "bracket_expanded": table.bracket_expanded,
         "legendre_evals": table.legendre_evals,
@@ -245,10 +246,9 @@ def _cmd_ulam(args, started):
         "density_file": grid_path,
     }
     if res is not None:
-        payload["sigma2"] = res.sigma2
-        payload["mean_shift"] = res.shift
-        payload["solve_residual"] = res.solve_residual
-        payload["solve_terms"] = res.solve_terms
+        summary = res.to_dict()
+        for key in ("sigma2", "mean_shift", "solve_residual", "solve_terms", "solve_rate"):
+            payload[key] = summary[key]
     _write_summary(args, "ulam", payload, started)
 
 

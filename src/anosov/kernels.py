@@ -144,6 +144,8 @@ def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
     right, so the achieved residual is at round-off level.  Structure finer
     than the scan step is treated as noise.  Each evaluation is a minimum over
     j in {0..n/2}^2 of the window cosine sums, from one cosine table per call.
+    NoRootError names n, N and the Fejer minimum when no scan point reaches it
+    (with the shortfall and the scan floor 8/N) or none falls below it.
     """
     grid = GridSpec(n, grid.N)
     target = float(np.abs(fejer_coefficients(n).coeffs).min())
@@ -155,8 +157,16 @@ def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
     scan = np.arange(8.0 / grid.N, 0.25, 1e-4)
     vals = np.array([f(e) for e in scan])
     above = np.nonzero(vals >= 0)[0]
-    if len(above) == 0 or above[-1] == len(scan) - 1:
-        raise NoRootError("no sign change of the matching residual in the bracket")
+    where = f"the Fejer minimum {target:.3e} at n = {n}, N = {grid.N}"
+    if len(above) == 0:
+        short = -vals.max(initial=-target)  # target when the scan is empty
+        raise NoRootError(
+            f"no bump width reaches {where}: the best min |q_hat| is "
+            f"{target - short:.3e}, short by {short:.3e}; the scan starts at "
+            f"8/N = {8.0 / grid.N:.3g}, and a larger N lowers that floor"
+        )
+    if above[-1] == len(scan) - 1:
+        raise NoRootError(f"min |q_hat| stays above {where} up to epsilon = 0.25")
     i = above[-1]
     lo, hi = float(scan[i]), float(scan[i + 1])
     for _ in range(50):

@@ -2,17 +2,17 @@
 
 The chain is: the z = 0 operator, its leading eigendata, the invariant
 density and the observable centered against it form one :class:`Baseline`,
-built once per call; the CLT variance comes from a single deflated linear
-solve; the twisted eigenvalue curve lambda(z) gives
+built once per call; the CLT variance comes from the Green-Kubo series of
+the deflated resolvent; the twisted eigenvalue curve lambda(z) gives
 the large-deviations rate function r(s) = sup_z (s z - ln|lambda(z)|) by a
 safeguarded Newton solve of Lambda'(z) = s, Lambda = ln|lambda|, with
 Lambda' from the Hellmann-Feynman formula (left and right eigenvectors and
 the derivative operator).
 
 The eigenvalue 1 of the untwisted operator makes Id - L singular on the zero
-mode; every resolvent solve here replaces the zero-mode row with the
-coordinate row (and zeroes the corresponding right-hand side entry), which
-pins the solution to the mean-zero subspace.
+mode.  L preserves mass, so the mean-zero subspace is invariant, L contracts
+it by |lambda_2| (about 0.1), and (Id - L)^{-1} L there is the series
+sum_{j>=1} L^j with the zero-mode coordinate cut from each term.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .grids import (
@@ -51,7 +50,6 @@ class NonConvergenceError(NumericalError):
 
 
 DENSE_EIG_MAX_ORDER = 4
-COND_LIMIT = 1e14
 
 
 @dataclass
@@ -147,42 +145,63 @@ def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
     eig = leading_eigenpair(M0)
     spatial = evaluate_on_fine(eig.right_vector, N)
     density = spatial.real.copy()
-    gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
+    parts, x = g.separable_parts(), np.arange(N) / N
+    if parts is None:
+        gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
+    else:
+        gs = np.add.outer(parts[0](x), parts[1](x))
     shift = float(riemann_integral(gs * density).real)
     return Baseline(
         M0, eig, density, float(np.abs(spatial.imag).max()), shift, gs - shift
     )
 
 
-def _deflated_solve(M: OperatorMatrix, rhs: np.ndarray):
-    """Solve (Id - M) w = rhs with the zero-mode row pinned to w_0 = 0.
+# Green-Kubo terms summed before an operator that does not mix counts as singular
+_SERIES_MAX_TERMS = 10_000
 
-    Returns (w, residual, rcond): the residual is measured on the original
-    equations off the zero mode, rcond is LAPACK's reciprocal one-norm
-    condition estimate.  Raises SingularSolveError when the condition
-    estimate exceeds 1e14.
+
+def _green_kubo(A, x, project):
+    """(w, residual, terms, rate): w = sum_{j>=1} A^j x off A's eigenvalue 1.
+
+    Each term is v <- project(A v) from v = x; ``project`` removes the
+    eigenvalue-1 mode, so rounding drift along it cannot accumulate.  The sum
+    stops once max|v| <= 1e-16 max(1, max|w|); w then solves
+    project((Id - A) w) = project(A x), and SingularSolveError is raised if
+    that residual exceeds 1e-8 max(1, ||project(A x)||), if w is not finite,
+    or if _SERIES_MAX_TERMS terms do not converge (A does not mix).  ``rate``
+    = (max|v_last| / max|v_1|)^(1/(terms - 1)) estimates |lambda_2|.
     """
-    n2 = M.entries.shape[0]
-    izero = freq_index(0, 0, M.n)
-    A = np.eye(n2, dtype=complex) - M.entries
-    A_orig_row = A[izero].copy()
-    A[izero, :] = 0.0
-    A[izero, izero] = 1.0
-    b = rhs.astype(complex).copy()
-    b[izero] = 0.0
-    anorm = np.abs(A).sum(axis=0).max()
-    lu, piv = sla.lu_factor(A)
-    rcond, info = sla.lapack.zgecon(lu, anorm)
-    if info != 0 or rcond == 0 or 1.0 / rcond > COND_LIMIT:
+    v = rhs = project(A @ x)
+    w, first = v.copy(), np.abs(v).max()
+    for terms in range(1, _SERIES_MAX_TERMS + 1):
+        last = np.abs(v).max()
+        if last <= 1e-16 * max(1.0, np.abs(w).max()):
+            break
+        v = project(A @ v)
+        w += v
+    else:
         raise SingularSolveError(
-            f"deflated system condition estimate {1.0 / max(rcond, 1e-300):.2e}"
+            f"Green-Kubo series did not converge in {_SERIES_MAX_TERMS} terms"
         )
-    w = sla.lu_solve((lu, piv), b)
-    A[izero] = A_orig_row
-    res_vec = A @ w - rhs
-    res_vec[izero] = 0.0
-    residual = float(np.linalg.norm(res_vec))
-    return w, residual, float(rcond)
+    if not np.all(np.isfinite(w)):
+        raise SingularSolveError("Green-Kubo series produced non-finite values")
+    residual = float(np.linalg.norm(project(w - A @ w) - rhs))
+    if residual > 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
+        raise SingularSolveError(f"deflated solve residual {residual:.3e}")
+    rate = float((last / first) ** (1.0 / (terms - 1))) if terms > 1 else 0.0
+    return w, residual, terms, rate
+
+
+def _deflated_solve(M: OperatorMatrix, x: np.ndarray):
+    """:func:`_green_kubo` for M with the zero-mode coordinate cut from each
+    term: w_0 = 0 and (Id - M) w = M x on every other row."""
+    izero = freq_index(0, 0, M.n)
+
+    def off_zero_mode(v):
+        v[izero] = 0.0
+        return v
+
+    return _green_kubo(M.entries, x, off_zero_mode)
 
 
 @dataclass
@@ -190,7 +209,8 @@ class VarianceResult:
     sigma2: float
     shift: float
     solve_residual: float
-    solve_rcond: float
+    solve_terms: int
+    solve_rate: float  # contraction per series term, about |lambda_2|
     n: int
     N: int
     kernel_label: str
@@ -200,7 +220,8 @@ class VarianceResult:
             "sigma2": self.sigma2,
             "mean_shift": self.shift,
             "solve_residual": self.solve_residual,
-            "solve_rcond": self.solve_rcond,
+            "solve_terms": self.solve_terms,
+            "solve_rate": self.solve_rate,
             "n": self.n,
             "N": self.N,
             "kernel": self.kernel_label,
@@ -210,11 +231,12 @@ class VarianceResult:
 def variance(
     map_model: MapModel, kernel, g: Observable, grid: GridSpec
 ) -> VarianceResult:
-    """CLT variance by one deflated linear solve.
+    """CLT variance from the Green-Kubo series of the deflated resolvent.
 
     sigma^2 = int g_c^2 v + 2 g_c (Id - L)^{-1} L (g_c v) dLeb, with v the
     unit-mass invariant density of the z = 0 operator and g_c the centered
-    observable.  All products are formed pointwise on the fine grid.
+    observable; (Id - L)^{-1} L (g_c v) = sum_{j>=1} L^j (g_c v) off the zero
+    mode.  All products are formed pointwise on the fine grid.
     """
     return _variance(baseline(assemble(map_model, kernel, g, 0.0, grid), g))
 
@@ -222,9 +244,8 @@ def variance(
 def _variance(base: Baseline) -> VarianceResult:
     M0, gc, v = base.M0, base.centered, base.density
     n, N = M0.grid.n, M0.grid.N
-    b = M0.entries @ restrict_to_coarse(forward_transform(gc * v), n).coeffs
-    b[freq_index(0, 0, n)] = 0.0
-    w, residual, rcond = _deflated_solve(M0, b)
+    x = restrict_to_coarse(forward_transform(gc * v), n).coeffs
+    w, residual, terms, rate = _deflated_solve(M0, x)
     w_spatial = evaluate_on_fine(SpectralVector(n, w), N)
     sigma2 = complex(riemann_integral(gc * gc * v + 2.0 * gc * w_spatial))
     if sigma2.real < -1e-8:
@@ -233,7 +254,8 @@ def _variance(base: Baseline) -> VarianceResult:
         sigma2=float(sigma2.real),
         shift=base.shift,
         solve_residual=residual,
-        solve_rcond=rcond,
+        solve_terms=terms,
+        solve_rate=rate,
         n=n,
         N=N,
         kernel_label=M0.kernel_label,
@@ -287,7 +309,8 @@ class RateTable:
     rows: list
     sigma2: float
     shift: float
-    solve_rcond: float
+    solve_terms: int
+    solve_rate: float
     z_bracket: tuple
     bracket_expanded: bool
     legendre_evals: int
@@ -460,7 +483,8 @@ def rate_function(
         rows=rows,
         sigma2=var.sigma2,
         shift=base.shift,
-        solve_rcond=var.solve_rcond,
+        solve_terms=var.solve_terms,
+        solve_rate=var.solve_rate,
         z_bracket=(z_lo, z_hi),
         bracket_expanded=expanded,
         legendre_evals=len(points),

@@ -9,9 +9,9 @@ are exact integer counts divided by k.
 The invariant density is the leading left eigenvector (ARPACK on the
 transpose, from the uniform vector).  The variance is the Green-Kubo sum in
 the box basis: for a mixing P the deflated resolvent solution is the
-fundamental-matrix series w = sum_{j>=1} P^j g_c (Kemeny-Snell), summed
-with the constant mode projected off each term, the constant mode playing
-the role of the spectral method's zero frequency.  No matrix is factored.
+fundamental-matrix series w = sum_{j>=1} P^j g_c (Kemeny-Snell), summed by
+stats._green_kubo with the constant mode, the spectral method's zero
+frequency, projected off each term.  No matrix is factored.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import _is_pow2
-from .stats import SingularSolveError, _arpack_leading
+from .stats import _arpack_leading, _green_kubo
 from .torus import MapModel, Observable
 
 
@@ -94,39 +94,13 @@ def ulam_srb(U: UlamMatrix) -> np.ndarray:
     return (v / v.sum()).real * nboxes
 
 
-# Green-Kubo terms summed before a P that does not mix counts as singular
-_SERIES_MAX_TERMS = 10_000
-
-
-def _green_kubo(P: sp.csr_matrix, pi: np.ndarray, gc: np.ndarray):
-    """(w, terms): w = sum_{j>=1} P^j g_c with the constant mode projected off.
-
-    Each term is v <- P v, v <- v - (pi.v), from v = g_c, so w does not
-    depend on the constant part of g_c and the rounding drift of pi.v
-    cannot accumulate.  The sum stops once max|v| <= 1e-16 max(1, max|w|)
-    and is shifted to w[0] = 0: then w solves (Id - P) w = P g_c with the
-    first row replaced by w[0] = 0.  A P that does not mix (no convergence
-    in _SERIES_MAX_TERMS terms) raises SingularSolveError.
-    """
-    v = gc
-    w = np.zeros_like(gc)
-    for terms in range(1, _SERIES_MAX_TERMS + 1):
-        v = P @ v
-        v -= pi @ v
-        w += v
-        if np.abs(v).max() <= 1e-16 * max(1.0, np.abs(w).max()):
-            return w - w[0], terms
-    raise SingularSolveError(
-        f"Green-Kubo series did not converge in {_SERIES_MAX_TERMS} terms"
-    )
-
-
 @dataclass
 class UlamVarianceResult:
     sigma2: float
     shift: float
     solve_residual: float
     solve_terms: int
+    solve_rate: float  # contraction per series term, about |lambda_2| of P
     m: int
     samples_per_box: int
     density: np.ndarray  # invariant density per box, as from ulam_srb; not in to_dict
@@ -137,6 +111,7 @@ class UlamVarianceResult:
             "mean_shift": self.shift,
             "solve_residual": self.solve_residual,
             "solve_terms": self.solve_terms,
+            "solve_rate": self.solve_rate,
             "m": self.m,
             "samples_per_box": self.samples_per_box,
         }
@@ -148,33 +123,23 @@ def ulam_variance(
     """Variance in the Ulam basis from the Green-Kubo series.
 
     g is box-averaged and centered by the stationary weights pi; w is the
-    series sum_{j>=1} P^j g_c of _green_kubo, and
-    sigma^2 = sum_i pi_i (g_c_i^2 + 2 g_c_i w_i).  The residual of the
-    deflated system (Id - P) w = P g_c, first row excluded, is checked
-    afterwards.
+    series sum_{j>=1} P^j g_c with each term's constant mode cut
+    (v <- v - pi.v), and sigma^2 = sum_i pi_i (g_c_i^2 + 2 g_c_i w_i).  The
+    series checks its residual (stats._green_kubo).
     """
     U, gbox = _build(map_model, m, k, g)
     density = ulam_srb(U)
     pi = density / (m * m)
     shift = float(pi @ gbox)
     gc = gbox - shift
-    w, terms = _green_kubo(U.P, pi, gc)
-    if not np.all(np.isfinite(w)):
-        raise SingularSolveError("Green-Kubo series produced non-finite values")
-    rhs = U.P @ gc
-    rhs[0] = 0.0
-    res_vec = w - U.P @ w - rhs
-    res_vec[0] = 0.0
-    residual = float(np.linalg.norm(res_vec))
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if residual > 1e-8 * scale:
-        raise SingularSolveError(f"deflated solve residual {residual:.3e}")
+    w, residual, terms, rate = _green_kubo(U.P, gc, lambda v: v - pi @ v)
     sigma2 = float(pi @ (gc * gc + 2.0 * gc * w))
     return UlamVarianceResult(
         sigma2=sigma2,
         shift=shift,
         solve_residual=residual,
         solve_terms=terms,
+        solve_rate=rate,
         m=m,
         samples_per_box=k,
         density=density,

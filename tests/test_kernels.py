@@ -155,9 +155,18 @@ def test_summability_fejer_decreases_with_n():
 
 
 def test_match_epsilon_no_root_for_tiny_order():
-    # at n = 2 the Fejer minimum is 1/4, far above any bump coefficient
-    with pytest.raises(NoRootError):
+    # at n = 2 the Fejer minimum is 1/4, and every bump width in the scan keeps
+    # all its coarse coefficients above it
+    with pytest.raises(NoRootError, match=r"at n = 2, N = 64 up to epsilon = 0\.25"):
         match_epsilon(2, GridSpec(2, 64))
+    # at n = 32, N = 64 the scan starts at 8/N = 0.125, already too wide: every
+    # width has a coefficient below the Fejer minimum 3.460e-03
+    with pytest.raises(NoRootError) as err:
+        match_epsilon(32, GridSpec(32, 64))
+    msg = str(err.value)
+    assert "n = 32, N = 64" in msg and "minimum 3.460e-03" in msg
+    assert "best min |q_hat| is 9.083e-04, short by 2.552e-03" in msg
+    assert "8/N = 0.125" in msg and "larger N lowers that floor" in msg
 
 
 def test_window_bump_equals_full_grid_bump():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from anosov import (
@@ -19,6 +20,7 @@ from anosov import (
     restrict_to_coarse,
     riemann_integral,
     standard_observable,
+    ulam_variance,
     variance,
 )
 from anosov.grids import fine_points, forward_transform, freq_index
@@ -244,8 +246,8 @@ def test_arpack_non_convergence_raises(perturbed_map, fejer, std_g, monkeypatch)
         leading_eigenpair(M0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_deflated_solve_flags_singular():
+    # M = Id does not mix: every term of the series equals x off the zero mode
     n = 4
     M = OperatorMatrix(
         n=n,
@@ -255,8 +257,75 @@ def test_deflated_solve_flags_singular():
         z=0.0,
         grid=GridSpec(4, 8),
     )
-    with pytest.raises(SingularSolveError):
-        _deflated_solve(M, np.zeros(n * n, dtype=complex))
+    x = np.zeros(n * n, dtype=complex)
+    x[freq_index(1, 0, n)] = 1.0
+    with pytest.raises(SingularSolveError, match="did not converge"):
+        _deflated_solve(M, x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_green_kubo_flags_what_does_not_solve_the_deflated_system():
+    from anosov.stats import _green_kubo
+
+    A = np.diag([1.0, 0.5, 0.25])
+
+    def cut_mode(v):
+        v[0] = 0.0
+        return v
+
+    w, residual, terms, rate = _green_kubo(A, np.ones(3), cut_mode)
+    assert np.allclose(w, [0.0, 1.0, 1.0 / 3.0]) and residual <= 1e-15
+    # halving each term as well sums a convergent series of the wrong system
+    with pytest.raises(SingularSolveError, match="residual"):
+        _green_kubo(A, np.ones(3), lambda v: 0.5 * cut_mode(v))
+    # terms near the overflow threshold: the sum overflows while they decay
+    with pytest.raises(SingularSolveError, match="non-finite"):
+        _green_kubo(np.diag([1.0, 0.9, 0.9]), np.full(3, 1e308), cut_mode)
+
+
+def _lu_deflated(M, x):
+    """w from (Id - M) w = M x with the zero-mode row replaced by w_0 = 0, by
+    dense LU: the oracle for the Green-Kubo series."""
+    izero = freq_index(0, 0, M.n)
+    A = np.eye(M.entries.shape[0], dtype=complex) - M.entries
+    A[izero, :] = 0.0
+    A[izero, izero] = 1.0
+    b = M.entries @ x
+    b[izero] = 0.0
+    return sla.lu_solve(sla.lu_factor(A), b)
+
+
+@pytest.mark.parametrize(
+    "kernel, n, N",
+    [(FejerKernel(), 8, 64), (FejerKernel(), 16, 128), (FejerKernel(), 32, 512)]
+    + [(BumpKernel(0.1), 16, 256)],
+    ids=["fejer-8", "fejer-16", "fejer-32", "bump-16"],
+)
+def test_deflated_solve_matches_lu_oracle(perturbed_map, std_g, kernel, n, N):
+    base = baseline(assemble(perturbed_map, kernel, std_g, 0.0, GridSpec(n, N)), std_g)
+    x = restrict_to_coarse(forward_transform(base.centered * base.density), n).coeffs
+    w, residual, terms, rate = _deflated_solve(base.M0, x)
+    assert w[freq_index(0, 0, n)] == 0.0
+    assert np.abs(w - _lu_deflated(base.M0, x)).max() <= 1e-12
+    assert residual <= 1e-12 and 0 < terms < 100 and 0.0 < rate < 1.0
+
+
+def test_spectral_and_ulam_solves_share_the_series(perturbed_map, fejer, std_g, monkeypatch):
+    import anosov.stats as stats_mod
+    import anosov.ulam as ulam_mod
+
+    assert ulam_mod._green_kubo is stats_mod._green_kubo
+    series, calls = stats_mod._green_kubo, []
+
+    def counted(*args):
+        calls.append(type(args[0]).__name__)
+        return series(*args)
+
+    for mod in (stats_mod, ulam_mod):
+        monkeypatch.setattr(mod, "_green_kubo", counted)
+    variance(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    ulam_variance(perturbed_map, 16, 16, std_g)
+    assert calls == ["ndarray", "csr_matrix"]
 
 
 # -- Newton-Legendre rate function -------------------------------------------
@@ -503,7 +572,7 @@ def test_rate_table_legendre_budget(perturbed_map, fejer, std_g):
     assert tab.legendre_evals <= 100
     # every evaluation is charged to the row that made it, except z = 0
     assert sum(row.iterations for row in tab.rows) == tab.legendre_evals - 1
-    assert 0.0 < tab.solve_rcond <= 1.0
+    assert 0 < tab.solve_terms < 100 and 0.0 < tab.solve_rate < 1.0
 
 
 def test_newton_evaluation_cap_raises(perturbed_map, fejer, std_g, monkeypatch):
@@ -543,7 +612,8 @@ def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer,
         assert abs(slope - central) <= 1e-8, z
 
 
-def test_variance_reports_solve_rcond(perturbed_map, fejer, std_g):
+def test_variance_reports_solve_terms_and_rate(perturbed_map, fejer, std_g):
     res = variance(perturbed_map, fejer, std_g, GridSpec(8, 64))
-    assert 0.0 < res.solve_rcond <= 1.0
-    assert res.to_dict()["solve_rcond"] == res.solve_rcond
+    assert 0 < res.solve_terms < 100 and 0.0 < res.solve_rate < 1.0
+    summary = res.to_dict()
+    assert (summary["solve_terms"], summary["solve_rate"]) == (res.solve_terms, res.solve_rate)

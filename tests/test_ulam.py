@@ -192,6 +192,12 @@ def _centred(map_model, m, k, g):
     return U.P, pi, gbox - pi @ gbox
 
 
+def _series(P, pi, x):
+    """The Green-Kubo series with the constant mode cut, as ``ulam_variance``
+    sums it: (w, residual, terms, rate)."""
+    return ulam_mod._green_kubo(P, x, lambda v: v - pi @ v)
+
+
 _MAPS = {
     "section7": PerturbedCat(0.01, "section7"),
     "appendix": PerturbedCat(0.01, "appendix"),
@@ -215,24 +221,26 @@ def test_build_matches_pointwise_oracle(std_g, name, m, sampled):
 @pytest.mark.parametrize("m", [16, 32, 64])
 def test_green_kubo_matches_spsolve_oracle(perturbed_map, std_g, m):
     P, pi, gc = _centred(perturbed_map, m, 1600, std_g)
-    w, terms = ulam_mod._green_kubo(P, pi, gc)
+    w, residual, terms, rate = _series(P, pi, gc)
     oracle = _spsolve_deflated(P, gc)
-    assert w[0] == 0.0
-    assert np.abs(w - oracle).max() <= 1e-12
-    assert 0 < terms < 100
+    # the series sums off the constant mode; the oracle pins w[0] = 0 instead
+    assert abs(pi @ w) <= 1e-15
+    assert np.abs(w - w[0] - oracle).max() <= 1e-12
+    assert 0 < terms < 100 and 0.0 < rate < 1.0 and residual <= 1e-12
     res = ulam_variance(perturbed_map, m, 1600, std_g)
     sigma2 = float(pi @ (gc * gc + 2.0 * gc * oracle))
     assert abs(res.sigma2 - sigma2) <= 1e-12
-    assert res.solve_terms == terms
+    assert (res.solve_terms, res.solve_rate) == (terms, rate)
     assert res.to_dict()["solve_terms"] == terms
+    assert res.to_dict()["solve_rate"] == rate
 
 
 def test_green_kubo_ignores_the_constant_mode(perturbed_map, std_g):
     # the projection deflates the constant mode: without it a constant in
     # g_c would never decay and the series would not converge
     P, pi, gc = _centred(perturbed_map, 16, 64, std_g)
-    w, terms = ulam_mod._green_kubo(P, pi, gc)
-    w_shifted, terms_shifted = ulam_mod._green_kubo(P, pi, gc + 0.5)
+    w, _, terms, _ = _series(P, pi, gc)
+    w_shifted, _, terms_shifted, _ = _series(P, pi, gc + 0.5)
     assert np.abs(w_shifted - w).max() <= 1e-12
     assert abs(terms_shifted - terms) <= 2
 
