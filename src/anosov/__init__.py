@@ -36,7 +36,7 @@ from .kernels import (
     match_epsilon,
     summability_check,
 )
-from .operators import OperatorMatrix, apply, assemble
+from .operators import OperatorMatrix, assemble
 from .stats import (
     Baseline,
     EigenData,
@@ -84,7 +84,6 @@ __all__ = [
     "match_epsilon",
     "summability_check",
     "OperatorMatrix",
-    "apply",
     "assemble",
     "Baseline",
     "EigenData",

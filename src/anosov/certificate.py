@@ -234,16 +234,17 @@ def certify(delta: float, alpha: float) -> CertificateReport:
     )
 
 
-def certified_delta_threshold(alpha: float, hi: float = 0.05, iters: int = 60) -> float:
-    """Largest certified delta at a given alpha, located by bisection."""
-    lo = 0.0
+def certified_delta_threshold(alpha: float) -> float:
+    """Largest certified delta at a given alpha: the upper end is doubled from
+    0.05 until it fails, then 60 bisections locate the threshold."""
+    lo, hi = 0.0, 0.05
     if not certify(lo, alpha).overall:
         return 0.0
     while certify(hi, alpha).overall:
         hi *= 2.0
         if hi > 1.0:
             return hi
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if certify(mid, alpha).overall:
             lo = mid

@@ -185,9 +185,12 @@ def _cmd_srb(args, started):
 
 
 def _cmd_rate(args, started):
+    bracket = args.z_bracket.split(",")
+    if len(bracket) != 2:
+        raise ConfigError(f"z bracket must be lo,hi, got {args.z_bracket!r}")
+    bracket = tuple(map(float, bracket))
     map_model, kern, g, grid, matched = _fourier_problem(args)
     s_values = _parse_range(args.s)
-    bracket = tuple(float(x) for x in args.z_bracket.split(","))
     table = rate_function(map_model, kern, g, grid, s_values, bracket)
     csv_path = _write_csv(
         os.path.join(_out_dir(args), "rate_table.csv"),

@@ -27,7 +27,7 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Coarse order n and fine order N, both powers of two with N >= n."""
+    """Coarse order n >= 2 and fine order N >= n, both powers of two."""
 
     n: int
     N: int
@@ -35,6 +35,11 @@ class GridSpec:
     def __post_init__(self):
         if not (_is_pow2(self.n) and _is_pow2(self.N)):
             raise ValueError("n and N must be powers of two")
+        if self.n < 2:
+            raise ValueError(
+                "coarse order n must be at least 2: the grid {-n/2+1, ..., n/2} "
+                "is empty at n = 1, and ARPACK needs a matrix of order n^2 >= 3"
+            )
         if self.N < self.n:
             raise ValueError("fine order N must be at least the coarse order n")
 
@@ -85,15 +90,6 @@ class SpectralVector:
 
     def as_matrix(self) -> np.ndarray:
         return self.coeffs.reshape(self.n, self.n)
-
-    def conjugate_symmetry_defect(self) -> float:
-        """max |c(-j) - conj(c(j))| over pairs with both indices in range."""
-        js = coarse_freqs(self.n)
-        m = self.as_matrix()
-        inner = js[(js >= -(self.n // 2) + 1) & (js <= self.n // 2 - 1)]
-        sel = np.searchsorted(js, inner)
-        neg = np.searchsorted(js, -inner)
-        return float(np.abs(m[np.ix_(neg, neg)] - np.conj(m[np.ix_(sel, sel)])).max())
 
 
 def _to_centered(fft_ordered: np.ndarray) -> np.ndarray:

@@ -30,12 +30,12 @@ n = 32, N = 512; the N-term weight takes about 1 s there.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
 does not change results.  Both functions share the guards: N >= 2n
-(ValueError), n > 128 refused unless allow_large=True (MemoryError; the dense
-matrix has n^4 complex entries), and |Re z| sup|g| above the exp range guard
-(OverflowError).  A separable g's sup comes from its 1-D samples; any other g
-is sampled on the fine grid, which its weight needs anyway.  A separable
-weight factor's largest exponent is taken out of it and put back into q_hat,
-so exp(z g) may pass the guard where exp(z g2) alone would overflow.
+(ValueError), n > 128 refused (MemoryError; the dense matrix has n^4 complex
+entries), and |Re z| sup|g| above the exp range guard (OverflowError).  A
+separable g's sup comes from its 1-D samples; any other g is sampled on the
+fine grid, which its weight needs anyway.  A separable weight factor's
+largest exponent is taken out of it and put back into q_hat, so exp(z g)
+may pass the guard where exp(z g2) alone would overflow.
 
 :class:`OperatorAssembler` is the brute-force reference: n^2 two-dimensional
 FFTs of the full integrand over power tables of exp(-2 pi i T).  The
@@ -52,7 +52,6 @@ import scipy.fft as sfft
 from . import backend
 from .grids import (
     GridSpec,
-    SpectralVector,
     coarse_freqs,
     fft_index,
     fine_points,
@@ -72,7 +71,6 @@ class OperatorMatrix:
 
     n: int
     entries: np.ndarray
-    map_label: str
     kernel_label: str
     z: complex
     grid: GridSpec
@@ -156,13 +154,11 @@ def _separable_sum(map_parts, a, b, q, grid: GridSpec) -> np.ndarray:
     return out.reshape(n * n, n * n)
 
 
-def _twisted(map_model, kernel, g, z, grid, allow_large, derivative):
+def _twisted(map_model, kernel, g, z, grid, derivative):
     """The guards, the weight's separable terms and the matrix of
     :func:`assemble` or :func:`assemble_derivative`."""
-    if grid.n > MAX_COARSE_ORDER and not allow_large:
-        raise MemoryError(
-            f"coarse order {grid.n} exceeds the memory guard; pass allow_large=True"
-        )
+    if grid.n > MAX_COARSE_ORDER:
+        raise MemoryError(f"coarse order {grid.n} exceeds the memory guard")
     if grid.N < 2 * grid.n:
         raise ValueError("operator assembly requires N >= 2n")
     z = complex(z)
@@ -198,7 +194,6 @@ def _twisted(map_model, kernel, g, z, grid, allow_large, derivative):
     return OperatorMatrix(
         n=grid.n,
         entries=entries,
-        map_label=map_model.label,
         kernel_label=kernel.label,
         z=z,
         grid=grid,
@@ -211,14 +206,13 @@ def assemble(
     g: Observable,
     z: complex,
     grid: GridSpec,
-    allow_large: bool = False,
 ) -> OperatorMatrix:
     """Assemble the twisted operator matrix at twist parameter z.
 
     See the module docstring for the method.  Raises OverflowError when
     |Re z| * sup|g| exceeds the double-precision exp range guard.
     """
-    return _twisted(map_model, kernel, g, z, grid, allow_large, derivative=False)
+    return _twisted(map_model, kernel, g, z, grid, derivative=False)
 
 
 def assemble_derivative(
@@ -226,16 +220,9 @@ def assemble_derivative(
 ) -> OperatorMatrix:
     """d/dz of the twisted operator at z: the weight exp(z g) becomes g exp(z g).
 
-    Same method and guards as :func:`assemble` (n > 128 always refused).
+    Same method and guards as :func:`assemble`.
     """
-    return _twisted(map_model, kernel, g, z, grid, False, derivative=True)
-
-
-def apply(M: OperatorMatrix, v: SpectralVector) -> SpectralVector:
-    """Matrix-vector product in the coarse linear order."""
-    if v.n != M.n:
-        raise ValueError("coarse order mismatch")
-    return SpectralVector(M.n, M.entries @ v.coeffs)
+    return _twisted(map_model, kernel, g, z, grid, derivative=True)
 
 
 def write_opmat(path, M: OperatorMatrix) -> None:

@@ -49,9 +49,6 @@ class NonConvergenceError(NumericalError):
     """An iterative solver stopped before it met its tolerance."""
 
 
-DENSE_EIG_MAX_ORDER = 4
-
-
 @dataclass
 class EigenData:
     """Leading eigenvalue and mass-normalised right eigenvector."""
@@ -59,17 +56,7 @@ class EigenData:
     lam: complex
     right_vector: SpectralVector
     residual: float
-    method: str  # "dense" or "arpack"
-
-
-def _pick_leading(eigvals: np.ndarray) -> int:
-    mods = np.abs(eigvals)
-    top = mods.max()
-    cand = np.nonzero(mods >= top * (1.0 - 1e-12))[0]
-    if len(cand) == 1:
-        return int(cand[0])
-    order = sorted(cand, key=lambda i: (eigvals[i].real, eigvals[i].imag))
-    return int(order[-1])
+    method: str  # always "arpack"
 
 
 def _normalise(n: int, vec: np.ndarray) -> np.ndarray:
@@ -96,30 +83,24 @@ def _arpack_leading(A, v0: np.ndarray):
     return complex(vals[0]), vecs[:, 0]
 
 
-def _leading(A: np.ndarray, n: int):
-    """(lam, v, method): dense eig for n <= 4, ARPACK from the zero mode beyond."""
-    if n <= DENSE_EIG_MAX_ORDER:
-        vals, vecs = np.linalg.eig(A)
-        i = _pick_leading(vals)
-        return complex(vals[i]), vecs[:, i], "dense"
-    v0 = np.zeros(n * n, dtype=complex)
-    v0[freq_index(0, 0, n)] = 1.0
-    lam, v = _arpack_leading(A, v0)
-    return lam, v, "arpack"
+def _zero_mode(n: int) -> np.ndarray:
+    """ARPACK's start vector for a coarse operator: the zero mode."""
+    return SpectralVector.from_modes(n, {(0, 0): 1.0}).coeffs
 
 
 def leading_eigenpair(M: OperatorMatrix) -> EigenData:
-    """Max-modulus eigenpair: dense for n <= 4, ARPACK beyond.
+    """Max-modulus eigenpair by ARPACK from the zero mode.
 
-    ARPACK starts from the zero mode.  Only the dense path breaks modulus
-    ties (by largest real part, then largest imaginary part).  The residual
-    is ||A v - lam v|| / ||v|| for the mass-normalised v.
+    No modulus tie is broken: the untwisted operator is simple quasi-compact,
+    so its leading eigenvalue is simple and isolated, and where two twisted
+    eigenvalues cross ARPACK returns either.  The residual is
+    ||A v - lam v|| / ||v|| for the mass-normalised v.
     """
     A = M.entries
-    lam, v, method = _leading(A, M.n)
+    lam, v = _arpack_leading(A, _zero_mode(M.n))
     v = _normalise(M.n, v)
     residual = float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
-    return EigenData(lam, SpectralVector(M.n, v), residual, method)
+    return EigenData(lam, SpectralVector(M.n, v), residual, "arpack")
 
 
 @dataclass(frozen=True)
@@ -338,7 +319,7 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     |<l, r>| / (|l| |r|) vanishes where two eigenvalues of equal modulus
     cross and l and r belong to different ones; Lambda' is meaningless there.
     """
-    _, left, _ = _leading(M.entries.conj().T, M.n)
+    _, left = _arpack_leading(M.entries.conj().T, _zero_mode(M.n))
     r = eig.right_vector.coeffs
     inner = np.vdot(left, r)
     slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)

@@ -16,6 +16,7 @@ frequency, projected off each term.  No matrix is factored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,11 @@ class UlamMatrix:
 
 
 def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
-    if not _is_pow2(m):
-        raise ValueError("m must be a power of two")
-    ks = int(round(np.sqrt(k)))
-    if ks * ks != k:
-        raise ValueError("samples per box must be a perfect square")
+    if m < 2 or not _is_pow2(m):
+        raise ValueError(f"boxes per side must be a power of two >= 2, got {m}")
+    ks = math.isqrt(max(k, 0))
+    if k < 1 or ks * ks != k:
+        raise ValueError(f"samples per box must be a positive perfect square, got {k}")
     off = (np.arange(ks) + 0.5) / (m * ks)
     nboxes = m * m
     keys, counts = [], []

@@ -6,8 +6,10 @@ from anosov import (
     GridSpec,
     PerturbedCat,
     cat_map,
+    coarse_freqs,
     standard_observable,
 )
+from anosov.grids import freq_index
 from anosov.torus import TorusPoint
 
 
@@ -86,3 +88,25 @@ def _cone_excess(delta, alpha, direction, x1, x2):
 @pytest.fixture(scope="session")
 def cone_excess():
     return _cone_excess
+
+
+def _conjugate_symmetry_defect(a, n):
+    """max |a(-j) - conj(a(j))| along every axis of ``a``, over the coarse
+    frequencies j = (j1, j2) whose negative is in range too.
+
+    For n^2 coefficients of a real function, c(-j) against conj c(j); for an
+    operator matrix that maps real functions to real ones, entry (-j, -k)
+    against conj (j, k).
+    """
+    a = np.asarray(a)
+    js = coarse_freqs(n)
+    inner = [int(j) for j in js if -j in js]
+    idx = [freq_index(j1, j2, n) for j1 in inner for j2 in inner]
+    nidx = [freq_index(-j1, -j2, n) for j1 in inner for j2 in inner]
+    flipped, kept = a[np.ix_(*[nidx] * a.ndim)], a[np.ix_(*[idx] * a.ndim)]
+    return float(np.abs(flipped - np.conj(kept)).max())
+
+
+@pytest.fixture(scope="session")
+def conj_defect():
+    return _conjugate_symmetry_defect

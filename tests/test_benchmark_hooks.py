@@ -3,8 +3,8 @@
 ``perfbench/child.py --trace`` wraps module attributes of the package from
 outside it (``operators.OperatorAssembler.base_matrix``,
 ``backend.twisted_rows``, ``stats.assemble`` and more).  A change that
-deletes or renames one of them breaks the benchmark, not the package; this
-test runs one traced sample so the suite sees it.
+deletes or renames one of them breaks the benchmark, not the package; these
+tests run traced samples so the suite sees it.
 """
 
 import json
@@ -15,14 +15,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_benchmark_sample_runs(tmp_path):
+def _traced_spans(tmp_path, argv):
+    """Run one traced benchmark sample of ``argv``; return its spans."""
     report = tmp_path / "report.json"
     cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--root", str(ROOT)]
     cmd += ["--report", str(report), "--trace", "--"]
-    cmd += ["certify", "--out-dir", str(tmp_path)]
+    cmd += [*argv, "--out-dir", str(tmp_path)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(report.read_text())
     assert record["exit_code"] == 0
-    names = [span[0] for span in record["spans"]]
+    return record["spans"]
+
+
+def test_traced_benchmark_sample_runs(tmp_path):
+    names = [span[0] for span in _traced_spans(tmp_path, ["certify"])]
     assert names[0] == "cli.main" and "cli.io" in names
+
+
+def test_traced_variance_sample_reaches_the_eigen_layer(tmp_path):
+    """``certify`` never reaches the operator or eigen layers; a small
+    ``variance`` run does, and its eigenpair comes from ARPACK."""
+    spans = _traced_spans(tmp_path, ["variance", "--n", "8", "--fine", "64"])
+    eig = [info for name, _, _, _, info in spans if name == "stats.eig"]
+    assert eig and all(info["method"] == "arpack" for info in eig)
+    assert any(span[0] == "operators.assemble" for span in spans)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,26 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert main(["variance", "--config", str(cfg)]) == 1
     assert main(["variance", "--workers", "0", "--out-dir", str(tmp_path)]) == 1
     assert "workers must not be zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["variance", "--n", "1"], "coarse order n must be at least 2"),
+        (["ulam", "--boxes", "1"], "power of two >= 2, got 1"),
+        (["ulam", "--samples", "0"], "positive perfect square, got 0"),
+        (["ulam", "--samples", "-4"], "positive perfect square, got -4"),
+        (["rate", "--z-bracket", "-1"], "z bracket must be lo,hi, got '-1'"),
+        (["rate", "--z-bracket=-1,1,5"], "z bracket must be lo,hi, got '-1,1,5'"),
+    ],
+    ids=["n-1", "boxes-1", "samples-0", "samples-neg", "bracket-one", "bracket-three"],
+)
+def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
+    """Refused up front, before any solver runs or warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one_and_help_exits_zero(tmp_path, capsys):

@@ -28,6 +28,12 @@ def test_gridspec_validation():
         GridSpec(16, 48)
     with pytest.raises(ValueError):
         GridSpec(32, 16)
+    # {-n/2+1, ..., n/2} is empty at n = 1, and ARPACK needs order n^2 >= 3
+    assert coarse_freqs(1).size == 0
+    for N in (1, 8):
+        with pytest.raises(ValueError, match="coarse order n must be at least 2"):
+            GridSpec(1, N)
+    GridSpec(2, 4)
 
 
 def test_coarse_freqs_asymmetric_range():
@@ -119,11 +125,14 @@ def test_forward_transform_linear(rng):
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
-def test_conjugate_symmetry_defect_of_real_function(rng):
+def test_conjugate_symmetry_defect_of_real_function(rng, conj_defect):
     N, n = 64, 16
     samples = rng.standard_normal((N, N))
     v = restrict_to_coarse(forward_transform(samples), n)
-    assert v.conjugate_symmetry_defect() < 1e-13
+    assert conj_defect(v.coeffs, n) < 1e-13
+    # a complex function is not conjugate-symmetric
+    v = restrict_to_coarse(forward_transform(1j * samples), n)
+    assert conj_defect(v.coeffs, n) > 1e-3
 
 
 def test_grid_dump_round_trip(tmp_path, rng):

@@ -82,12 +82,12 @@ def test_fejer_symmetry():
             assert v.get(j1, j2) == pytest.approx(v.get(abs(j1), abs(j2)), rel=1e-14)
 
 
-def test_bump_zero_mode_exact():
+def test_bump_zero_mode_exact(conj_defect):
     grid = GridSpec(16, 256)
     v = bump_coefficients(0.1, grid)
     assert v.get(0, 0) == 1.0  # exact by construction
     assert np.abs(v.coeffs.imag).max() == 0.0
-    assert v.conjugate_symmetry_defect() < 1e-12
+    assert conj_defect(v.coeffs, v.n) < 1e-12
 
 
 def test_bump_spatial_properties():

@@ -98,6 +98,10 @@ def test_build_validates_arguments(perturbed_map):
         build_ulam(perturbed_map, 12, 16)
     with pytest.raises(ValueError):
         build_ulam(perturbed_map, 8, 15)
+    # one box leaves ARPACK nothing to iterate on; no samples, no counts
+    for m, k in ((1, 16), (8, 0), (8, -4)):
+        with pytest.raises(ValueError, match=f"got {min(m, k)}"):
+            build_ulam(perturbed_map, m, k)
 
 
 def test_ulam_variance_linear_oracle(linear_cat, std_g):
