@@ -26,7 +26,7 @@ so distance-to-failure is visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from itertools import product
 
 LAMBDA_S = (3.0 - math.sqrt(5.0)) / 2.0
@@ -199,11 +199,6 @@ class CertificateReport:
             and self.inverse_contraction.passed
             and self.translate_bound.passed
         )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["overall"] = self.overall
-        return d
 
 
 def certify(delta: float, alpha: float) -> CertificateReport:

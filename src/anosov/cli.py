@@ -5,8 +5,10 @@ be preloaded from a JSON config file (--config): its values become the
 subcommand's defaults, so any explicit flag, alias or abbreviation included,
 wins over the file.  Every run writes a JSON summary with the scalar
 results, residuals and provenance (config echo, config hash, versions,
-backend, wall time).  Grids are dumped in the GRID binary format, tables as
-CSV.  --workers sets the FFT thread count through scipy.fft.set_workers.
+backend, wall time): each _cmd_* returns the "results" payload, mostly the
+fields of its result dataclass, and main writes the summary.  Grids are
+dumped in the GRID binary format, tables as CSV.  --workers sets the FFT
+thread count through scipy.fft.set_workers.
 
 Exit codes: 0 success, 1 configuration error (argparse usage errors
 included), 2 numerical failure.
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, astuple
 
 import numpy as np
 import scipy.fft
@@ -98,7 +101,7 @@ def _fourier_problem(args):
     elif args.scheme == "bump":
         eps = args.epsilon
         if eps is None:
-            eps, residual = match_epsilon(grid.n, grid, full_output=True)
+            eps, residual = match_epsilon(grid.n, grid)
             matched["matching_residual"] = residual
         matched["epsilon"] = eps
         kern = BumpKernel(eps)
@@ -121,7 +124,8 @@ def _write_csv(path: str, header: list, rows) -> str:
     return path
 
 
-def _write_summary(args, task: str, payload: dict, started: float) -> str:
+def _write_summary(args, payload: dict, started: float) -> str:
+    task = args.command
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)}
     blob = json.dumps(config, sort_keys=True, default=str)
     summary = {
@@ -145,23 +149,26 @@ def _write_summary(args, task: str, payload: dict, started: float) -> str:
     return path
 
 
-def _cmd_certify(args, started):
-    report = certify(args.delta, args.alpha)
-    _write_summary(args, "certify", report.to_dict(), started)
+def _cmd_certify(args):
+    return asdict(certify(args.delta, args.alpha))
 
 
-def _cmd_variance(args, started):
+def _ulam_variance(args):
+    """(density, payload) of one Ulam variance run; the payload holds the
+    result's other fields."""
+    res = ulam_variance(_make_map(args), args.boxes, args.samples, _make_observable(args))
+    payload = asdict(res)
+    return payload.pop("density"), payload
+
+
+def _cmd_variance(args):
     if args.scheme == "ulam":
-        g = _make_observable(args)
-        payload = ulam_variance(_make_map(args), args.boxes, args.samples, g).to_dict()
-    else:
-        map_model, kern, g, grid, matched = _fourier_problem(args)
-        payload = variance(map_model, kern, g, grid).to_dict()
-        payload.update(matched)
-    _write_summary(args, "variance", payload, started)
+        return _ulam_variance(args)[1]
+    map_model, kern, g, grid, matched = _fourier_problem(args)
+    return {**asdict(variance(map_model, kern, g, grid)), **matched}
 
 
-def _cmd_srb(args, started):
+def _cmd_srb(args):
     map_model, kern, g, grid, matched = _fourier_problem(args)
     M0 = assemble(map_model, kern, g, 0.0, grid)
     base = baseline(M0, g)
@@ -180,11 +187,10 @@ def _cmd_srb(args, started):
         op_path = os.path.join(out, "operator.opmat")
         write_opmat(op_path, M0)
         payload["operator_file"] = op_path
-    payload.update(matched)
-    _write_summary(args, "srb", payload, started)
+    return {**payload, **matched}
 
 
-def _cmd_rate(args, started):
+def _cmd_rate(args):
     bracket = args.z_bracket.split(",")
     if len(bracket) != 2:
         raise ConfigError(f"z bracket must be lo,hi, got {args.z_bracket!r}")
@@ -195,27 +201,13 @@ def _cmd_rate(args, started):
     csv_path = _write_csv(
         os.path.join(_out_dir(args), "rate_table.csv"),
         ["s", "z_star", "r", "iterations", "boundary_flag"],
-        table.to_rows(),
+        map(astuple, table.rows),
     )
-    payload = {
-        "rows": len(table.rows),
-        "sigma2": table.sigma2,
-        "mean_shift": table.shift,
-        "solve_terms": table.solve_terms,
-        "solve_rate": table.solve_rate,
-        "z_bracket": list(table.z_bracket),
-        "bracket_expanded": table.bracket_expanded,
-        "legendre_evals": table.legendre_evals,
-        "lambda_imag_max": table.lambda_imag_max,
-        "slope_monotone": table.slope_monotone,
-        "eigvec_overlap_min": table.eigvec_overlap_min,
-        "table_file": csv_path,
-    }
-    payload.update(matched)
-    _write_summary(args, "rate", payload, started)
+    # the summary counts the rows; the CSV holds them
+    return {**asdict(table), "rows": len(table.rows), "table_file": csv_path, **matched}
 
 
-def _cmd_lambda_curve(args, started):
+def _cmd_lambda_curve(args):
     map_model, kern, g, grid, matched = _fourier_problem(args)
     points = lambda_curve(map_model, kern, g, grid, _parse_range(args.z))
     csv_path = _write_csv(
@@ -223,36 +215,29 @@ def _cmd_lambda_curve(args, started):
         ["z", "lambda_re", "lambda_im", "log_abs_lambda"],
         ([p.z, p.lam.real, p.lam.imag, np.log(abs(p.lam))] for p in points),
     )
-    payload = {
+    return {
         "points": [{"z": p.z, "lambda": p.lam} for p in points],
         "table_file": csv_path,
+        **matched,
     }
-    payload.update(matched)
-    _write_summary(args, "lambda-curve", payload, started)
 
 
-def _cmd_ulam(args, started):
-    res = None
+def _cmd_ulam(args):
+    stats = {}
     if args.variance:
-        g = _make_observable(args)
-        res = ulam_variance(_make_map(args), args.boxes, args.samples, g)
-        density = res.density
+        density, stats = _ulam_variance(args)
+        del stats["m"]  # reported as "boxes"
     else:
         density = ulam_srb(build_ulam(_make_map(args), args.boxes, args.samples))
-    out = _out_dir(args)
-    grid_path = os.path.join(out, "ulam_density.grid")
+    grid_path = os.path.join(_out_dir(args), "ulam_density.grid")
     write_grid(grid_path, density.reshape(args.boxes, args.boxes))
-    payload = {
+    return {
         "boxes": args.boxes,
         "samples_per_box": args.samples,
         "density_min": float(density.min()),
         "density_file": grid_path,
+        **stats,
     }
-    if res is not None:
-        summary = res.to_dict()
-        for key in ("sigma2", "mean_shift", "solve_residual", "solve_terms", "solve_rate"):
-            payload[key] = summary[key]
-    _write_summary(args, "ulam", payload, started)
 
 
 def _add_common(p):
@@ -307,13 +292,23 @@ def build_parser():
 
     p = sub.add_parser("rate", help="large-deviations rate function")
     _add_common(p)
-    p.add_argument("--s", default="0:0.1:1.8", help="s grid, start:step:stop")
-    p.add_argument("--z-bracket", default="-4,4")
+    p.add_argument(
+        "--s",
+        default="0:0.1:1.8",
+        help="s grid, start:step:stop; write --s=-1:0.1:1 when it starts negative",
+    )
+    p.add_argument(
+        "--z-bracket", default="-4,4", help="lo,hi; write --z-bracket=-1,1 when lo is negative"
+    )
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("lambda-curve", help="leading eigenvalue along real twists")
     _add_common(p)
-    p.add_argument("--z", default="-1:0.1:1", help="z grid, start:step:stop or list")
+    p.add_argument(
+        "--z",
+        default="-1:0.1:1",
+        help="z grid, start:step:stop or list; write --z=-1:0.1:1 when it starts negative",
+    )
     p.set_defaults(func=_cmd_lambda_curve)
 
     p = sub.add_parser("ulam", help="Ulam transition matrix and invariant density")
@@ -350,7 +345,8 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         with scipy.fft.set_workers(args.workers):
-            args.func(args, started)
+            payload = args.func(args)
+        _write_summary(args, payload, started)
         return 0
     # LinAlgError subclasses ValueError, so it must be caught first
     except (

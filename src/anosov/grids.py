@@ -27,7 +27,7 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Coarse order n >= 2 and fine order N >= n, both powers of two."""
+    """Coarse order n >= 2 and fine order N >= 2n, both powers of two."""
 
     n: int
     N: int
@@ -40,8 +40,8 @@ class GridSpec:
                 "coarse order n must be at least 2: the grid {-n/2+1, ..., n/2} "
                 "is empty at n = 1, and ARPACK needs a matrix of order n^2 >= 3"
             )
-        if self.N < self.n:
-            raise ValueError("fine order N must be at least the coarse order n")
+        if self.N < 2 * self.n:
+            raise ValueError(f"fine order N >= 2n required, got n = {self.n}, N = {self.N}")
 
 
 def coarse_freqs(n: int) -> np.ndarray:

@@ -131,8 +131,9 @@ class FejerKernel:
         return "fejer"
 
 
-def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
-    """Bump width whose smallest coarse coefficient matches the Fejer minimum.
+def match_epsilon(n: int, grid: GridSpec):
+    """(epsilon, residual): the bump width whose smallest coarse coefficient
+    matches the Fejer minimum, and the relative miss f(epsilon) / target.
 
     min_j |q_eps(j)| decreases with epsilon only in envelope: once the
     transform's zero rings enter the coarse grid it oscillates on a fine
@@ -176,7 +177,7 @@ def match_epsilon(n: int, grid: GridSpec, full_output: bool = False):
         else:
             hi = mid
     eps = 0.5 * (lo + hi)
-    return (eps, f(eps) / target) if full_output else eps
+    return eps, f(eps) / target
 
 
 def summability_check(kernel, eta: float, grid: GridSpec) -> float:

@@ -29,9 +29,9 @@ One term costs 2n 1-D FFTs of length N and one gather: about 8 ms at
 n = 32, N = 512; the N-term weight takes about 1 s there.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
-does not change results.  Both functions share the guards: N >= 2n
-(ValueError), n > 128 refused (MemoryError; the dense matrix has n^4 complex
-entries), and |Re z| sup|g| above the exp range guard (OverflowError).  A
+does not change results.  Both functions share the guards: n > 128 refused
+(MemoryError; the dense matrix has n^4 complex entries) and |Re z| sup|g|
+above the exp range guard (OverflowError); GridSpec refuses N < 2n.  A
 separable g's sup comes from its 1-D samples; any other g is sampled on the
 fine grid, which its weight needs anyway.  A separable weight factor's
 largest exponent is taken out of it and put back into q_hat, so exp(z g)
@@ -159,8 +159,6 @@ def _twisted(map_model, kernel, g, z, grid, derivative):
     :func:`assemble` or :func:`assemble_derivative`."""
     if grid.n > MAX_COARSE_ORDER:
         raise MemoryError(f"coarse order {grid.n} exceeds the memory guard")
-    if grid.N < 2 * grid.n:
-        raise ValueError("operator assembly requires N >= 2n")
     z = complex(z)
     N = grid.N
     x = np.arange(N) / N

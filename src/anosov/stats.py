@@ -188,25 +188,13 @@ def _deflated_solve(M: OperatorMatrix, x: np.ndarray):
 @dataclass
 class VarianceResult:
     sigma2: float
-    shift: float
+    mean_shift: float
     solve_residual: float
     solve_terms: int
     solve_rate: float  # contraction per series term, about |lambda_2|
     n: int
     N: int
-    kernel_label: str
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma2": self.sigma2,
-            "mean_shift": self.shift,
-            "solve_residual": self.solve_residual,
-            "solve_terms": self.solve_terms,
-            "solve_rate": self.solve_rate,
-            "n": self.n,
-            "N": self.N,
-            "kernel": self.kernel_label,
-        }
+    kernel: str
 
 
 def variance(
@@ -233,13 +221,13 @@ def _variance(base: Baseline) -> VarianceResult:
         raise NumericalError(f"variance came out negative: {sigma2.real:.3e}")
     return VarianceResult(
         sigma2=float(sigma2.real),
-        shift=base.shift,
+        mean_shift=base.shift,
         solve_residual=residual,
         solve_terms=terms,
         solve_rate=rate,
         n=n,
         N=N,
-        kernel_label=M0.kernel_label,
+        kernel=M0.kernel_label,
     )
 
 
@@ -289,7 +277,7 @@ class RateRow:
 class RateTable:
     rows: list
     sigma2: float
-    shift: float
+    mean_shift: float
     solve_terms: int
     solve_rate: float
     z_bracket: tuple
@@ -298,12 +286,6 @@ class RateTable:
     lambda_imag_max: float  # largest |Im lambda| / |lambda| over the evaluations
     slope_monotone: bool  # Lambda' nondecreasing over the evaluated z, in z order
     eigvec_overlap_min: float  # smallest |<l, r>| / (|l| |r|) over the evaluations
-
-    def to_rows(self):
-        return [
-            (row.s, row.z_star, row.r, row.iterations, row.at_bracket_boundary)
-            for row in self.rows
-        ]
 
 
 _NEWTON_TOL = 1e-9
@@ -463,7 +445,7 @@ def rate_function(
     return RateTable(
         rows=rows,
         sigma2=var.sigma2,
-        shift=base.shift,
+        mean_shift=base.shift,
         solve_terms=var.solve_terms,
         solve_rate=var.solve_rate,
         z_bracket=(z_lo, z_hi),

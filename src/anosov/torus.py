@@ -50,8 +50,12 @@ class MapModel:
 
         x1 and x2 broadcast against each other as numpy arrays do, and the
         images match, bit for bit, an evaluation on the broadcast arrays.
+        Computed from :meth:`separable_parts`.
         """
-        raise NotImplementedError
+        A, phi1, phi2 = self.separable_parts()
+        y1 = mod1(A[0, 0] * x1 + A[0, 1] * x2 + phi1(x1))
+        y2 = mod1(A[1, 0] * x1 + A[1, 1] * x2 + phi2(x2))
+        return y1, y2
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:
         raise NotImplementedError
@@ -60,7 +64,7 @@ class MapModel:
         """(A, phi1, phi2) with T(x) = A x + (phi1(x1), phi2(x2)) mod 1.
 
         A is the integer 2 x 2 matrix; phi1 and phi2 map 1-D arrays to arrays.
-        Operator assembly needs this form.
+        Operator assembly and :meth:`image_arrays` need this form.
         """
         raise NotImplementedError
 
@@ -86,11 +90,6 @@ class LinearToral(MapModel):
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
-
-    def image_arrays(self, x1, x2):
-        y1 = mod1(self.a11 * x1 + self.a12 * x2)
-        y2 = mod1(self.a21 * x1 + self.a22 * x2)
-        return y1, y2
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:
         return self.matrix
@@ -127,12 +126,6 @@ class PerturbedCat(MapModel):
     @property
     def cos_amp(self) -> float:
         return 2.0 if self.form == "section7" else 1.0
-
-    def image_arrays(self, x1, x2):
-        _, phi1, phi2 = self.separable_parts()
-        y1 = mod1(2.0 * x1 + x2 + phi1(x1))
-        y2 = mod1(x1 + x2 + phi2(x2))
-        return y1, y2
 
     def jacobian(self, p: TorusPoint) -> np.ndarray:
         d = self.delta

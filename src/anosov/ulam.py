@@ -98,24 +98,13 @@ def ulam_srb(U: UlamMatrix) -> np.ndarray:
 @dataclass
 class UlamVarianceResult:
     sigma2: float
-    shift: float
+    mean_shift: float
     solve_residual: float
     solve_terms: int
     solve_rate: float  # contraction per series term, about |lambda_2| of P
     m: int
     samples_per_box: int
-    density: np.ndarray  # invariant density per box, as from ulam_srb; not in to_dict
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma2": self.sigma2,
-            "mean_shift": self.shift,
-            "solve_residual": self.solve_residual,
-            "solve_terms": self.solve_terms,
-            "solve_rate": self.solve_rate,
-            "m": self.m,
-            "samples_per_box": self.samples_per_box,
-        }
+    density: np.ndarray  # invariant density per box, as from ulam_srb
 
 
 def ulam_variance(
@@ -137,7 +126,7 @@ def ulam_variance(
     sigma2 = float(pi @ (gc * gc + 2.0 * gc * w))
     return UlamVarianceResult(
         sigma2=sigma2,
-        shift=shift,
+        mean_shift=shift,
         solve_residual=residual,
         solve_terms=terms,
         solve_rate=rate,

@@ -294,7 +294,7 @@ def test_criterion6e_translate_bound_crossing():
 
 def test_criterion7_kernel_matching():
     grid = GridSpec(32, 512)
-    eps = {n: match_epsilon(n, grid) for n in (32, 64, 128)}
+    eps = {n: match_epsilon(n, grid)[0] for n in (32, 64, 128)}
     windows = {32: (0.066, 0.073), 64: (0.036, 0.040), 128: (0.020, 0.022)}
     ok = all(windows[n][0] <= eps[n] <= windows[n][1] for n in eps)
     ok &= eps[32] > eps[64] > eps[128]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_certified_threshold_brackets_reference():
 
 
 def test_report_serialises():
-    d = certify(0.01, ALPHA).to_dict()
+    d = asdict(certify(0.01, ALPHA))
     assert d["overall"] is True
     assert set(d) >= {
         "delta",

@@ -1,5 +1,7 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,13 +268,22 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     "argv, message",
     [
         (["variance", "--n", "1"], "coarse order n must be at least 2"),
+        (["variance", "--scheme", "bump", "--n", "16", "--fine", "16"], "N >= 2n"),
         (["ulam", "--boxes", "1"], "power of two >= 2, got 1"),
         (["ulam", "--samples", "0"], "positive perfect square, got 0"),
         (["ulam", "--samples", "-4"], "positive perfect square, got -4"),
         (["rate", "--z-bracket", "-1"], "z bracket must be lo,hi, got '-1'"),
         (["rate", "--z-bracket=-1,1,5"], "z bracket must be lo,hi, got '-1,1,5'"),
     ],
-    ids=["n-1", "boxes-1", "samples-0", "samples-neg", "bracket-one", "bracket-three"],
+    ids=[
+        "n-1",
+        "bump-N-below-2n",
+        "boxes-1",
+        "samples-0",
+        "samples-neg",
+        "bracket-one",
+        "bracket-three",
+    ],
 )
 def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
     """Refused up front, before any solver runs or warns."""
@@ -280,6 +291,84 @@ def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
         warnings.simplefilter("error")
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    """Every `anosov ...` line of the README's command-line block parses."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [argv[1:] for argv in lines if argv[:1] == ["anosov"]]
+    assert len(lines) == 8
+    parser, _ = cli_mod.build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
+
+
+_SMALL = ["--n", "8", "--fine", "64"]
+_ULAM = ["--boxes", "16", "--samples", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["certify"],
+            "delta alpha diffeo cone_preservation forward_contraction inverse_contraction "
+            "translate_bound overall",
+        ),
+        (
+            ["variance", *_SMALL],
+            "sigma2 mean_shift solve_residual solve_terms solve_rate n N kernel "
+            "epsilon matching_residual",
+        ),
+        (
+            ["variance", "--scheme", "bump", *_SMALL],
+            "sigma2 mean_shift solve_residual solve_terms solve_rate n N kernel "
+            "epsilon matching_residual",
+        ),
+        (
+            ["variance", "--scheme", "ulam", *_ULAM],
+            "sigma2 mean_shift solve_residual solve_terms solve_rate m samples_per_box",
+        ),
+        (
+            ["srb", *_SMALL, "--dump-operator"],
+            "leading_eigenvalue eigen_residual imag_discard_max density_file operator_file "
+            "epsilon matching_residual",
+        ),
+        (
+            ["rate", *_SMALL, "--s", "0,0.5"],
+            "rows sigma2 mean_shift solve_terms solve_rate z_bracket bracket_expanded "
+            "legendre_evals lambda_imag_max slope_monotone eigvec_overlap_min table_file "
+            "epsilon matching_residual",
+        ),
+        (["lambda-curve", *_SMALL, "--z", "0,0.2"], "points table_file epsilon matching_residual"),
+        (["ulam", *_ULAM], "boxes samples_per_box density_min density_file"),
+        (
+            ["ulam", *_ULAM, "--variance"],
+            "boxes samples_per_box density_min density_file "
+            "sigma2 mean_shift solve_residual solve_terms solve_rate",
+        ),
+    ],
+    ids=[
+        "certify",
+        "variance-fejer",
+        "variance-bump",
+        "variance-ulam",
+        "srb-dump",
+        "rate",
+        "lambda-curve",
+        "ulam",
+        "ulam-variance",
+    ],
+)
+def test_summary_keys_in_order(tmp_path, argv, keys):
+    """The summary layout and each command's ordered results keys."""
+    assert main(argv + ["--out-dir", str(tmp_path), "--json-name", "s.json"]) == 0
+    summary = _load_summary(tmp_path, "s.json")
+    assert summary["task"] == argv[0]
+    assert list(summary) == "task results config config_sha256 versions wall_time_s".split()
+    assert list(summary["results"]) == keys.split()
 
 
 def test_usage_errors_exit_one_and_help_exits_zero(tmp_path, capsys):

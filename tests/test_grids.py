@@ -28,6 +28,9 @@ def test_gridspec_validation():
         GridSpec(16, 48)
     with pytest.raises(ValueError):
         GridSpec(32, 16)
+    # operator assembly needs the fine grid to hold frequency differences
+    with pytest.raises(ValueError, match="N >= 2n"):
+        GridSpec(16, 16)
     # {-n/2+1, ..., n/2} is empty at n = 1, and ARPACK needs order n^2 >= 3
     assert coarse_freqs(1).size == 0
     for N in (1, 8):

@@ -188,11 +188,11 @@ def test_matching_objective_matches_rfft2_over_the_scan(n, N):
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 128), (16, 256)])
 def test_match_epsilon_matches_rfft2_matching(monkeypatch, n, N):
-    eps = match_epsilon(n, GridSpec(n, N))
+    eps, _ = match_epsilon(n, GridSpec(n, N))
     monkeypatch.setattr(
         kernels, "_bump_cosine_block", lambda e, N, cos: _rfft2_block(e, N, cos.shape[0] - 1)
     )
-    assert abs(eps - match_epsilon(n, GridSpec(n, N))) <= 1e-12
+    assert abs(eps - match_epsilon(n, GridSpec(n, N))[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("n, N, epsilon", [(16, 256, 0.1), (32, 512, 0.067), (64, 512, 0.038)])
@@ -213,6 +213,6 @@ def test_bump_cosine_block_resolution_guard():
 
 def test_match_epsilon_pins_the_cli_bump_width():
     # the bump width of `anosov variance --scheme bump --n 16 --fine 256`
-    eps, residual = match_epsilon(16, GridSpec(16, 256), full_output=True)
+    eps, residual = match_epsilon(16, GridSpec(16, 256))
     assert abs(eps - 0.09523105128506545) <= 1e-10
     assert abs(residual) <= 1e-13

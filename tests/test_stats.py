@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -612,5 +613,5 @@ def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer,
 def test_variance_reports_solve_terms_and_rate(perturbed_map, fejer, std_g):
     res = variance(perturbed_map, fejer, std_g, GridSpec(8, 64))
     assert 0 < res.solve_terms < 100 and 0.0 < res.solve_rate < 1.0
-    summary = res.to_dict()
+    summary = asdict(res)
     assert (summary["solve_terms"], summary["solve_rate"]) == (res.solve_terms, res.solve_rate)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -107,7 +109,7 @@ def test_build_validates_arguments(perturbed_map):
 def test_ulam_variance_linear_oracle(linear_cat, std_g):
     res = ulam_variance(linear_cat, 64, 1600, std_g)
     assert res.sigma2 == pytest.approx(1.0, abs=0.02)
-    assert abs(res.shift) < 1e-10
+    assert abs(res.mean_shift) < 1e-10
 
 
 def test_ulam_srb_perturbed_density_positive(perturbed_map):
@@ -235,8 +237,8 @@ def test_green_kubo_matches_spsolve_oracle(perturbed_map, std_g, m):
     sigma2 = float(pi @ (gc * gc + 2.0 * gc * oracle))
     assert abs(res.sigma2 - sigma2) <= 1e-12
     assert (res.solve_terms, res.solve_rate) == (terms, rate)
-    assert res.to_dict()["solve_terms"] == terms
-    assert res.to_dict()["solve_rate"] == rate
+    assert asdict(res)["solve_terms"] == terms
+    assert asdict(res)["solve_rate"] == rate
 
 
 def test_green_kubo_ignores_the_constant_mode(perturbed_map, std_g):
