@@ -124,10 +124,16 @@ def _write_csv(path: str, header: list, rows) -> str:
     return path
 
 
+# options that say where output goes or how many threads run, not what is
+# computed: echoed in the summary's config, left out of config_sha256
+_UNHASHED = ("out_dir", "json_name", "config", "workers")
+
+
 def _write_summary(args, payload: dict, started: float) -> str:
     task = args.command
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)}
-    blob = json.dumps(config, sort_keys=True, default=str)
+    problem = {k: v for k, v in config.items() if k not in _UNHASHED}
+    blob = json.dumps(problem, sort_keys=True, default=str)
     summary = {
         "task": task,
         "results": payload,

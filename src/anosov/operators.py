@@ -16,8 +16,8 @@ function of x1 and one of x2, so
     L[j, k] = q_hat(j) sum_r U1_r[j1, (A^T j)_1 - k1] U2_r[j2, (A^T j)_2 - k2]
 
 with U1_r[j1] the 1-D transform of exp(-2 pi i j1 phi1) a_r, and U2_r[j2]
-that of exp(-2 pi i j2 phi2) b_r.  The sum over r is a batched matrix product
-over the rows j, in blocks of ``TERM_BLOCK`` terms.  The terms are exact:
+that of exp(-2 pi i j2 phi2) b_r.  Gathered at the rows j, these are the
+factors G1[j, r, k1] (q_hat folded in) and G2[j, r, k2].  The terms are exact:
 
 * g = g1(x1) + g2(x2) (no mixed Fourier modes): one term, e^{z g1} e^{z g2};
   its derivative two, g1 e^{z g1} e^{z g2} + e^{z g1} g2 e^{z g2};
@@ -25,17 +25,23 @@ over the rows j, in blocks of ``TERM_BLOCK`` terms.  The terms are exact:
 * any other g (mixed modes, a callable): N terms, one per fine column c,
   a_c = w[:, c] and b_c the indicator of x2 = c/N.
 
-One term costs 2n 1-D FFTs of length N and one gather: about 8 ms at
-n = 32, N = 512; the N-term weight takes about 1 s there.
+With one or two terms the operator is a :class:`SeparableOperator` that
+applies L and L^H from G1 and G2 in O(n^3) time and memory; the n^4 matrix
+is built only by ``dense()``.  The N-term weight is summed into the dense
+matrix, one batched matrix product over the rows j per block of
+``TERM_BLOCK`` terms.  At n = 32, N = 512 the factors take about 3 ms and
+one apply 0.2 ms; the N-term weight takes about 1 s.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
-does not change results.  Both functions share the guards: n > 128 refused
-(MemoryError; the dense matrix has n^4 complex entries) and |Re z| sup|g|
-above the exp range guard (OverflowError); GridSpec refuses N < 2n.  A
-separable g's sup comes from its 1-D samples; any other g is sampled on the
-fine grid, which its weight needs anyway.  A separable weight factor's
-largest exponent is taken out of it and put back into q_hat, so exp(z g)
-may pass the guard where exp(z g2) alone would overflow.
+does not change results.  Both functions share the guards: MemoryError
+before any allocation when what the operator needs exceeds
+``MEMORY_BUDGET`` bytes (``dense()`` checks its n^4 complex entries the
+same way), and OverflowError when |Re z| sup|g| exceeds the exp range guard;
+GridSpec refuses N < 2n.  A separable g's sup comes from its 1-D samples;
+any other g is sampled on the fine grid, which its weight needs anyway.  A
+separable weight factor's largest exponent is taken out of it and put back
+into q_hat, so exp(z g) may pass the guard where exp(z g2) alone would
+overflow.
 
 :class:`OperatorAssembler` is the brute-force reference: n^2 two-dimensional
 FFTs of the full integrand over power tables of exp(-2 pi i T).  The
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.sparse.linalg as spla
 
 from . import backend
 from .grids import (
@@ -60,20 +67,30 @@ from .grids import (
 )
 from .torus import MapModel, Observable
 
-MAX_COARSE_ORDER = 128
+MEMORY_BUDGET = 2**30  # bytes an assembly or a dense() may allocate
 EXP_GUARD = 700.0
 TERM_BLOCK = 32
 
 
 @dataclass
 class OperatorMatrix:
-    """Dense twisted-operator matrix with row index j and column index k."""
+    """Twisted operator with row index j and column index k.
+
+    ``entries`` is a :class:`SeparableOperator` for a weight of one or two
+    separable terms and the dense n^2 x n^2 ndarray otherwise; both take
+    ``@`` and ARPACK.  :meth:`dense` is the ndarray either way.
+    """
 
     n: int
-    entries: np.ndarray
+    entries: np.ndarray | spla.LinearOperator
     kernel_label: str
     z: complex
     grid: GridSpec
+
+    def dense(self) -> np.ndarray:
+        if isinstance(self.entries, np.ndarray):
+            return self.entries
+        return self.entries.dense()
 
 
 class OperatorAssembler:
@@ -123,8 +140,58 @@ class OperatorAssembler:
         return base
 
 
-def _separable_sum(map_parts, a, b, q, grid: GridSpec) -> np.ndarray:
-    """q(j) sum_r U1_r[j1, (A^T j)_1 - k1] U2_r[j2, (A^T j)_2 - k2], all j, k.
+class SeparableOperator(spla.LinearOperator):
+    """L from its gathered factors, L[j, (k1, k2)] = sum_r G1[j, r, k1] G2[j, r, k2].
+
+    ``G1`` and ``G2`` are (n^2, R, n) arrays, q_hat folded into G1.  The
+    apply is one GEMM and a row-wise dot, O(R n^3) time and memory; the
+    n^4 matrix exists only if :meth:`dense` is called.
+    """
+
+    def __init__(self, G1: np.ndarray, G2: np.ndarray):
+        n2 = G1.shape[0]
+        super().__init__(np.dtype(complex), (n2, n2))
+        self.G1, self.G2 = G1, G2
+
+    def _matvec(self, v):
+        # T[(j, r), k1] = sum_k2 G2[j, r, k2] V[k1, k2], then sum over (r, k1)
+        n2, R, n = self.G1.shape
+        T = self.G2.reshape(n2 * R, n) @ v.reshape(n, n).T
+        return np.matmul(
+            self.G1.reshape(n2, 1, R * n), T.reshape(n2, R * n, 1)
+        ).reshape(n2)
+
+    def _rmatvec(self, u):
+        # conj(L^H u) = sum_j conj(u_j) G1[j, r, k1] G2[j, r, k2]
+        n2, R, n = self.G1.shape
+        W = (self.G1 * u.conj().reshape(n2, 1, 1)).reshape(n2 * R, n)
+        return (W.T @ self.G2.reshape(n2 * R, n)).conj().reshape(n2)
+
+    def dense(self) -> np.ndarray:
+        _reserve(16 * self.shape[0] ** 2, "the dense operator")
+        return _product(self.G1, self.G2)
+
+
+def _reserve(nbytes: int, what: str) -> None:
+    """MemoryError, before allocation, if ``nbytes`` exceeds MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        raise MemoryError(
+            f"{what} needs {nbytes / 2**20:.0f} MiB, "
+            f"above the {MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
+        )
+
+
+def _product(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 matrix sum_r G1[j, r, k1] G2[j, r, k2]."""
+    n2 = G1.shape[0]
+    return np.matmul(G1.transpose(0, 2, 1), G2).reshape(n2, n2)
+
+
+def _separable_factors(map_parts, a, b, q, grid: GridSpec):
+    """Yield (G1, G2) for blocks of ``TERM_BLOCK`` terms, each (n^2, R, n):
+
+        G1[j, r, k1] = q(j) U1_r[j1, (A^T j)_1 - k1]
+        G2[j, r, k2] = U2_r[j2, (A^T j)_2 - k2]
 
     ``a`` and ``b`` are (R, N) samples of the weight's terms a_r(x1), b_r(x2).
     """
@@ -133,42 +200,40 @@ def _separable_sum(map_parts, a, b, q, grid: GridSpec) -> np.ndarray:
     js = coarse_freqs(n)
     x = np.arange(N) / N
     E1, E2 = (np.exp(-2j * np.pi * js[:, None] * phi(x)) for phi in (phi1, phi2))
-    J1, J2 = np.meshgrid(js, js, indexing="ij")
-    shift1 = (A[0, 0] * J1 + A[1, 0] * J2).reshape(-1, 1) - js
-    shift2 = (A[0, 1] * J1 + A[1, 1] * J2).reshape(-1, 1) - js
-    idx1 = J1.reshape(-1, 1) - js[0], shift1 % N  # [j, k1]
-    idx2 = J2.reshape(-1, 1) - js[0], shift2 % N  # [j, k2]
+    J1, J2 = (J.reshape(-1, 1) for J in np.meshgrid(js, js, indexing="ij"))
+    # flat index [j, k_i] of U_i[j_i, (A^T j)_i - k_i] in a term's (n, N) transform
+    flat1 = (J1 - js[0]) * N + (A[0, 0] * J1 + A[1, 0] * J2 - js) % N
+    flat2 = (J2 - js[0]) * N + (A[0, 1] * J1 + A[1, 1] * J2 - js) % N
     for r in range(0, len(a), TERM_BLOCK):
-        # U_i[j_i, p, r] for this block of terms, gathered to [j, k_i, r]
-        U1, U2 = (
-            np.moveaxis(sfft.fft(E * f[r : r + TERM_BLOCK, None], axis=-1) / N, 0, -1)
-            for E, f in ((E1, a), (E2, b))
+        G1, G2 = (
+            np.ascontiguousarray(
+                (sfft.fft(E * f[r : r + TERM_BLOCK, None], axis=-1) / N)
+                .reshape(-1, n * N)[:, flat]
+                .transpose(1, 0, 2)
+            )
+            for E, f, flat in ((E1, a, flat1), (E2, b, flat2))
         )
-        G1 = U1[idx1]
         G1 *= q[:, None, None]
-        block = G1 @ U2[idx2].transpose(0, 2, 1)
-        if r == 0:
-            out = block
-        else:
-            out += block
-    return out.reshape(n * n, n * n)
+        yield G1, G2
 
 
 def _twisted(map_model, kernel, g, z, grid, derivative):
-    """The guards, the weight's separable terms and the matrix of
+    """The guards, the weight's separable terms and the operator of
     :func:`assemble` or :func:`assemble_derivative`."""
-    if grid.n > MAX_COARSE_ORDER:
-        raise MemoryError(f"coarse order {grid.n} exceeds the memory guard")
     z = complex(z)
-    N = grid.N
+    n, N = grid.n, grid.N
     x = np.arange(N) / N
     # at z = 0 the weight is 1, separable whatever g is
     g_parts = (np.zeros_like,) * 2 if z == 0 and not derivative else g.separable_parts()
     if g_parts is not None:
+        # the two factors and one apply's work array, each R n^3 entries
+        _reserve(3 * 16 * (2 if derivative else 1) * n**3, "the operator's factors")
         g1, g2 = (gi(x) for gi in g_parts)
         # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
         sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
     else:
+        # the running sum, one block's product and that block's two factors
+        _reserve(16 * (2 * n**4 + 2 * TERM_BLOCK * n**3), "the dense operator")
         gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
         sup = float(np.abs(gs).max())
     if abs(z.real) * sup > EXP_GUARD:
@@ -187,10 +252,17 @@ def _twisted(map_model, kernel, g, z, grid, derivative):
         if derivative:
             w *= gs
         a, b = w.T, np.eye(N)  # column c of w times the indicator of x2 = c/N
-    parts = map_model.separable_parts()
-    entries = _separable_sum(parts, np.asarray(a), np.asarray(b), q, grid)
+    blocks = _separable_factors(
+        map_model.separable_parts(), np.asarray(a), np.asarray(b), q, grid
+    )
+    if g_parts is not None:
+        entries = SeparableOperator(*next(blocks))
+    else:
+        entries = _product(*next(blocks))
+        for G1, G2 in blocks:
+            entries += _product(G1, G2)
     return OperatorMatrix(
-        n=grid.n,
+        n=n,
         entries=entries,
         kernel_label=kernel.label,
         z=z,
@@ -226,7 +298,7 @@ def assemble_derivative(
 def write_opmat(path, M: OperatorMatrix) -> None:
     """Binary dump: 'OPMAT <n> <z_re> <z_im>' header then complex entries."""
     header = f"OPMAT {M.n} {M.z.real!r} {M.z.imag!r}"
-    write_dump(path, header, np.asarray(M.entries, dtype=complex))
+    write_dump(path, header, np.asarray(M.dense(), dtype=complex))
 
 
 def read_opmat(path):

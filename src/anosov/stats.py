@@ -68,7 +68,7 @@ def _normalise(n: int, vec: np.ndarray) -> np.ndarray:
 
 
 def _arpack_leading(A, v0: np.ndarray):
-    """Largest-modulus eigenpair (lam, v) of a dense or sparse matrix.
+    """Largest-modulus eigenpair (lam, v) of a matrix or LinearOperator.
 
     ARPACK (implicitly restarted Arnoldi) from the start vector v0, at its
     default tolerance of machine precision.  The generator behind ARPACK's
@@ -301,7 +301,7 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     |<l, r>| / (|l| |r|) vanishes where two eigenvalues of equal modulus
     cross and l and r belong to different ones; Lambda' is meaningless there.
     """
-    _, left = _arpack_leading(M.entries.conj().T, _zero_mode(M.n))
+    _, left = _arpack_leading(spla.aslinearoperator(M.entries).H, _zero_mode(M.n))
     r = eig.right_vector.coeffs
     inner = np.vdot(left, r)
     slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)

@@ -140,11 +140,11 @@ def test_criterion4_spectral_identities(perturbed_map, std_g, conj_defect):
             checks.append(abs(lam - 1.0) < 1e-10)
             e0 = np.zeros(n * n)
             e0[freq_index(0, 0, n)] = 1.0
-            checks.append(np.abs(M0.entries[freq_index(0, 0, n)] - e0).max() < 1e-10)
-            checks.append(conj_defect(M0.entries, n) < 1e-10)
+            checks.append(np.abs(M0.dense()[freq_index(0, 0, n)] - e0).max() < 1e-10)
+            checks.append(conj_defect(M0.dense(), n) < 1e-10)
     for z in (0.3, -0.5):
         Mz = assemble(perturbed_map, FejerKernel(), std_g, z, GridSpec(16, 256))
-        checks.append(conj_defect(Mz.entries, Mz.n) < 1e-10)
+        checks.append(conj_defect(Mz.dense(), Mz.n) < 1e-10)
     ok = all(checks)
     _report(4, "spectral identities", ok, f"{sum(checks)}/{len(checks)} checks")
     assert ok
@@ -326,7 +326,7 @@ def test_criterion8_property_suites(perturbed_map, std_g, rng):
     js = coarse_freqs(8)
     for a in js:
         for b in js:
-            row = M.entries[freq_index(int(a), int(b), 8)]
+            row = M.dense()[freq_index(int(a), int(b), 8)]
             k = At @ np.array([a, b])
             expected = np.zeros(64, dtype=complex)
             if js[0] <= k[0] <= js[-1] and js[0] <= k[1] <= js[-1]:

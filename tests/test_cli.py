@@ -255,6 +255,31 @@ def test_fft_workers_do_not_change_results(tmp_path):
     assert scipy.fft.get_workers() == 1  # the setting does not outlive the run
 
 
+def test_config_hash_names_the_problem_not_the_output(tmp_path):
+    """The output directory and file name, the config file's path and the FFT
+    thread count leave config_sha256 alone, and stay in the config echo; a
+    different coarse order changes it."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 8}))
+    argv = ["variance", "--map", "cat", "--fine", "64"]
+    runs = {
+        "base": ["--n", "8", "--out-dir", str(tmp_path / "a")],
+        "dir": ["--n", "8", "--out-dir", str(tmp_path / "b"), "--json-name", "x.json"],
+        "workers": ["--n", "8", "--out-dir", str(tmp_path / "c"), "--workers", "2"],
+        "config": ["--config", str(cfg), "--out-dir", str(tmp_path / "d")],
+        "n": ["--n", "16", "--out-dir", str(tmp_path / "e")],
+    }
+    hashes = {}
+    for name, extra in runs.items():
+        assert main(argv + extra) == 0
+        out = Path(extra[extra.index("--out-dir") + 1])
+        summary = json.loads(next(out.glob("*.json")).read_text())
+        assert summary["config"]["out_dir"] == str(out)
+        hashes[name] = summary["config_sha256"]
+    assert hashes["dir"] == hashes["workers"] == hashes["config"] == hashes["base"]
+    assert hashes["n"] != hashes["base"]
+
+
 def test_bad_configuration_exits_one(tmp_path, capsys):
     assert main(["variance", "--scheme", "bogus", "--out-dir", str(tmp_path)]) == 1
     cfg = tmp_path / "bad.json"
@@ -477,6 +502,18 @@ def test_srb_operator_dump(tmp_path):
     assert code == 0
     n, z, entries = read_opmat(tmp_path / "operator.opmat")
     assert n == 8 and z == 0 and entries.shape == (64, 64)
+
+
+def test_operator_dump_over_the_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
+    """A budget that holds the n = 8 factors (24 KiB) but not the 64 KiB
+    dense matrix: the dump is refused before it is built and nothing is written."""
+    import anosov.operators as ops
+
+    monkeypatch.setattr(ops, "MEMORY_BUDGET", 48 * 2**10)
+    argv = ["srb", "--n", "8", "--fine", "64", "--dump-operator", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"
+    assert not (tmp_path / "operator.opmat").exists()
 
 
 def test_numerical_failure_exits_two(tmp_path):

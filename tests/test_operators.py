@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 import scipy.special
 
 from anosov import (
@@ -22,6 +23,7 @@ from anosov.kernels import ResolutionError
 from anosov.operators import (
     EXP_GUARD,
     OperatorAssembler,
+    SeparableOperator,
     assemble_derivative,
     read_opmat,
     write_opmat,
@@ -52,7 +54,7 @@ def test_linear_map_delta_structure(fejer, std_g):
     A_T = np.array([[2, 1], [1, 1]]).T
     lo, hi = -(n // 2) + 1, n // 2
     for (j1, j2) in _index_pairs(n):
-        row = M.entries[freq_index(j1, j2, n)]
+        row = M.dense()[freq_index(j1, j2, n)]
         k1, k2 = A_T @ np.array([j1, j2])
         expected = np.zeros(n * n, dtype=complex)
         if lo <= k1 <= hi and lo <= k2 <= hi:
@@ -65,7 +67,7 @@ def test_zero_mode_row_is_coordinate_vector(perturbed_map, fejer, std_g):
     M = assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(n, 64))
     e0 = np.zeros(n * n)
     e0[freq_index(0, 0, n)] = 1.0
-    assert np.abs(M.entries[freq_index(0, 0, n)] - e0).max() < 1e-12
+    assert np.abs(M.dense()[freq_index(0, 0, n)] - e0).max() < 1e-12
 
 
 def test_apply_matches_delta_structure(fejer, std_g):
@@ -93,7 +95,7 @@ def test_zero_mode_preservation_random(perturbed_map, fejer, std_g, rng):
 @pytest.mark.parametrize("z", [0.0, 0.3, -0.5])
 def test_conjugate_symmetry_real_twists(perturbed_map, fejer, std_g, conj_defect, z):
     M = assemble(perturbed_map, fejer, std_g, z, GridSpec(8, 64))
-    assert conj_defect(M.entries, M.n) < 1e-10
+    assert conj_defect(M.dense(), M.n) < 1e-10
 
 
 def test_kernel_factorisation(perturbed_map, std_g):
@@ -102,8 +104,8 @@ def test_kernel_factorisation(perturbed_map, std_g):
     Mb = assemble(perturbed_map, BumpKernel(0.1), std_g, 0.0, grid)
     qa = FejerKernel().coefficients(grid).coeffs.real
     qb = BumpKernel(0.1).coefficients(grid).coeffs.real
-    mask = (np.abs(Ma.entries) > 1e-12) & (np.abs(Mb.entries) > 1e-12)
-    ratio = np.where(mask, Ma.entries / np.where(mask, Mb.entries, 1.0), 0.0)
+    mask = (np.abs(Ma.dense()) > 1e-12) & (np.abs(Mb.dense()) > 1e-12)
+    ratio = np.where(mask, Ma.dense() / np.where(mask, Mb.dense(), 1.0), 0.0)
     expected = (qa / qb)[:, None] * mask
     assert np.abs(ratio - expected).max() < 1e-9
 
@@ -112,16 +114,30 @@ def test_convergence_in_fine_order(perturbed_map, fejer, std_g):
     n = 16
     M1 = assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(n, 256))
     M2 = assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(n, 512))
-    assert np.abs(M1.entries - M2.entries).max() < 1e-6
+    assert np.abs(M1.dense() - M2.dense()).max() < 1e-6
 
 
 def test_guards(perturbed_map, fejer, std_g):
     with pytest.raises(ValueError):
         assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(32, 32))
-    with pytest.raises(MemoryError):
-        assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(256, 512))
+    # the mixed-mode weight is summed densely: 68 GB at n = 256, refused
+    with pytest.raises(MemoryError, match="dense operator"):
+        assemble(perturbed_map, fejer, _MIXED, 0.3, GridSpec(256, 512))
     with pytest.raises(OverflowError):
         assemble(perturbed_map, fejer, std_g, 400.0, GridSpec(8, 64))
+
+
+def test_dense_request_is_refused_before_allocation(tmp_path, perturbed_map, fejer, std_g):
+    """At n = 128 the factors fit the budget and the 4.3 GB matrix does not:
+    dense() and the OPMAT dump raise MemoryError and write nothing."""
+    M = assemble(perturbed_map, fejer, std_g, 0.0, GridSpec(128, 256))
+    assert isinstance(M.entries, SeparableOperator) and M.entries.shape == (128**2,) * 2
+    with pytest.raises(MemoryError, match="dense operator needs 4096 MiB"):
+        M.dense()
+    path = tmp_path / "op.bin"
+    with pytest.raises(MemoryError):
+        write_opmat(path, M)
+    assert not path.exists()
 
 
 def test_opmat_round_trip(tmp_path, perturbed_map, fejer, std_g):
@@ -130,10 +146,10 @@ def test_opmat_round_trip(tmp_path, perturbed_map, fejer, std_g):
     write_opmat(path, M)
     n, z, entries = read_opmat(path)
     assert n == 8 and z == 0.25 + 0.0j
-    assert np.array_equal(entries, M.entries)
+    assert np.array_equal(entries, M.dense())
     pairs = np.empty((64, 64, 2))
-    pairs[..., 0] = M.entries.real
-    pairs[..., 1] = M.entries.imag
+    pairs[..., 0] = M.dense().real
+    pairs[..., 1] = M.dense().imag
     assert path.read_bytes() == b"OPMAT 8 0.25 0.0\n" + pairs.astype("<f8").tobytes()
 
 
@@ -172,7 +188,7 @@ def test_factored_assembly_matches_generic(map_model, n, N, std_g):
                 continue
             q = kernel.coefficients(grid).coeffs.real
             M = assemble(map_model, kernel, std_g, z, grid)
-            assert np.abs(M.entries - q[:, None] * base).max() <= 1e-13
+            assert np.abs(M.dense() - q[:, None] * base).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
@@ -193,7 +209,7 @@ def test_factored_derivative_matches_generic(map_model, n, N, std_g):
             q = kernel.coefficients(grid).coeffs.real
             dM = assemble_derivative(map_model, kernel, g, z, grid)
             assert dM.z == z
-            assert np.abs(dM.entries - q[:, None] * base).max() <= 1e-13
+            assert np.abs(dM.dense() - q[:, None] * base).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
@@ -219,7 +235,47 @@ def test_column_terms_match_reference(map_model, n, N):
                     M = assemble_derivative(map_model, kernel, g, z, grid)
                 else:
                     M = assemble(map_model, kernel, g, z, grid)
-                assert np.abs(M.entries - q[:, None] * base).max() <= 1e-13
+                assert np.abs(M.dense() - q[:, None] * base).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("g", [standard_observable(), _MIXED], ids=["separable", "mixed"])
+def test_apply_and_adjoint_match_reference(perturbed_map, g, n, rng):
+    """entries @ v, the adjoint apply and dense() against the brute-force
+    reference.  A separable g, and the mixed one at z = 0, give the factor
+    form; the mixed one at z != 0 the dense blocked sum."""
+    grid = GridSpec(n, 8 * n)
+    reference = OperatorAssembler(perturbed_map, grid)
+    v, u = (rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n) for _ in "vu")
+    v, u = v / np.linalg.norm(v), u / np.linalg.norm(u)
+    for z in (0.0, 0.7, -0.5):
+        base = _reference_base(reference, g, z)
+        for kernel in (FejerKernel(), BumpKernel(0.3)):
+            expected = kernel.coefficients(grid).coeffs.real[:, None] * base
+            M = assemble(perturbed_map, kernel, g, z, grid)
+            separable = g is not _MIXED or z == 0.0
+            assert isinstance(M.entries, SeparableOperator) == separable
+            assert np.abs(M.dense() - expected).max() <= 1e-13
+            assert np.abs(M.entries @ v - expected @ v).max() <= 1e-13
+            adjoint = spla.aslinearoperator(M.entries).H
+            assert np.abs(adjoint @ u - expected.conj().T @ u).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_derivative_apply_matches_its_dense_form(perturbed_map, std_g, n, rng):
+    """The two-term factor form of d/dz L, applied and adjoint-applied, against
+    its own dense() (which the reference tests above check)."""
+    grid, g = GridSpec(n, 4 * n), std_g.shifted(0.1)
+    v = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    for z in (0.0, 0.7, -0.5):
+        for kernel in (FejerKernel(), BumpKernel(0.3)):
+            dM = assemble_derivative(perturbed_map, kernel, g, z, grid)
+            assert isinstance(dM.entries, SeparableOperator)
+            assert dM.entries.G1.shape == (n * n, 2, n)
+            D = dM.dense()
+            scale = np.abs(D).max() * np.linalg.norm(v)
+            assert np.abs(dM.entries @ v - D @ v).max() <= 1e-13 * scale
+            assert np.abs(dM.entries.H @ v - D.conj().T @ v).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize(
@@ -233,9 +289,9 @@ def test_column_terms_match_reference(map_model, n, N):
 def test_derivative_is_the_central_difference(perturbed_map, fejer, g):
     grid, h = GridSpec(8, 64), 1e-5
     for z in (0.0, 0.7):
-        dM = assemble_derivative(perturbed_map, fejer, g, z, grid).entries
-        hi = assemble(perturbed_map, fejer, g, z + h, grid).entries
-        lo = assemble(perturbed_map, fejer, g, z - h, grid).entries
+        dM = assemble_derivative(perturbed_map, fejer, g, z, grid).dense()
+        hi = assemble(perturbed_map, fejer, g, z + h, grid).dense()
+        lo = assemble(perturbed_map, fejer, g, z - h, grid).dense()
         assert np.abs(dM - (hi - lo) / (2 * h)).max() <= 1e-8 * np.abs(dM).max()
 
 
@@ -244,8 +300,8 @@ def test_derivative_shares_the_assembly_guards(perturbed_map, fejer, std_g):
         assemble_derivative(perturbed_map, fejer, std_g, 400.0, GridSpec(8, 64))
     with pytest.raises(ValueError, match="N >= 2n"):
         assemble_derivative(perturbed_map, fejer, std_g, 0.0, GridSpec(8, 8))
-    with pytest.raises(MemoryError):
-        assemble_derivative(perturbed_map, fejer, std_g, 0.0, GridSpec(256, 512))
+    with pytest.raises(MemoryError, match="dense operator"):
+        assemble_derivative(perturbed_map, fejer, _MIXED, 0.0, GridSpec(256, 512))
 
 
 def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):
@@ -262,8 +318,8 @@ def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):
     M = assemble(perturbed_map, fejer, g, z, grid)
     q = fejer.coefficients(grid).coeffs.real
     expected = q[:, None] * _reference_base(OperatorAssembler(perturbed_map, grid), g, z)
-    assert np.isfinite(M.entries).all()
-    assert np.abs(M.entries - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.isfinite(M.dense()).all()
+    assert np.abs(M.dense() - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_exp_guard_from_separable_parts(monkeypatch, perturbed_map, fejer):
@@ -336,7 +392,7 @@ def test_jacobi_anger_cross_check_at_zero_twist(std_g):
             u2 = U2[i2, [col[m2 - k] for k in js]]
             expected[i1 * n + i2] = q[i1 * n + i2] * np.outer(u1, u2).ravel()
     M = assemble(m, FejerKernel(), std_g, 0.0, GridSpec(n, N))
-    assert np.abs(M.entries - expected).max() <= 1e-12
+    assert np.abs(M.dense() - expected).max() <= 1e-12
 
 
 def test_assembly_dispatch(monkeypatch, perturbed_map, fejer):
@@ -363,7 +419,7 @@ def test_assembly_dispatch(monkeypatch, perturbed_map, fejer):
         M = assemble(perturbed_map, fejer, g, z, grid)
         dM = assemble_derivative(perturbed_map, fejer, g, z, grid)
         assert calls[0] == 0, name
-        assert np.isfinite(M.entries).all() and np.isfinite(dM.entries).all(), name
-        results[name] = M.entries
+        assert np.isfinite(M.dense()).all() and np.isfinite(dM.dense()).all(), name
+        results[name] = M.dense()
     # the callable wraps the standard observable: same operator either way
     assert np.abs(results["callable"] - results["standard"]).max() <= 1e-13
