@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, astuple
@@ -301,11 +302,9 @@ def build_parser():
     p.add_argument(
         "--s",
         default="0:0.1:1.8",
-        help="s grid, start:step:stop; write --s=-1:0.1:1 when it starts negative",
+        help="s grid, start:step:stop",
     )
-    p.add_argument(
-        "--z-bracket", default="-4,4", help="lo,hi; write --z-bracket=-1,1 when lo is negative"
-    )
+    p.add_argument("--z-bracket", default="-4,4", help="lo,hi")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("lambda-curve", help="leading eigenvalue along real twists")
@@ -313,7 +312,7 @@ def build_parser():
     p.add_argument(
         "--z",
         default="-1:0.1:1",
-        help="z grid, start:step:stop or list; write --z=-1:0.1:1 when it starts negative",
+        help="z grid, start:step:stop or list",
     )
     p.set_defaults(func=_cmd_lambda_curve)
 
@@ -324,10 +323,23 @@ def build_parser():
     return ap, sub.choices
 
 
+def _attach_negative_values(argv):
+    """'--s -1:0.1:1' as '--s=-1:0.1:1': argparse takes a token that starts with
+    '-' and is no plain number for an option, and none of ours starts '-<digit>'."""
+    out = []
+    for tok in argv:
+        if out and re.match(r"-[\d.]", tok) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_args(argv):
     """Parse argv; with --config, the file's values become the subcommand's
     defaults and argv is parsed again, so explicit flags win."""
     parser, commands = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     if not args.config:
         return args

@@ -6,8 +6,8 @@ a fine N x N collocation grid with sample (a, b) at the point (a/N, b/N).
 
 The forward transform carries a 1/N^2 factor so that the coefficient at
 frequency j approximates the L^2 inner product <f, e^{2 pi i j.x}>.  Fine
-spectral arrays returned by :func:`forward_transform` are in centered order:
-axis index i corresponds to frequency i - (N/2 - 1).
+spectral arrays have one layout, numpy's FFT order: frequency j sits at axis
+index j mod N.  The coarse block is read from and written to those indices.
 
 Coefficient vectors on the coarse grid are stored row-major over (j1, j2)
 with each axis ascending from -n/2+1 to n/2.
@@ -57,11 +57,6 @@ def freq_index(j1: int, j2: int, n: int) -> int:
     return (j1 - lo) * n + (j2 - lo)
 
 
-def fft_index(j, N: int):
-    """Index of frequency j in numpy's fft ordering."""
-    return np.asarray(j) % N
-
-
 def fine_points(N: int):
     """Meshgrid arrays (X1, X2) of the fine collocation points, ij-indexed."""
     a = np.arange(N) / N
@@ -92,33 +87,26 @@ class SpectralVector:
         return self.coeffs.reshape(self.n, self.n)
 
 
-def _to_centered(fft_ordered: np.ndarray) -> np.ndarray:
-    N = fft_ordered.shape[-1]
-    return np.roll(fft_ordered, N // 2 - 1, axis=(-2, -1))
-
-
-def _from_centered(centered: np.ndarray) -> np.ndarray:
-    N = centered.shape[-1]
-    return np.roll(centered, -(N // 2 - 1), axis=(-2, -1))
+def _coarse_slots(n: int, N: int):
+    """Index of the coarse block {-n/2+1..n/2}^2 in a fine N x N spectrum."""
+    k = coarse_freqs(n) % N
+    return np.ix_(k, k)
 
 
 def forward_transform(samples: np.ndarray) -> np.ndarray:
-    """DFT coefficients c(j) = (1/N^2) sum f(x) e^{-2 pi i j.x}, centered order."""
+    """DFT coefficients c(j) = (1/N^2) sum f(x) e^{-2 pi i j.x}, FFT order."""
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] != samples.shape[1]:
         raise ValueError("samples must be a square N x N array")
-    N = samples.shape[0]
-    return _to_centered(sfft.fft2(samples) / (N * N))
+    return sfft.fft2(samples, norm="forward")
 
 
-def restrict_to_coarse(fine_centered: np.ndarray, n: int) -> SpectralVector:
-    """Extract the coarse block {-n/2+1..n/2}^2 from a centered fine array."""
-    N = fine_centered.shape[0]
+def restrict_to_coarse(fine: np.ndarray, n: int) -> SpectralVector:
+    """Extract the coarse block {-n/2+1..n/2}^2 from a fine spectrum."""
+    N = fine.shape[0]
     if n > N:
         raise ValueError("coarse order exceeds fine order")
-    lo = N // 2 - n // 2
-    block = fine_centered[lo : lo + n, lo : lo + n]
-    return SpectralVector(n, block.copy())
+    return SpectralVector(n, fine[_coarse_slots(n, N)])
 
 
 def evaluate_on_fine(v: SpectralVector, N: int) -> np.ndarray:
@@ -126,9 +114,8 @@ def evaluate_on_fine(v: SpectralVector, N: int) -> np.ndarray:
     if N < v.n:
         raise ValueError("fine order must be at least the coarse order")
     fine = np.zeros((N, N), dtype=complex)
-    lo = N // 2 - v.n // 2
-    fine[lo : lo + v.n, lo : lo + v.n] = v.as_matrix()
-    return sfft.ifft2(_from_centered(fine)) * (N * N)
+    fine[_coarse_slots(v.n, N)] = v.as_matrix()
+    return sfft.ifft2(fine, norm="forward")
 
 
 def riemann_integral(samples: np.ndarray):

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
-from .grids import GridSpec, SpectralVector, coarse_freqs, evaluate_on_fine
+from .grids import GridSpec, SpectralVector, coarse_freqs
 
 
 class ResolutionError(ValueError):
@@ -116,15 +117,14 @@ class FejerKernel:
         return fejer_coefficients(grid.n)
 
     def spatial(self, grid: GridSpec) -> np.ndarray:
-        # The full Fejer Fourier series is supported on ||j||_inf <= n/2,
-        # which needs the symmetric index -n/2 as well; evaluate it from a
-        # symmetric embedding into the coarse order 2n, where frequency -n/2
-        # sits at index n/2 - 1.
-        n = grid.n
-        w = 1.0 - np.abs(np.arange(-(n // 2), n // 2 + 1)) / (n // 2 + 1)
-        full = np.zeros((2 * n, 2 * n), dtype=complex)
-        full[n // 2 - 1 : 3 * n // 2, n // 2 - 1 : 3 * n // 2] = np.outer(w, w)
-        return evaluate_on_fine(SpectralVector(2 * n, full), grid.N).real
+        # The full Fejer series has the symmetric index -n/2 as well, so it is
+        # written at j mod N for j = -n/2..n/2, not on the coarse block.
+        n, N = grid.n, grid.N
+        j = np.arange(-(n // 2), n // 2 + 1)
+        w = 1.0 - np.abs(j) / (n // 2 + 1)
+        fine = np.zeros((N, N), dtype=complex)
+        fine[np.ix_(j % N, j % N)] = np.outer(w, w)
+        return sfft.ifft2(fine, norm="forward").real
 
     @property
     def label(self) -> str:

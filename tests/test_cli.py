@@ -318,6 +318,27 @@ def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, attr, value",
+    [
+        (["rate", "--z-bracket", "-1,1"], "z_bracket", "-1,1"),
+        (["rate", "--s", "-1:0.1:1"], "s", "-1:0.1:1"),
+        (["lambda-curve", "--z", "-1:0.1:1"], "z", "-1:0.1:1"),
+        (["rate", "--z-b", "-.5,1"], "z_bracket", "-.5,1"),
+    ],
+    ids=["bracket", "s-range", "z-range", "abbreviated"],
+)
+def test_negative_range_values_parse_as_typed(argv, attr, value):
+    assert getattr(cli_mod._parse_args(argv), attr) == value
+
+
+def test_negative_z_range_runs(tmp_path):
+    argv = ["lambda-curve", "--n", "4", "--fine", "8", "--z", "-1:1:1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "lambda-curve_summary.json").read_text())
+    assert [p["z"] for p in summary["results"]["points"]] == [-1.0, 0.0, 1.0]
+
+
 def test_readme_command_lines_parse():
     """Every `anosov ...` line of the README's command-line block parses."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()

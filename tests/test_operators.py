@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -138,6 +140,22 @@ def test_dense_request_is_refused_before_allocation(tmp_path, perturbed_map, fej
     with pytest.raises(MemoryError):
         write_opmat(path, M)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("build, R", [(assemble, 1), (assemble_derivative, 2)])
+def test_factor_assembly_peak_within_its_byte_estimate(perturbed_map, fejer, std_g, build, R):
+    """The guard's estimate for the factor form, 3 R n^3 complex entries (two
+    factors and one apply's work array), bounds the assembly's own peak: the
+    gather allocates nothing of n^3 size besides the factors."""
+    n = 128
+    tracemalloc.start()
+    try:
+        M = build(perturbed_map, fejer, std_g, 0.3, GridSpec(n, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.entries.G1.shape == (n * n, R, n) and M.entries.G1.flags.c_contiguous
+    assert peak <= 3 * 16 * R * n**3
 
 
 def test_opmat_round_trip(tmp_path, perturbed_map, fejer, std_g):

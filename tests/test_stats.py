@@ -38,7 +38,6 @@ from anosov.stats import (
 def test_leading_eigenpair_toy_matrix():
     # n = 2: the zero mode, ARPACK's start vector, is entry 0 and the top eigenvector
     M = OperatorMatrix(
-        n=2,
         entries=np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex),
         kernel_label="toy",
         z=0.0,
@@ -247,7 +246,6 @@ def test_deflated_solve_flags_singular():
     # M = Id does not mix: every term of the series equals x off the zero mode
     n = 4
     M = OperatorMatrix(
-        n=n,
         entries=np.eye(n * n, dtype=complex),
         kernel_label="toy",
         z=0.0,
