@@ -8,11 +8,12 @@ Two families are supported:
 * ``FejerKernel()``: the square Fejer kernel slaved to the coarse order n,
   with closed-form coefficients (1 - |j1|/(n/2+1)) (1 - |j2|/(n/2+1)).
 
-The bump is evaluated only on the K x K window of fine offsets |i| <= eps N
-(K about 2 eps N + 1) that holds its support disk.  Its coefficients are the
-cosine sums Cm @ q @ Cm^T, Cm[j, i] = cos(2 pi j i / N).  This is the fine
-DFT itself: N is a power of two, so offsets i and -i have exactly opposite
-coordinates, and the samples, even in each axis, cancel every sine term.
+The bump is evaluated only on the quarter window of fine offsets
+0 <= i1, i2 <= h = floor(eps N).  Its coefficients are the cosine sums
+Cm @ q @ Cm^T, Cm[j, i] = w_i cos(2 pi j i / N), with fold weight w_i = 2
+for i > 0.  This is the fine DFT itself: N is a power of two, so offsets i
+and -i have exactly opposite coordinates, and the samples, even in each
+axis, cancel every sine term and fold +-i into one term of weight 2.
 
 ``match_epsilon`` picks the bump width so the smallest coarse-grid bump
 coefficient magnitude equals the smallest Fejer coefficient.
@@ -26,6 +27,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .grids import GridSpec, SpectralVector, coarse_freqs
+from .operators import _reserve
 
 
 class ResolutionError(ValueError):
@@ -43,32 +45,35 @@ def fejer_coefficients(n: int) -> SpectralVector:
     return SpectralVector(n, np.outer(w, w).astype(complex))
 
 
-def _bump_window(epsilon: float, N: int):
-    """Offsets i with |i| <= eps N and the unnormalised bump on that window.
+def _bump_window(widths, N: int):
+    """Fold weights w of the offsets i = 0..h, h = floor(eps N) shared by the
+    widths, and the unnormalised bump on the quarter window i1, i2 >= 0, one
+    (h+1)^2 slice per width.  w is 2 for i > 0, which stands for +-i.
 
-    Raises ResolutionError when fewer than 16 fine points lie in the disk.
+    Raises ResolutionError when fewer than 16 fine points lie in a disk, and
+    MemoryError when the arrays exceed the budget.
     """
-    if not 0.0 < epsilon < 0.5:
+    widths = np.atleast_1d(widths)
+    if not np.all((0.0 < widths) & (widths < 0.5)):
         raise ValueError("epsilon must lie in (0, 1/2)")
-    i = np.arange(-int(epsilon * N), int(epsilon * N) + 1)
-    r2 = (i / N) ** 2
-    u2 = np.add.outer(r2, r2) / (epsilon * epsilon)
-    inside = u2 < 1.0
-    count = int(inside.sum())
+    i = np.arange(int(widths[0] * N) + 1)
+    _reserve(16 * widths.size * i.size**2, "the bump window")
+    r2, w = (i / N) ** 2, np.where(i > 0, 2, 1)
+    t = 1.0 - np.add.outer(r2, r2) / (widths * widths)[:, None, None]  # 1 - |x/eps|^2
+    count = w @ (t[widths.argmin()] > 0.0) @ w  # points in the narrowest disk
     if count < 16:
-        raise ResolutionError(
-            f"bump of width {epsilon} covers only {count} fine points"
-        )
-    q = np.zeros(u2.shape)
-    q[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
-    return i, q
+        raise ResolutionError(f"bump of width {widths.min()} covers only {count} fine points")
+    # exp(-1/t) inside each disk; -1/tiny sends every t <= 0 outside it to exactly 0
+    np.maximum(t, np.finfo(float).tiny, out=t)
+    return w, np.exp(np.divide(-1.0, t, out=t), out=t)
 
 
 def bump_spatial(epsilon: float, N: int) -> np.ndarray:
     """Fine-grid samples of the bump, rescaled so (1/N^2) sum = 1."""
-    i, window = _bump_window(epsilon, N)
+    w, window = _bump_window(epsilon, N)
+    i = np.arange(1 - w.size, w.size)
     q = np.zeros((N, N))
-    q[np.ix_(i % N, i % N)] = window
+    q[np.ix_(i % N, i % N)] = window[0][np.ix_(np.abs(i), np.abs(i))]
     return q * (N * N / q.sum())
 
 
@@ -78,21 +83,22 @@ def _cosine_table(N: int, jmax: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * ji / N)
 
 
-def _bump_cosine_block(epsilon: float, N: int, cos: np.ndarray) -> np.ndarray:
-    """Real bump coefficients at j1, j2 = 0..jmax, entry (0, 0) exactly 1.
+def _bump_cosine_block(widths, N: int, cos: np.ndarray) -> np.ndarray:
+    """Real bump coefficients at j1, j2 = 0..jmax, one block per width with
+    entry (0, 0) exactly 1: the fold-weighted cosine sums over the quarter window.
 
-    ``cos`` is ``_cosine_table(N, jmax)``.  Raises as ``bump_spatial`` does.
+    ``cos`` is ``_cosine_table(N, jmax)``.  Raises as ``_bump_window`` does.
     """
-    i, q = _bump_window(epsilon, N)
-    Cm = cos[:, np.abs(i)]
+    w, q = _bump_window(widths, N)
+    Cm = cos[:, : w.size] * w
     block = Cm @ q @ Cm.T
-    return block / block[0, 0]
+    return block / block[:, :1, :1]
 
 
 def bump_coefficients(epsilon: float, grid: GridSpec) -> SpectralVector:
     """Coarse-grid Fourier coefficients of the bump; real, zero mode exactly one."""
     a = np.abs(coarse_freqs(grid.n))
-    block = _bump_cosine_block(epsilon, grid.N, _cosine_table(grid.N, grid.n // 2))
+    block = _bump_cosine_block(epsilon, grid.N, _cosine_table(grid.N, grid.n // 2))[0]
     return SpectralVector(grid.n, block[np.ix_(a, a)])
 
 
@@ -143,8 +149,10 @@ def match_epsilon(n: int, grid: GridSpec):
     resolution: a step 1e-4 scan of [8/N, 0.25] finds the rightmost point at
     or above the Fejer minimum and bisection refines the sign change on its
     right, so the achieved residual is at round-off level.  Structure finer
-    than the scan step is treated as noise.  Each evaluation is a minimum over
-    j in {0..n/2}^2 of the window cosine sums, from one cosine table per call.
+    than the scan step is treated as noise.  The scan is split where
+    floor(eps N) changes (56 groups at N = 256), and each group of widths is
+    one batched cosine block; each bisection step is a group of one.  The
+    objective is the minimum of a block over j in {0..n/2}^2.
     NoRootError names n, N and the Fejer minimum when no scan point reaches it
     (with the shortfall and the scan floor 8/N) or none falls below it.
     """
@@ -152,11 +160,12 @@ def match_epsilon(n: int, grid: GridSpec):
     target = float(np.abs(fejer_coefficients(n).coeffs).min())
     cos = _cosine_table(grid.N, n // 2)
 
-    def f(eps):
-        return float(np.abs(_bump_cosine_block(eps, grid.N, cos)).min()) - target
+    def f(widths):
+        return np.abs(_bump_cosine_block(widths, grid.N, cos)).min(axis=(1, 2)) - target
 
     scan = np.arange(8.0 / grid.N, 0.25, 1e-4)
-    vals = np.array([f(e) for e in scan])
+    groups = np.split(scan, np.flatnonzero(np.diff((scan * grid.N).astype(int))) + 1)
+    vals = np.concatenate([np.empty(0), *(f(g) for g in groups if g.size)])
     above = np.nonzero(vals >= 0)[0]
     where = f"the Fejer minimum {target:.3e} at n = {n}, N = {grid.N}"
     if len(above) == 0:
@@ -172,12 +181,12 @@ def match_epsilon(n: int, grid: GridSpec):
     lo, hi = float(scan[i]), float(scan[i + 1])
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
+        if f(mid)[0] >= 0:
             lo = mid
         else:
             hi = mid
     eps = 0.5 * (lo + hi)
-    return eps, f(eps) / target
+    return eps, float(f(eps)[0]) / target
 
 
 def summability_check(kernel, eta: float, grid: GridSpec) -> float:

@@ -61,7 +61,7 @@ from . import backend
 from .grids import GridSpec, coarse_freqs, fine_points, read_dump, write_dump
 from .torus import MapModel, Observable
 
-MEMORY_BUDGET = 2**30  # bytes an assembly or a dense() may allocate
+MEMORY_BUDGET = 2**30  # bytes an assembly, a dense() or a bump window may allocate
 EXP_GUARD = 700.0
 TERM_BLOCK = 32
 

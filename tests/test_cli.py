@@ -340,15 +340,15 @@ def test_negative_z_range_runs(tmp_path):
 
 
 def test_readme_command_lines_parse():
-    """Every `anosov ...` line of the README's command-line block parses."""
+    """Every `anosov ...` line of the README's command-line block parses as
+    `main` parses it."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     lines = [argv[1:] for argv in lines if argv[:1] == ["anosov"]]
     assert len(lines) == 8
-    parser, _ = cli_mod.build_parser()
     for argv in lines:
-        parser.parse_args(argv)
+        cli_mod._parse_args(argv)
 
 
 _SMALL = ["--n", "8", "--fine", "64"]

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from anosov import (
     fejer_coefficients,
     kernels,
     match_epsilon,
+    operators,
     summability_check,
 )
+from anosov.cli import main
 from anosov.kernels import NoRootError, ResolutionError, bump_spatial
 
 
@@ -177,22 +180,62 @@ def test_window_bump_equals_full_grid_bump():
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
 def test_matching_objective_matches_rfft2_over_the_scan(n, N):
+    """Each group of scan widths that share the window h = floor(eps N) is one
+    batched block; every width's minimum agrees with the full-grid rfft2."""
     target = float(np.abs(fejer_coefficients(n).coeffs).min())
     cos = kernels._cosine_table(N, n // 2)
-    for eps in np.arange(8.0 / N, 0.25, 1e-4):
-        got = float(np.abs(kernels._bump_cosine_block(eps, N, cos)).min())
-        want = float(np.abs(_rfft2_block(eps, N, n // 2)).min())
-        assert abs(got - want) <= 1e-14, eps
-        assert (got - target >= 0) == (want - target >= 0), eps
+    scan = np.arange(8.0 / N, 0.25, 1e-4)
+    h = (scan * N).astype(int)
+    for widths in (scan[h == k] for k in np.unique(h)):
+        got = np.abs(kernels._bump_cosine_block(widths, N, cos)).min(axis=(1, 2))
+        for eps, g in zip(widths, got):
+            want = float(np.abs(_rfft2_block(eps, N, n // 2)).min())
+            assert abs(g - want) <= 1e-14, eps
+            assert (g - target >= 0) == (want - target >= 0), eps
 
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 128), (16, 256)])
 def test_match_epsilon_matches_rfft2_matching(monkeypatch, n, N):
     eps, _ = match_epsilon(n, GridSpec(n, N))
-    monkeypatch.setattr(
-        kernels, "_bump_cosine_block", lambda e, N, cos: _rfft2_block(e, N, cos.shape[0] - 1)
-    )
+
+    def oracle(widths, N, cos):
+        return np.array([_rfft2_block(e, N, cos.shape[0] - 1) for e in np.atleast_1d(widths)])
+
+    monkeypatch.setattr(kernels, "_bump_cosine_block", oracle)
     assert abs(eps - match_epsilon(n, GridSpec(n, N))[0]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, N, epsilon",
+    [
+        (8, 64, 0.1520224129855905),
+        (16, 128, 0.09523420563492524),
+        (16, 256, 0.09523105128506545),
+        (32, 512, 0.06707628247964093),
+        (64, 512, 0.03654342296251824),
+        (128, 512, 0.020027170877014853),
+    ],
+)
+def test_match_epsilon_keeps_its_widths(n, N, epsilon):
+    """The matched widths of the one-width-at-a-time full-window scan, to the bit."""
+    assert match_epsilon(n, GridSpec(n, N))[0] == epsilon
+
+
+def test_match_epsilon_empty_scan_has_no_root():
+    # at N = 32 the scan [8/N, 0.25) holds no width at all
+    with pytest.raises(NoRootError, match=r"8/N = 0\.25"):
+        match_epsilon(8, GridSpec(8, 32))
+
+
+def test_match_epsilon_reserves_the_bump_window(monkeypatch, tmp_path, capsys):
+    """The window arrays are checked against the budget before allocation;
+    the CLI reports the refusal with exit code 2."""
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**20)
+    with pytest.raises(MemoryError, match="the bump window needs"):
+        match_epsilon(256, GridSpec(256, 2048))
+    argv = ["variance", "--scheme", "bump", "--n", "256", "--fine", "2048"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"
 
 
 @pytest.mark.parametrize("n, N, epsilon", [(16, 256, 0.1), (32, 512, 0.067), (64, 512, 0.038)])
@@ -207,6 +250,9 @@ def test_bump_cosine_block_resolution_guard():
     cos = kernels._cosine_table(64, 4)
     with pytest.raises(ResolutionError, match="covers only"):
         kernels._bump_cosine_block(0.005, 64, cos)
+    # a batch is refused when its narrowest width is under-resolved
+    with pytest.raises(ResolutionError, match="width 0.005 covers only"):
+        kernels._bump_cosine_block(np.array([0.0155, 0.005]), 64, cos)
     with pytest.raises(ValueError):
         kernels._bump_cosine_block(0.7, 64, cos)
 
