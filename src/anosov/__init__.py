@@ -8,7 +8,6 @@ baseline.
 
 __version__ = "0.1.0"
 
-from .backend import backend_name
 from .certificate import (
     CertificateReport,
     beta_alpha,
@@ -53,7 +52,6 @@ from .torus import (
     LinearToral,
     Observable,
     PerturbedCat,
-    TorusPoint,
     TrigPolynomial,
     cat_map,
     standard_observable,
@@ -61,7 +59,6 @@ from .torus import (
 from .ulam import UlamMatrix, build_ulam, ulam_srb, ulam_variance
 
 __all__ = [
-    "backend_name",
     "CertificateReport",
     "beta_alpha",
     "certified_delta_threshold",
@@ -98,7 +95,6 @@ __all__ = [
     "LinearToral",
     "Observable",
     "PerturbedCat",
-    "TorusPoint",
     "TrigPolynomial",
     "cat_map",
     "standard_observable",

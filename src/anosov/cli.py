@@ -4,11 +4,11 @@ Subcommands: certify, srb, variance, rate, lambda-curve, ulam.  Options can
 be preloaded from a JSON config file (--config): its values become the
 subcommand's defaults, so any explicit flag, alias or abbreviation included,
 wins over the file.  Every run writes a JSON summary with the scalar
-results, residuals and provenance (config echo, config hash, versions,
-backend, wall time): each _cmd_* returns the "results" payload, mostly the
-fields of its result dataclass, and main writes the summary.  Grids are
-dumped in the GRID binary format, tables as CSV.  --workers sets the FFT
-thread count through scipy.fft.set_workers.
+results, residuals and provenance (config echo, config hash, versions, wall
+time): each _cmd_* returns the "results" payload, mostly the fields of its
+result dataclass, and main writes the summary.  Grids are dumped in the GRID
+binary format, tables as CSV.  --workers sets the FFT thread count through
+scipy.fft.set_workers.
 
 Exit codes: 0 success, 1 configuration error (argparse usage errors
 included), 2 numerical failure.
@@ -29,7 +29,7 @@ from dataclasses import asdict, astuple
 import numpy as np
 import scipy.fft
 
-from . import __version__, backend
+from . import __version__
 from .certificate import certify
 from .grids import GridSpec, write_grid, write_grid_csv
 from .kernels import BumpKernel, FejerKernel, NoRootError, match_epsilon
@@ -68,7 +68,7 @@ def _parse_range(text: str) -> list:
 
 def _make_map(args):
     name = args.map
-    if name in ("cat", "linear"):
+    if name == "cat":
         return LinearToral(2, 1, 1, 1)
     if name == "perturbed-cat":
         return PerturbedCat(delta=args.delta, form=args.form)
@@ -144,7 +144,6 @@ def _write_summary(args, payload: dict, started: float) -> str:
             "anosov_spectral": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "backend": backend.backend_name(),
         },
         "wall_time_s": time.perf_counter() - started,
     }

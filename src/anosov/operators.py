@@ -25,12 +25,12 @@ factors G1[j, r, k1] (q_hat folded in) and G2[j, r, k2].  The terms are exact:
 * any other g (mixed modes, a callable): N terms, one per fine column c,
   a_c = w[:, c] and b_c the indicator of x2 = c/N.
 
-With one or two terms the operator is a :class:`SeparableOperator` that
-applies L and L^H from G1 and G2 in O(n^3) time and memory; the n^4 matrix
-is built only by ``dense()``.  The N-term weight is summed into the dense
-matrix, one batched matrix product over the rows j per block of
-``TERM_BLOCK`` terms.  At n = 32, N = 512 the factors take about 1.5 ms and
-one apply 0.2 ms; the N-term weight takes about 1 s.
+With one or two terms the operator is a :class:`SeparableOperator`: it
+applies L and L^H from G1 and G2 in R n^4 multiply-adds, as a dense matvec
+does, and O(R n^3) memory; ``dense()`` alone builds the n^4 matrix.  The
+N-term weight is summed into the dense matrix, one batched matrix product
+over the rows j per block of ``TERM_BLOCK`` terms.  At n = 32, N = 512 the
+factors take about 1.5 ms and one apply 0.3 ms; the N-term weight 1 s.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
 does not change results.  Both functions share the guards: MemoryError
@@ -141,8 +141,8 @@ class SeparableOperator(spla.LinearOperator):
     """L from its gathered factors, L[j, (k1, k2)] = sum_r G1[j, r, k1] G2[j, r, k2].
 
     ``G1`` and ``G2`` are (n^2, R, n) arrays, q_hat folded into G1.  The
-    apply is one GEMM and a row-wise dot, O(R n^3) time and memory; the
-    n^4 matrix exists only if :meth:`dense` is called.
+    apply is one (n^2 R x n)(n x n) GEMM and a row-wise dot, R n^4
+    multiply-adds in O(R n^3) memory; only :meth:`dense` forms n^4 entries.
     """
 
     def __init__(self, G1: np.ndarray, G2: np.ndarray):

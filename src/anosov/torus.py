@@ -26,24 +26,8 @@ def mod1(x):
     return x - np.floor(x)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of T^2; coordinates are reduced mod 1 on construction."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x1", float(mod1(self.x1)))
-        object.__setattr__(self, "x2", float(mod1(self.x2)))
-
-
 class MapModel:
     """Base class: a self-map of T^2 with an analytic Jacobian."""
-
-    def __call__(self, p: TorusPoint) -> TorusPoint:
-        y1, y2 = self.image_arrays(np.array([p.x1]), np.array([p.x2]))
-        return TorusPoint(float(y1[0]), float(y2[0]))
 
     def image_arrays(self, x1, x2):
         """(y1, y2) = T(x1, x2) mod 1, elementwise.
@@ -57,7 +41,8 @@ class MapModel:
         y2 = mod1(A[1, 0] * x1 + A[1, 1] * x2 + phi2(x2))
         return y1, y2
 
-    def jacobian(self, p: TorusPoint) -> np.ndarray:
+    def jacobian(self, x1, x2) -> np.ndarray:
+        """DT at (x1, x2), shape ``np.broadcast(x1, x2).shape + (2, 2)``."""
         raise NotImplementedError
 
     def separable_parts(self):
@@ -87,12 +72,10 @@ class LinearToral(MapModel):
         if abs(det) != 1:
             raise ValueError(f"matrix must be an automorphism, |det| = {abs(det)}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
-
-    def jacobian(self, p: TorusPoint) -> np.ndarray:
-        return self.matrix
+    def jacobian(self, x1, x2) -> np.ndarray:
+        J = np.empty(np.broadcast(x1, x2).shape + (2, 2))
+        J[...] = self.separable_parts()[0]
+        return J
 
     def separable_parts(self):
         A = np.array([[self.a11, self.a12], [self.a21, self.a22]])
@@ -127,14 +110,12 @@ class PerturbedCat(MapModel):
     def cos_amp(self) -> float:
         return 2.0 if self.form == "section7" else 1.0
 
-    def jacobian(self, p: TorusPoint) -> np.ndarray:
+    def jacobian(self, x1, x2) -> np.ndarray:
         d = self.delta
-        return np.array(
-            [
-                [2.0 - self.cos_amp * TWO_PI * d * np.sin(TWO_PI * p.x1), 1.0],
-                [1.0, 1.0 + 2.0 * TWO_PI * d * np.cos(2.0 * TWO_PI * p.x2 + 1.0)],
-            ]
-        )
+        J = np.ones(np.broadcast(x1, x2).shape + (2, 2))
+        J[..., 0, 0] = 2.0 - self.cos_amp * TWO_PI * d * np.sin(TWO_PI * x1)
+        J[..., 1, 1] = 1.0 + 2.0 * TWO_PI * d * np.cos(2.0 * TWO_PI * x2 + 1.0)
+        return J
 
     def separable_parts(self):
         amp, d = self.cos_amp, self.delta
@@ -151,9 +132,6 @@ class PerturbedCat(MapModel):
 
 class Observable:
     """Base class: a real-valued function on T^2."""
-
-    def __call__(self, p: TorusPoint) -> float:
-        return float(np.real(self.sample(np.asarray(p.x1), np.asarray(p.x2))))
 
     def sample(self, x1, x2):
         raise NotImplementedError

@@ -287,6 +287,8 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert main(["variance", "--config", str(cfg)]) == 1
     assert main(["variance", "--workers", "0", "--out-dir", str(tmp_path)]) == 1
     assert "workers must not be zero" in capsys.readouterr().err
+    assert main(["variance", "--map", "linear", "--out-dir", str(tmp_path)]) == 1
+    assert "unknown map 'linear'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -414,6 +416,7 @@ def test_summary_keys_in_order(tmp_path, argv, keys):
     summary = _load_summary(tmp_path, "s.json")
     assert summary["task"] == argv[0]
     assert list(summary) == "task results config config_sha256 versions wall_time_s".split()
+    assert list(summary["versions"]) == ["anosov_spectral", "numpy", "scipy"]
     assert list(summary["results"]) == keys.split()
 
 

@@ -5,49 +5,42 @@ from anosov import (
     CallableObservable,
     LinearToral,
     PerturbedCat,
-    TorusPoint,
     TrigPolynomial,
     cat_map,
     standard_observable,
 )
+from anosov.torus import mod1
 
 
-def test_torus_point_reduction():
-    p = TorusPoint(1.25, -0.25)
-    assert p.x1 == 0.25 and p.x2 == 0.75
-    q = TorusPoint(3.0, -2.0)
-    assert q.x1 == 0.0 and q.x2 == 0.0
+def test_mod1_reduction():
+    x = np.array([1.25, -0.25, 3.0, -2.0])
+    assert np.array_equal(mod1(x), [0.25, 0.75, 0.0, 0.0])
     # values just under 1 are left alone, no snapping
-    r = TorusPoint(1.0 - 1e-16, 0.0)
-    assert 0.0 <= r.x1 < 1.0
+    r = mod1(1.0 - 1e-16)
+    assert r == 1.0 - 1e-16 and 0.0 <= r < 1.0
 
 
 def test_linear_map_fixed_point():
-    m = cat_map()
-    img = m(TorusPoint(0.0, 0.0))
-    assert img == TorusPoint(0.0, 0.0)
+    assert cat_map().image_arrays(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_perturbed_cat_delta_zero_matches_linear():
-    m = PerturbedCat(0.0, "section7")
-    img = m(TorusPoint(0.25, 0.5))
-    assert img.x1 == pytest.approx(0.0, abs=1e-15)
-    assert img.x2 == pytest.approx(0.75, abs=1e-15)
+    y1, y2 = PerturbedCat(0.0, "section7").image_arrays(0.25, 0.5)
+    assert y1 == pytest.approx(0.0, abs=1e-15)
+    assert y2 == pytest.approx(0.75, abs=1e-15)
 
 
 def test_perturbed_cat_direct_substitution():
-    m = PerturbedCat(0.01, "section7")
-    img = m(TorusPoint(0.0, 0.0))
-    assert img.x1 == pytest.approx(0.02, abs=1e-15)
-    assert img.x2 == pytest.approx((0.01 * np.sin(1.0)) % 1.0, abs=1e-15)
+    y1, y2 = PerturbedCat(0.01, "section7").image_arrays(0.0, 0.0)
+    assert y1 == pytest.approx(0.02, abs=1e-15)
+    assert y2 == pytest.approx((0.01 * np.sin(1.0)) % 1.0, abs=1e-15)
 
 
 def test_appendix_form_cosine_amplitude():
     half = PerturbedCat(0.01, "appendix")
     full = PerturbedCat(0.01, "section7")
-    p = TorusPoint(0.0, 0.0)
-    assert half(p).x1 == pytest.approx(0.01, abs=1e-15)
-    assert full(p).x1 == pytest.approx(0.02, abs=1e-15)
+    assert half.image_arrays(0.0, 0.0)[0] == pytest.approx(0.01, abs=1e-15)
+    assert full.image_arrays(0.0, 0.0)[0] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_linear_toral_requires_automorphism():
@@ -57,16 +50,14 @@ def test_linear_toral_requires_automorphism():
 
 def test_linear_additivity_mod1(rng):
     m = cat_map()
-    for _ in range(50):
-        p = rng.random(2)
-        q = rng.random(2)
-        both = m(TorusPoint(*(p + q)))
-        sep1 = m(TorusPoint(*p))
-        sep2 = m(TorusPoint(*q))
-        diff1 = (both.x1 - sep1.x1 - sep2.x1) % 1.0
-        diff2 = (both.x2 - sep1.x2 - sep2.x2) % 1.0
-        assert min(diff1, 1 - diff1) < 1e-12
-        assert min(diff2, 1 - diff2) < 1e-12
+    p = rng.random((2, 50))
+    q = rng.random((2, 50))
+    both = m.image_arrays(*(p + q))
+    sep1 = m.image_arrays(*p)
+    sep2 = m.image_arrays(*q)
+    for y, y1, y2 in zip(both, sep1, sep2):
+        diff = (y - y1 - y2) % 1.0
+        assert np.minimum(diff, 1 - diff).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -80,16 +71,35 @@ def test_linear_additivity_mod1(rng):
 )
 def test_jacobian_matches_central_differences(m, rng):
     h = 1e-6
-    for _ in range(100):
-        x1, x2 = rng.random(2)
-        J = m.jacobian(TorusPoint(x1, x2))
-        num = np.empty((2, 2))
-        for col, (d1, d2) in enumerate(((h, 0.0), (0.0, h))):
-            # lift to the plane: difference the unreduced coordinates
-            fp = _lifted(m, x1 + d1, x2 + d2)
-            fm = _lifted(m, x1 - d1, x2 - d2)
-            num[:, col] = (fp - fm) / (2 * h)
-        assert np.allclose(J, num, atol=1e-6)
+    x1, x2 = rng.random((2, 100))
+    J = m.jacobian(x1, x2)
+    assert J.shape == (100, 2, 2)
+    num = np.empty((100, 2, 2))
+    for col, (d1, d2) in enumerate(((h, 0.0), (0.0, h))):
+        # lift to the plane: difference the unreduced coordinates
+        fp = _lifted(m, x1 + d1, x2 + d2)
+        fm = _lifted(m, x1 - d1, x2 - d2)
+        num[..., col] = ((fp - fm) / (2 * h)).T
+    assert np.allclose(J, num, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [cat_map(), PerturbedCat(0.02, "section7"), PerturbedCat(0.02, "appendix")],
+    ids=["cat", "section7", "appendix"],
+)
+def test_jacobian_broadcasts_like_image_arrays(m):
+    # a (3, 1) input against a (1, 4) one, and the 6d oracle's grid against
+    # one call per point
+    x1, x2 = np.array([[0.1], [0.45], [0.8]]), np.array([[0.05, 0.3, 0.55, 0.9]])
+    J = m.jacobian(x1, x2)
+    assert J.shape == (3, 4, 2, 2)
+    full1, full2 = np.broadcast_arrays(x1, x2)
+    assert np.array_equal(J, m.jacobian(full1, full2))
+    grid = np.arange(40) / 40
+    stack = m.jacobian(grid[:, None], grid[None, :])
+    pointwise = np.array([[m.jacobian(a, b) for b in grid] for a in grid])
+    assert pointwise.shape == stack.shape and np.array_equal(stack, pointwise)
 
 
 def _lifted(m, x1, x2):
@@ -106,13 +116,13 @@ def _lifted(m, x1, x2):
 
 def test_standard_observable_values():
     g = standard_observable()
-    assert g(TorusPoint(0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
-    assert g(TorusPoint(0.25, 0.25)) == pytest.approx(0.0, abs=1e-14)
+    assert g.sample(0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert g.sample(0.25, 0.25) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_trig_polynomial_euler_identity():
     g = TrigPolynomial((((1, 0), 0.5), ((-1, 0), 0.5)))
-    assert g(TorusPoint(0.5, 0.0)) == pytest.approx(-1.0, abs=1e-14)
+    assert g.sample(0.5, 0.0) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_trig_polynomial_requires_conjugate_symmetry():
@@ -132,9 +142,9 @@ def test_standard_observable_zero_mean():
 
 def test_observable_shift():
     g = standard_observable().shifted(0.3)
-    assert g(TorusPoint(0.0, 0.0)) == pytest.approx(0.7, abs=1e-14)
+    assert g.sample(0.0, 0.0) == pytest.approx(0.7, abs=1e-14)
     c = CallableObservable(lambda x1, x2: np.ones_like(x1) * 2.0, name="const")
-    assert c.shifted(2.0)(TorusPoint(0.1, 0.9)) == pytest.approx(0.0, abs=1e-14)
+    assert c.shifted(2.0).sample(0.1, 0.9) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize(
