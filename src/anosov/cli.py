@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: certify, srb, variance, rate, lambda-curve, ulam.  Options can
-be preloaded from a JSON config file (--config): its values become the
-subcommand's defaults, so any explicit flag, alias or abbreviation included,
-wins over the file.  Every run writes a JSON summary with the scalar
+Subcommands: certify, srb, variance, rate, lambda-curve, ulam.  Each takes
+only the options its run reads (see build_parser), plus --out-dir,
+--json-name and --config.  Options can be preloaded from a JSON config file
+(--config): its values become the subcommand's defaults, so any explicit
+flag, alias or abbreviation included, wins over the file, and a key the
+subcommand does not take exits 1.  Every run writes a JSON summary with the scalar
 results, residuals and provenance (config echo, config hash, versions, wall
 time): each _cmd_* returns the "results" payload, mostly the fields of its
 result dataclass, and main writes the summary.  Grids are dumped in the GRID
@@ -35,7 +37,7 @@ from .grids import GridSpec, write_grid, write_grid_csv
 from .kernels import BumpKernel, FejerKernel, NoRootError, match_epsilon
 from .operators import assemble, write_opmat
 from .stats import NumericalError, baseline, lambda_curve, rate_function, variance
-from .torus import LinearToral, PerturbedCat, TrigPolynomial, standard_observable
+from .torus import PerturbedCat, TrigPolynomial, cat_map, standard_observable
 from .ulam import build_ulam, ulam_srb, ulam_variance
 
 
@@ -62,14 +64,18 @@ def _parse_range(text: str) -> list:
             raise ConfigError("range step must be positive")
         count = int(round((b - a) / h))
         vals = [a + i * h for i in range(count + 1)]
-        return [v for v in vals if v <= b + 1e-12]
-    return [float(p) for p in text.split(",") if p.strip()]
+        vals = [v for v in vals if v <= b + 1e-12]
+    else:
+        vals = [float(p) for p in text.split(",") if p.strip()]
+    if not vals:
+        raise ConfigError(f"range {text!r} holds no value")
+    return vals
 
 
 def _make_map(args):
     name = args.map
     if name == "cat":
-        return LinearToral(2, 1, 1, 1)
+        return cat_map()
     if name == "perturbed-cat":
         return PerturbedCat(delta=args.delta, form=args.form)
     raise ConfigError(f"unknown map {name!r}")
@@ -246,31 +252,39 @@ def _cmd_ulam(args):
     }
 
 
-def _add_common(p):
-    p.add_argument("--map", default="perturbed-cat", help="cat | perturbed-cat")
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--form", default="section7", help="section7 | appendix")
-    p.add_argument(
-        "--observable",
-        default="standard",
-        help='"standard" or a JSON list of [j1, j2, re, im] modes',
-    )
-    p.add_argument("--scheme", default="fejer", help="fejer | bump | ulam")
-    p.add_argument("--n", type=int, default=32, help="coarse order")
-    p.add_argument("--fine", "--N", dest="fine", type=int, default=512, help="fine order N")
-    p.add_argument("--epsilon", type=float, default=None, help="bump width (else matched)")
-    p.add_argument("--boxes", type=int, default=64, help="Ulam boxes per side")
-    p.add_argument("--samples", type=int, default=1600, help="Ulam samples per box")
-    p.add_argument("--out-dir", default=None, help="output directory (env ANOSOV_OUT)")
-    p.add_argument("--json-name", default=None, help="summary file name")
-    p.add_argument("--config", default=None, help="JSON config file; flags override")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="FFT threads as in scipy.fft.set_workers: nonzero, negative counts "
-        "back from the CPU count; does not change results",
-    )
+def _add_common(p, *groups):
+    """Add the options of the named groups ("map" includes "delta"), then
+    the output options every subcommand takes."""
+    add = p.add_argument
+    if "map" in groups:
+        add("--map", default="perturbed-cat", help="cat | perturbed-cat")
+        add("--form", default="section7", help="section7 | appendix")
+    if "map" in groups or "delta" in groups:
+        add("--delta", type=float, default=0.01)
+    if "observable" in groups:
+        add(
+            "--observable",
+            default="standard",
+            help='"standard" or a JSON list of [j1, j2, re, im] modes',
+        )
+    if "fourier" in groups:
+        add("--scheme", default="fejer", help="fejer | bump | ulam")
+        add("--n", type=int, default=32, help="coarse order")
+        add("--fine", "--N", dest="fine", type=int, default=512, help="fine order N")
+        add("--epsilon", type=float, default=None, help="bump width (else matched)")
+        add(
+            "--workers",
+            type=int,
+            default=1,
+            help="FFT threads as in scipy.fft.set_workers: nonzero, negative counts "
+            "back from the CPU count; does not change results",
+        )
+    if "boxes" in groups:
+        add("--boxes", type=int, default=64, help="Ulam boxes per side")
+        add("--samples", type=int, default=1600, help="Ulam samples per box")
+    add("--out-dir", default=None, help="output directory (env ANOSOV_OUT)")
+    add("--json-name", default=None, help="summary file name")
+    add("--config", default=None, help="JSON config file; flags override")
 
 
 def build_parser():
@@ -282,22 +296,22 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="closed-form hyperbolicity certificate")
-    _add_common(p)
+    _add_common(p, "delta")
     p.add_argument("--alpha", type=float, default=0.11872)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("variance", help="CLT variance")
-    _add_common(p)
+    _add_common(p, "map", "observable", "fourier", "boxes")
     p.set_defaults(func=_cmd_variance)
 
     p = sub.add_parser("srb", help="invariant density on the fine grid")
-    _add_common(p)
+    _add_common(p, "map", "fourier")
     p.add_argument("--csv", action="store_true", help="also write CSV")
     p.add_argument("--dump-operator", action="store_true", help="write the OPMAT dump")
     p.set_defaults(func=_cmd_srb)
 
     p = sub.add_parser("rate", help="large-deviations rate function")
-    _add_common(p)
+    _add_common(p, "map", "observable", "fourier")
     p.add_argument(
         "--s",
         default="0:0.1:1.8",
@@ -307,7 +321,7 @@ def build_parser():
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("lambda-curve", help="leading eigenvalue along real twists")
-    _add_common(p)
+    _add_common(p, "map", "observable", "fourier")
     p.add_argument(
         "--z",
         default="-1:0.1:1",
@@ -316,7 +330,7 @@ def build_parser():
     p.set_defaults(func=_cmd_lambda_curve)
 
     p = sub.add_parser("ulam", help="Ulam transition matrix and invariant density")
-    _add_common(p)
+    _add_common(p, "map", "observable", "boxes")
     p.add_argument("--variance", action="store_true", help="also compute sigma^2")
     p.set_defaults(func=_cmd_ulam)
     return ap, sub.choices
@@ -347,10 +361,12 @@ def _parse_args(argv):
             loaded = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config {args.config!r} does not hold a JSON object")
     config = {}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "func") or not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
         config[attr] = value
     commands[args.command].set_defaults(**config)
@@ -361,7 +377,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _parse_args(argv)
-        with scipy.fft.set_workers(args.workers):
+        with scipy.fft.set_workers(getattr(args, "workers", 1)):
             payload = args.func(args)
         _write_summary(args, payload, started)
         return 0

@@ -143,8 +143,8 @@ def read_dump(path, magic: str, nfields: int, shape_of) -> tuple:
     """Read a dump written by :func:`write_dump`.
 
     The header must be ``magic`` followed by ``nfields`` words;
-    ``shape_of(fields)`` gives the payload's (shape, is_complex).  Returns
-    (fields, array).
+    ``shape_of(fields)`` gives the payload's (shape, is_complex), and the
+    payload must hold exactly that many values.  Returns (fields, array).
     """
     with open(path, "rb") as f:
         header = f.readline().decode("ascii").split()
@@ -152,8 +152,11 @@ def read_dump(path, magic: str, nfields: int, shape_of) -> tuple:
             raise ValueError(f"not a {magic} dump")
         fields = header[1:]
         shape, is_complex = shape_of(fields)
-        count = int(np.prod(shape)) * (2 if is_complex else 1)
-        raw = np.frombuffer(f.read(count * 8), dtype="<f8")
+        size = int(np.prod(shape)) * (16 if is_complex else 8)
+        payload = f.read()
+    if len(payload) != size:
+        raise ValueError(f"{magic} payload is {len(payload)} bytes, its header gives {size}")
+    raw = np.frombuffer(payload, dtype="<f8")
     if is_complex:
         raw = raw.reshape(*shape, 2)
         return fields, raw[..., 0] + 1j * raw[..., 1]

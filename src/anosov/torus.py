@@ -53,10 +53,6 @@ class MapModel:
         """
         raise NotImplementedError
 
-    @property
-    def label(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class LinearToral(MapModel):
@@ -80,10 +76,6 @@ class LinearToral(MapModel):
     def separable_parts(self):
         A = np.array([[self.a11, self.a12], [self.a21, self.a22]])
         return A, np.zeros_like, np.zeros_like
-
-    @property
-    def label(self) -> str:
-        return f"linear[{self.a11},{self.a12};{self.a21},{self.a22}]"
 
 
 def cat_map() -> LinearToral:
@@ -124,10 +116,6 @@ class PerturbedCat(MapModel):
             lambda x1: amp * d * np.cos(TWO_PI * x1),
             lambda x2: d * np.sin(2.0 * TWO_PI * x2 + 1.0),
         )
-
-    @property
-    def label(self) -> str:
-        return f"perturbed-cat[{self.form},delta={self.delta!r}]"
 
 
 class Observable:
@@ -182,28 +170,19 @@ class TrigPolynomial(Observable):
         g2 = TrigPolynomial(tuple((j, c) for j, c in self.modes if j[1] != 0))
         return (lambda x1: g1.sample(x1, 0.0)), (lambda x2: g2.sample(0.0, x2))
 
-    @property
-    def label(self) -> str:
-        return "trig[" + ",".join(f"({j1},{j2})" for (j1, j2), _ in self.modes) + "]"
-
 
 @dataclass(frozen=True, eq=False)
 class CallableObservable(Observable):
     """Wraps an arbitrary vectorised function of (x1, x2)."""
 
     fn: object
-    name: str = "callable"
 
     def sample(self, x1, x2):
         return self.fn(x1, x2)
 
     def shifted(self, a: float) -> "CallableObservable":
         fn = self.fn
-        return CallableObservable(lambda x1, x2: fn(x1, x2) - a, name=f"{self.name}-shifted")
-
-    @property
-    def label(self) -> str:
-        return self.name
+        return CallableObservable(lambda x1, x2: fn(x1, x2) - a)
 
 
 def standard_observable() -> TrigPolynomial:

@@ -289,6 +289,13 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert "workers must not be zero" in capsys.readouterr().err
     assert main(["variance", "--map", "linear", "--out-dir", str(tmp_path)]) == 1
     assert "unknown map 'linear'" in capsys.readouterr().err
+    cfg.write_text("[1, 2]")
+    assert main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert "does not hold a JSON object" in capsys.readouterr().err
+    for key in ("func", "command"):
+        cfg.write_text(json.dumps({key: "variance"}))
+        assert main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -301,6 +308,8 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
         (["ulam", "--samples", "-4"], "positive perfect square, got -4"),
         (["rate", "--z-bracket", "-1"], "z bracket must be lo,hi, got '-1'"),
         (["rate", "--z-bracket=-1,1,5"], "z bracket must be lo,hi, got '-1,1,5'"),
+        (["rate", "--s", "1:0.1:0"], "range '1:0.1:0' holds no value"),
+        (["lambda-curve", "--z", ""], "range '' holds no value"),
     ],
     ids=[
         "n-1",
@@ -310,6 +319,8 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
         "samples-neg",
         "bracket-one",
         "bracket-three",
+        "s-reversed",
+        "z-empty",
     ],
 )
 def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
@@ -351,6 +362,64 @@ def test_readme_command_lines_parse():
     assert len(lines) == 8
     for argv in lines:
         cli_mod._parse_args(argv)
+
+
+# each subcommand's settable values, by dest: the options its run reads and
+# the output options --out-dir, --json-name and --config
+_OUTPUT = "out_dir json_name config"
+_MAP = "map form delta"
+_FOURIER = "scheme n fine epsilon workers"
+_OPTIONS = {
+    "certify": f"delta alpha {_OUTPUT}",
+    "variance": f"{_MAP} observable {_FOURIER} boxes samples {_OUTPUT}",
+    "srb": f"{_MAP} {_FOURIER} csv dump_operator {_OUTPUT}",
+    "rate": f"{_MAP} observable {_FOURIER} s z_bracket {_OUTPUT}",
+    "lambda-curve": f"{_MAP} observable {_FOURIER} z {_OUTPUT}",
+    "ulam": f"{_MAP} observable boxes samples variance {_OUTPUT}",
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    commands = cli_mod.build_parser()[1]
+    assert list(commands) == list(_OPTIONS)
+    for name, parser in commands.items():
+        dests = set(vars(parser.parse_args([]))) - {"func"}
+        assert dests == set(_OPTIONS[name].split()), name
+    assert sum(len(names.split()) for names in _OPTIONS.values()) == 69
+    assert len(_NOT_TAKEN) == 22
+
+
+_VALUES = {
+    "map": "cat",
+    "form": "appendix",
+    "observable": "standard",
+    "scheme": "fejer",
+    "n": "8",
+    "fine": "64",
+    "epsilon": "0.1",
+    "workers": "2",
+    "boxes": "16",
+    "samples": "100",
+}
+_NOT_TAKEN = [
+    (command, dest)
+    for command, names in _OPTIONS.items()
+    for dest in _VALUES
+    if dest not in names.split()
+]
+
+
+@pytest.mark.parametrize("command, dest", _NOT_TAKEN, ids=[f"{c}-{d}" for c, d in _NOT_TAKEN])
+def test_option_a_subcommand_does_not_read_exits_one(tmp_path, capsys, command, dest):
+    flag = "--" + dest
+    argv = [command, flag, _VALUES[dest], "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag} {_VALUES[dest]}" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({dest: _VALUES[dest]}))
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert f"unknown config key {dest!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_summary.json"))
 
 
 _SMALL = ["--n", "8", "--fine", "64"]

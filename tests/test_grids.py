@@ -158,3 +158,17 @@ def test_grid_dump_round_trip(tmp_path, rng):
     write_grid_csv(csv_path, real)
     loaded = np.loadtxt(csv_path, delimiter=",")
     assert np.array_equal(loaded, real)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("change", ["truncated", "padded"])
+def test_grid_dump_payload_size_checked(tmp_path, kind, change):
+    samples = np.arange(12.0).reshape(3, 4)
+    if kind == "complex":
+        samples = samples + 1j
+    path = tmp_path / "g.grid"
+    write_grid(path, samples)
+    data = path.read_bytes()
+    path.write_bytes(data[:-8] if change == "truncated" else data + bytes(8))
+    with pytest.raises(ValueError, match="GRID payload is"):
+        read_grid(path)

@@ -143,7 +143,7 @@ def test_standard_observable_zero_mean():
 def test_observable_shift():
     g = standard_observable().shifted(0.3)
     assert g.sample(0.0, 0.0) == pytest.approx(0.7, abs=1e-14)
-    c = CallableObservable(lambda x1, x2: np.ones_like(x1) * 2.0, name="const")
+    c = CallableObservable(lambda x1, x2: np.ones_like(x1) * 2.0)
     assert c.shifted(2.0).sample(0.1, 0.9) == pytest.approx(0.0, abs=1e-14)
 
 

@@ -28,10 +28,6 @@ class Translation(MapModel):
     def image_arrays(self, x1, x2):
         return mod1(x1 + self.t1), mod1(x2 + self.t2)
 
-    @property
-    def label(self):
-        return f"translation[{self.t1},{self.t2}]"
-
 
 def _power_srb(U, tol=1e-14, max_iter=100_000):
     """Reference density: power iteration on P^T from the uniform vector.
