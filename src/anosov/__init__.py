@@ -20,7 +20,6 @@ from .certificate import (
 )
 from .grids import (
     GridSpec,
-    SpectralVector,
     coarse_freqs,
     evaluate_on_fine,
     forward_transform,
@@ -68,7 +67,6 @@ __all__ = [
     "diffeo_margin",
     "translate_bound_product",
     "GridSpec",
-    "SpectralVector",
     "coarse_freqs",
     "evaluate_on_fine",
     "forward_transform",

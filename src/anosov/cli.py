@@ -104,6 +104,8 @@ def _fourier_problem(args):
     grid = GridSpec(args.n, args.fine)
     matched = {"epsilon": None, "matching_residual": None}
     if args.scheme == "fejer":
+        if args.epsilon is not None:
+            raise ConfigError("--epsilon is the bump width; it needs --scheme bump")
         kern = FejerKernel()
     elif args.scheme == "bump":
         eps = args.epsilon
@@ -165,17 +167,7 @@ def _cmd_certify(args):
     return asdict(certify(args.delta, args.alpha))
 
 
-def _ulam_variance(args):
-    """(density, payload) of one Ulam variance run; the payload holds the
-    result's other fields."""
-    res = ulam_variance(_make_map(args), args.boxes, args.samples, _make_observable(args))
-    payload = asdict(res)
-    return payload.pop("density"), payload
-
-
 def _cmd_variance(args):
-    if args.scheme == "ulam":
-        return _ulam_variance(args)[1]
     map_model, kern, g, grid, matched = _fourier_problem(args)
     return {**asdict(variance(map_model, kern, g, grid)), **matched}
 
@@ -235,12 +227,14 @@ def _cmd_lambda_curve(args):
 
 
 def _cmd_ulam(args):
-    stats = {}
+    map_model, stats = _make_map(args), {}
     if args.variance:
-        density, stats = _ulam_variance(args)
+        res = ulam_variance(map_model, args.boxes, args.samples, _make_observable(args))
+        stats = asdict(res)
+        density = stats.pop("density")
         del stats["m"]  # reported as "boxes"
     else:
-        density = ulam_srb(build_ulam(_make_map(args), args.boxes, args.samples))
+        density = ulam_srb(build_ulam(map_model, args.boxes, args.samples))
     grid_path = os.path.join(_out_dir(args), "ulam_density.grid")
     write_grid(grid_path, density.reshape(args.boxes, args.boxes))
     return {
@@ -268,7 +262,7 @@ def _add_common(p, *groups):
             help='"standard" or a JSON list of [j1, j2, re, im] modes',
         )
     if "fourier" in groups:
-        add("--scheme", default="fejer", help="fejer | bump | ulam")
+        add("--scheme", default="fejer", help="fejer | bump")
         add("--n", type=int, default=32, help="coarse order")
         add("--fine", "--N", dest="fine", type=int, default=512, help="fine order N")
         add("--epsilon", type=float, default=None, help="bump width (else matched)")
@@ -301,7 +295,7 @@ def build_parser():
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("variance", help="CLT variance")
-    _add_common(p, "map", "observable", "fourier", "boxes")
+    _add_common(p, "map", "observable", "fourier")
     p.set_defaults(func=_cmd_variance)
 
     p = sub.add_parser("srb", help="invariant density on the fine grid")

@@ -9,8 +9,9 @@ frequency j approximates the L^2 inner product <f, e^{2 pi i j.x}>.  Fine
 spectral arrays have one layout, numpy's FFT order: frequency j sits at axis
 index j mod N.  The coarse block is read from and written to those indices.
 
-Coefficient vectors on the coarse grid are stored row-major over (j1, j2)
-with each axis ascending from -n/2+1 to n/2.
+Coarse coefficients are (n, n) arrays, each axis ascending from -n/2+1 to
+n/2; operators act on their C-order ravel, a vector of length n^2 with
+frequency (j1, j2) at index freq_index(j1, j2, n).
 """
 
 from __future__ import annotations
@@ -63,30 +64,6 @@ def fine_points(N: int):
     return np.meshgrid(a, a, indexing="ij")
 
 
-@dataclass
-class SpectralVector:
-    """Complex coefficients on the coarse grid of order n, length n^2."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex).reshape(self.n * self.n)
-
-    @classmethod
-    def from_modes(cls, n: int, modes: dict) -> "SpectralVector":
-        c = np.zeros(n * n, dtype=complex)
-        for (j1, j2), amp in modes.items():
-            c[freq_index(j1, j2, n)] = amp
-        return cls(n, c)
-
-    def get(self, j1: int, j2: int) -> complex:
-        return complex(self.coeffs[freq_index(j1, j2, self.n)])
-
-    def as_matrix(self) -> np.ndarray:
-        return self.coeffs.reshape(self.n, self.n)
-
-
 def _coarse_slots(n: int, N: int):
     """Index of the coarse block {-n/2+1..n/2}^2 in a fine N x N spectrum."""
     k = coarse_freqs(n) % N
@@ -101,20 +78,20 @@ def forward_transform(samples: np.ndarray) -> np.ndarray:
     return sfft.fft2(samples, norm="forward")
 
 
-def restrict_to_coarse(fine: np.ndarray, n: int) -> SpectralVector:
-    """Extract the coarse block {-n/2+1..n/2}^2 from a fine spectrum."""
+def restrict_to_coarse(fine: np.ndarray, n: int) -> np.ndarray:
+    """The coarse (n, n) block {-n/2+1..n/2}^2 of a fine spectrum."""
     N = fine.shape[0]
     if n > N:
         raise ValueError("coarse order exceeds fine order")
-    return SpectralVector(n, fine[_coarse_slots(n, N)])
+    return fine[_coarse_slots(n, N)]
 
 
-def evaluate_on_fine(v: SpectralVector, N: int) -> np.ndarray:
-    """Samples of sum_j v(j) e^{2 pi i j.x} on the fine N x N grid."""
-    if N < v.n:
+def evaluate_on_fine(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Samples of sum_j c(j) e^{2 pi i j.x} on the fine N x N grid; c is (n, n)."""
+    if N < len(coeffs):
         raise ValueError("fine order must be at least the coarse order")
     fine = np.zeros((N, N), dtype=complex)
-    fine[_coarse_slots(v.n, N)] = v.as_matrix()
+    fine[_coarse_slots(len(coeffs), N)] = coeffs
     return sfft.ifft2(fine, norm="forward")
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .grids import GridSpec, SpectralVector, coarse_freqs
+from .grids import GridSpec, coarse_freqs
 from .operators import _reserve
 
 
@@ -38,11 +38,11 @@ class NoRootError(RuntimeError):
     """The matching bracket contains no sign change."""
 
 
-def fejer_coefficients(n: int) -> SpectralVector:
-    """Closed-form Fejer weights on the coarse grid; all values in (0, 1]."""
+def fejer_coefficients(n: int) -> np.ndarray:
+    """Closed-form Fejer weights on the coarse grid, (n, n); all in (0, 1]."""
     j = coarse_freqs(n)
     w = 1.0 - np.abs(j) / (n // 2 + 1)
-    return SpectralVector(n, np.outer(w, w).astype(complex))
+    return np.outer(w, w)
 
 
 def _bump_window(widths, N: int):
@@ -95,18 +95,18 @@ def _bump_cosine_block(widths, N: int, cos: np.ndarray) -> np.ndarray:
     return block / block[:, :1, :1]
 
 
-def bump_coefficients(epsilon: float, grid: GridSpec) -> SpectralVector:
-    """Coarse-grid Fourier coefficients of the bump; real, zero mode exactly one."""
+def bump_coefficients(epsilon: float, grid: GridSpec) -> np.ndarray:
+    """Coarse-grid Fourier coefficients of the bump, (n, n); zero mode exactly one."""
     a = np.abs(coarse_freqs(grid.n))
     block = _bump_cosine_block(epsilon, grid.N, _cosine_table(grid.N, grid.n // 2))[0]
-    return SpectralVector(grid.n, block[np.ix_(a, a)])
+    return block[np.ix_(a, a)]
 
 
 @dataclass(frozen=True)
 class BumpKernel:
     epsilon: float
 
-    def coefficients(self, grid: GridSpec) -> SpectralVector:
+    def coefficients(self, grid: GridSpec) -> np.ndarray:
         return bump_coefficients(self.epsilon, grid)
 
     def spatial(self, grid: GridSpec) -> np.ndarray:
@@ -119,7 +119,7 @@ class BumpKernel:
 
 @dataclass(frozen=True)
 class FejerKernel:
-    def coefficients(self, grid: GridSpec) -> SpectralVector:
+    def coefficients(self, grid: GridSpec) -> np.ndarray:
         return fejer_coefficients(grid.n)
 
     def spatial(self, grid: GridSpec) -> np.ndarray:
@@ -157,7 +157,7 @@ def match_epsilon(n: int, grid: GridSpec):
     (with the shortfall and the scan floor 8/N) or none falls below it.
     """
     grid = GridSpec(n, grid.N)
-    target = float(np.abs(fejer_coefficients(n).coeffs).min())
+    target = float(fejer_coefficients(n).min())
     cos = _cosine_table(grid.N, n // 2)
 
     def f(widths):

@@ -239,7 +239,7 @@ def _twisted(map_model, kernel, g, z, grid, derivative):
         sup = float(np.abs(gs).max())
     if abs(z.real) * sup > EXP_GUARD:
         raise OverflowError("twist weight exp(z g) would overflow")
-    q = kernel.coefficients(grid).coeffs.real
+    q = kernel.coefficients(grid).ravel()
     if g_parts is not None:
         # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
         # exponent out of it and put the sum, max Re(z g), back into q.

@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 
 from .grids import (
     GridSpec,
-    SpectralVector,
     evaluate_on_fine,
     fine_points,
     forward_transform,
@@ -51,10 +50,11 @@ class NonConvergenceError(NumericalError):
 
 @dataclass
 class EigenData:
-    """Leading eigenvalue and mass-normalised right eigenvector."""
+    """Leading eigenvalue and mass-normalised right eigenvector, the C-order
+    ravel of (n, n) coarse coefficients: frequency j at freq_index(*j, n)."""
 
     lam: complex
-    right_vector: SpectralVector
+    right_vector: np.ndarray
     residual: float
     method: str  # always "arpack"
 
@@ -85,7 +85,7 @@ def _arpack_leading(A, v0: np.ndarray):
 
 def _zero_mode(n: int) -> np.ndarray:
     """ARPACK's start vector for a coarse operator: the zero mode."""
-    return SpectralVector.from_modes(n, {(0, 0): 1.0}).coeffs
+    return (np.arange(n * n) == freq_index(0, 0, n)).astype(complex)
 
 
 def leading_eigenpair(M: OperatorMatrix) -> EigenData:
@@ -100,7 +100,7 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
     lam, v = _arpack_leading(A, _zero_mode(M.n))
     v = _normalise(M.n, v)
     residual = float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
-    return EigenData(lam, SpectralVector(M.n, v), residual, "arpack")
+    return EigenData(lam, v, residual, "arpack")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
     """Leading eigendata of M0, its density, and g centered against it."""
     N = M0.grid.N
     eig = leading_eigenpair(M0)
-    spatial = evaluate_on_fine(eig.right_vector, N)
+    spatial = evaluate_on_fine(eig.right_vector.reshape(M0.n, M0.n), N)
     density = spatial.real.copy()
     parts, x = g.separable_parts(), np.arange(N) / N
     if parts is None:
@@ -213,9 +213,9 @@ def variance(
 def _variance(base: Baseline) -> VarianceResult:
     M0, gc, v = base.M0, base.centered, base.density
     n, N = M0.grid.n, M0.grid.N
-    x = restrict_to_coarse(forward_transform(gc * v), n).coeffs
+    x = restrict_to_coarse(forward_transform(gc * v), n).ravel()
     w, residual, terms, rate = _deflated_solve(M0, x)
-    w_spatial = evaluate_on_fine(SpectralVector(n, w), N)
+    w_spatial = evaluate_on_fine(w.reshape(n, n), N)
     sigma2 = complex(riemann_integral(gc * gc * v + 2.0 * gc * w_spatial))
     if sigma2.real < -1e-8:
         raise NumericalError(f"variance came out negative: {sigma2.real:.3e}")
@@ -302,7 +302,7 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     cross and l and r belong to different ones; Lambda' is meaningless there.
     """
     _, left = _arpack_leading(spla.aslinearoperator(M.entries).H, _zero_mode(M.n))
-    r = eig.right_vector.coeffs
+    r = eig.right_vector
     inner = np.vdot(left, r)
     slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)
     overlap = abs(inner) / (np.linalg.norm(left) * np.linalg.norm(r))

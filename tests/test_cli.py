@@ -289,6 +289,11 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert "workers must not be zero" in capsys.readouterr().err
     assert main(["variance", "--map", "linear", "--out-dir", str(tmp_path)]) == 1
     assert "unknown map 'linear'" in capsys.readouterr().err
+    # the Fejer kernel has no width: an --epsilon would only enter the config hash
+    assert main(["variance", "--epsilon", "0.1", "--out-dir", str(tmp_path)]) == 1
+    assert "it needs --scheme bump" in capsys.readouterr().err
+    assert main(["variance", "--scheme", "ulam", "--out-dir", str(tmp_path)]) == 1
+    assert "'ulam' is not a Fourier scheme" in capsys.readouterr().err
     cfg.write_text("[1, 2]")
     assert main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
     assert "does not hold a JSON object" in capsys.readouterr().err
@@ -359,9 +364,22 @@ def test_readme_command_lines_parse():
     block = readme.split("## Command line", 1)[1].split("```")[1]
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     lines = [argv[1:] for argv in lines if argv[:1] == ["anosov"]]
-    assert len(lines) == 8
+    assert len(lines) == 7
     for argv in lines:
         cli_mod._parse_args(argv)
+
+
+def test_readme_library_surface_runs():
+    """The README's `Library surface` block runs as written, and the array
+    types its comments give are the ones it gets."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library surface", 1)[1].split("```python", 1)[1]
+    namespace = {}
+    exec(block.split("```", 1)[0], namespace)
+    q, v = namespace["q"], namespace["v"]
+    assert q.shape == (16, 16) and q.dtype == np.float64 and q[7, 7] == 1.0
+    assert v.shape == (256,) and v.dtype == np.complex128
+    assert np.array_equal(v, namespace["base"].eigen.right_vector)
 
 
 # each subcommand's settable values, by dest: the options its run reads and
@@ -371,7 +389,7 @@ _MAP = "map form delta"
 _FOURIER = "scheme n fine epsilon workers"
 _OPTIONS = {
     "certify": f"delta alpha {_OUTPUT}",
-    "variance": f"{_MAP} observable {_FOURIER} boxes samples {_OUTPUT}",
+    "variance": f"{_MAP} observable {_FOURIER} {_OUTPUT}",
     "srb": f"{_MAP} {_FOURIER} csv dump_operator {_OUTPUT}",
     "rate": f"{_MAP} observable {_FOURIER} s z_bracket {_OUTPUT}",
     "lambda-curve": f"{_MAP} observable {_FOURIER} z {_OUTPUT}",
@@ -385,8 +403,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     for name, parser in commands.items():
         dests = set(vars(parser.parse_args([]))) - {"func"}
         assert dests == set(_OPTIONS[name].split()), name
-    assert sum(len(names.split()) for names in _OPTIONS.values()) == 69
-    assert len(_NOT_TAKEN) == 22
+    assert sum(len(names.split()) for names in _OPTIONS.values()) == 67
+    assert len(_NOT_TAKEN) == 24
 
 
 _VALUES = {
@@ -445,10 +463,6 @@ _ULAM = ["--boxes", "16", "--samples", "100"]
             "epsilon matching_residual",
         ),
         (
-            ["variance", "--scheme", "ulam", *_ULAM],
-            "sigma2 mean_shift solve_residual solve_terms solve_rate m samples_per_box",
-        ),
-        (
             ["srb", *_SMALL, "--dump-operator"],
             "leading_eigenvalue eigen_residual imag_discard_max density_file operator_file "
             "epsilon matching_residual",
@@ -471,7 +485,6 @@ _ULAM = ["--boxes", "16", "--samples", "100"]
         "certify",
         "variance-fejer",
         "variance-bump",
-        "variance-ulam",
         "srb-dump",
         "rate",
         "lambda-curve",

@@ -3,7 +3,6 @@ import pytest
 
 from anosov import (
     GridSpec,
-    SpectralVector,
     coarse_freqs,
     evaluate_on_fine,
     forward_transform,
@@ -68,37 +67,53 @@ def test_forward_transform_pure_mode():
 def test_forward_transform_cosine():
     N = 64
     X1, _ = fine_points(N)
-    v = restrict_to_coarse(forward_transform(np.cos(4 * np.pi * X1)), 8)
-    assert v.get(2, 0) == pytest.approx(0.5, abs=1e-14)
-    assert v.get(-2, 0) == pytest.approx(0.5, abs=1e-14)
+    c = restrict_to_coarse(forward_transform(np.cos(4 * np.pi * X1)), 8).ravel()
+    assert c[freq_index(2, 0, 8)] == pytest.approx(0.5, abs=1e-14)
+    assert c[freq_index(-2, 0, 8)] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_restrict_keeps_positive_nyquist_only():
     N, n = 32, 8
     fine = np.zeros((N, N), dtype=complex)
     fine[n // 2, 0] = 1.0  # frequency (n/2, 0)
-    v = restrict_to_coarse(fine, n)
-    assert v.get(n // 2, 0) == 1.0
+    c = restrict_to_coarse(fine, n)
+    assert c.ravel()[freq_index(n // 2, 0, n)] == 1.0
     fine = np.zeros((N, N), dtype=complex)
     fine[N - n // 2, 0] = 1.0  # frequency (-n/2, 0): dropped
-    v = restrict_to_coarse(fine, n)
-    assert np.abs(v.coeffs).max() == 0.0
+    c = restrict_to_coarse(fine, n)
+    assert np.abs(c).max() == 0.0
+
+
+def test_restrict_lays_coarse_coefficients_out_by_freq_index():
+    """An (n, n) array whose C-order ravel holds frequency j at freq_index(j),
+    read from the fine spectrum's FFT-order index j mod N."""
+    n, N = 8, 32
+    gen = np.random.default_rng(7)
+    F = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
+    c = restrict_to_coarse(F, n)
+    assert c.shape == (n, n)
+    for j1 in coarse_freqs(n):
+        for j2 in coarse_freqs(n):
+            assert c.ravel()[freq_index(j1, j2, n)] == F[j1 % N, j2 % N]
 
 
 def test_evaluate_constant_and_cosine():
-    v = SpectralVector.from_modes(8, {(0, 0): 1.0})
-    grid = evaluate_on_fine(v, 32)
+    c = np.zeros(64)
+    c[freq_index(0, 0, 8)] = 1.0
+    grid = evaluate_on_fine(c.reshape(8, 8), 32)
     assert np.allclose(grid, 1.0, atol=1e-14)
-    v = SpectralVector.from_modes(8, {(2, 0): 0.5, (-2, 0): 0.5})
+    c = np.zeros(64)
+    c[[freq_index(2, 0, 8), freq_index(-2, 0, 8)]] = 0.5
     X1, _ = fine_points(32)
-    assert np.allclose(evaluate_on_fine(v, 32).real, np.cos(4 * np.pi * X1), atol=1e-13)
+    cosine = evaluate_on_fine(c.reshape(8, 8), 32).real
+    assert np.allclose(cosine, np.cos(4 * np.pi * X1), atol=1e-13)
 
 
 def test_round_trip_band_limited(rng):
     n, N = 8, 32
-    v = SpectralVector(n, rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n))
-    back = restrict_to_coarse(forward_transform(evaluate_on_fine(v, N)), n)
-    assert np.abs(back.coeffs - v.coeffs).max() < 1e-13
+    c = (rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)).reshape(n, n)
+    back = restrict_to_coarse(forward_transform(evaluate_on_fine(c, N)), n)
+    assert np.abs(back - c).max() < 1e-13
 
 
 def test_riemann_integral_values():
@@ -131,11 +146,11 @@ def test_forward_transform_linear(rng):
 def test_conjugate_symmetry_defect_of_real_function(rng, conj_defect):
     N, n = 64, 16
     samples = rng.standard_normal((N, N))
-    v = restrict_to_coarse(forward_transform(samples), n)
-    assert conj_defect(v.coeffs, n) < 1e-13
+    c = restrict_to_coarse(forward_transform(samples), n)
+    assert conj_defect(c.ravel(), n) < 1e-13
     # a complex function is not conjugate-symmetric
-    v = restrict_to_coarse(forward_transform(1j * samples), n)
-    assert conj_defect(v.coeffs, n) > 1e-3
+    c = restrict_to_coarse(forward_transform(1j * samples), n)
+    assert conj_defect(c.ravel(), n) > 1e-3
 
 
 def test_grid_dump_round_trip(tmp_path, rng):

@@ -18,6 +18,7 @@ from anosov import (
     summability_check,
 )
 from anosov.cli import main
+from anosov.grids import freq_index
 from anosov.kernels import NoRootError, ResolutionError, bump_spatial
 
 
@@ -57,11 +58,11 @@ def _fft2_coefficients(epsilon, grid):
 
 
 def test_fejer_closed_form():
-    v = fejer_coefficients(32)
-    assert v.get(0, 0) == 1.0
-    assert v.get(16, 0) == pytest.approx(1 / 17, rel=1e-14)
-    assert v.get(16, 16) == pytest.approx(1 / 289, rel=1e-14)
-    vals = v.coeffs.real
+    vals = fejer_coefficients(32)
+    v = vals.ravel()
+    assert v[freq_index(0, 0, 32)] == 1.0
+    assert v[freq_index(16, 0, 32)] == pytest.approx(1 / 17, rel=1e-14)
+    assert v[freq_index(16, 16, 32)] == pytest.approx(1 / 289, rel=1e-14)
     assert vals.min() == pytest.approx(1 / 289, rel=1e-14)
     assert np.all(vals > 0) and np.all(vals <= 1)
 
@@ -79,18 +80,27 @@ def test_fejer_spatial_closed_form():
 
 
 def test_fejer_symmetry():
-    v = fejer_coefficients(16)
+    v = fejer_coefficients(16).ravel()
     for j1 in range(-7, 8):
         for j2 in range(-7, 8):
-            assert v.get(j1, j2) == pytest.approx(v.get(abs(j1), abs(j2)), rel=1e-14)
+            want = v[freq_index(abs(j1), abs(j2), 16)]
+            assert v[freq_index(j1, j2, 16)] == pytest.approx(want, rel=1e-14)
 
 
 def test_bump_zero_mode_exact(conj_defect):
     grid = GridSpec(16, 256)
-    v = bump_coefficients(0.1, grid)
-    assert v.get(0, 0) == 1.0  # exact by construction
-    assert np.abs(v.coeffs.imag).max() == 0.0
-    assert conj_defect(v.coeffs, v.n) < 1e-12
+    c = bump_coefficients(0.1, grid)
+    assert c.ravel()[freq_index(0, 0, 16)] == 1.0  # exact by construction
+    assert conj_defect(c.ravel(), 16) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_kernel_coefficients_are_real_coarse_arrays(kernel, n):
+    """Real float64 (n, n) arrays, zero mode at [n/2 - 1, n/2 - 1] exactly 1."""
+    c = kernel.coefficients(GridSpec(n, 256))
+    assert c.dtype == np.float64 and c.shape == (n, n)
+    assert c[n // 2 - 1, n // 2 - 1] == 1.0
 
 
 def test_bump_spatial_properties():
@@ -182,7 +192,7 @@ def test_window_bump_equals_full_grid_bump():
 def test_matching_objective_matches_rfft2_over_the_scan(n, N):
     """Each group of scan widths that share the window h = floor(eps N) is one
     batched block; every width's minimum agrees with the full-grid rfft2."""
-    target = float(np.abs(fejer_coefficients(n).coeffs).min())
+    target = float(fejer_coefficients(n).min())
     cos = kernels._cosine_table(N, n // 2)
     scan = np.arange(8.0 / N, 0.25, 1e-4)
     h = (scan * N).astype(int)
@@ -241,9 +251,9 @@ def test_match_epsilon_reserves_the_bump_window(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("n, N, epsilon", [(16, 256, 0.1), (32, 512, 0.067), (64, 512, 0.038)])
 def test_bump_coefficients_match_fft2(n, N, epsilon):
     grid = GridSpec(n, N)
-    got = bump_coefficients(epsilon, grid).coeffs.reshape(n, n)
+    got = bump_coefficients(epsilon, grid)
     assert np.abs(got - _fft2_coefficients(epsilon, grid)).max() <= 1e-14
-    assert np.abs(got.imag).max() == 0.0
+    assert got.dtype == np.float64
 
 
 def test_bump_cosine_block_resolution_guard():

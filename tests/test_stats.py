@@ -11,7 +11,6 @@ from anosov import (
     BumpKernel,
     FejerKernel,
     GridSpec,
-    SpectralVector,
     TrigPolynomial,
     assemble,
     baseline,
@@ -56,7 +55,7 @@ def test_cat_map_srb_is_lebesgue(linear_cat, fejer, std_g):
     assert abs(eig.lam - 1.0) < 1e-12
     e0 = np.zeros(16 * 16, dtype=complex)
     e0[freq_index(0, 0, 16)] = 1.0
-    assert np.abs(eig.right_vector.coeffs - e0).max() < 1e-10
+    assert np.abs(eig.right_vector - e0).max() < 1e-10
     srb = baseline(M0, std_g)
     assert np.allclose(srb.density, 1.0, atol=1e-10)
 
@@ -107,12 +106,12 @@ def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
     srb = baseline(M0, std_g)
     gs = std_g.sample(*fine_points(grid.N))
     gc = gs - riemann_integral(gs * srb.density).real
-    x = restrict_to_coarse(forward_transform(gc * srb.density), grid.n).coeffs
+    x = restrict_to_coarse(forward_transform(gc * srb.density), grid.n).ravel()
     acc = riemann_integral(gc * gc * srb.density)
     for _ in range(60):
         x = M0.entries @ x
         acc = acc + 2.0 * riemann_integral(
-            gc * evaluate_on_fine(SpectralVector(grid.n, x), grid.N)
+            gc * evaluate_on_fine(x.reshape(grid.n, grid.n), grid.N)
         )
     assert abs(res.sigma2 - acc.real) < 1e-6
 
@@ -215,7 +214,8 @@ def test_arpack_path_matches_dense(perturbed_map, std_g, kernel, n, z):
     assert abs(ref[izero]) > 0.1 * np.linalg.norm(ref)
     assert eig.method == "arpack"
     assert abs(eig.lam - vals[top[0]]) <= 1e-13
-    assert np.abs(eig.right_vector.coeffs - ref / ref[izero]).max() <= 1e-10
+    assert eig.right_vector.shape == (n * n,)  # the C-order ravel of (n, n)
+    assert np.abs(eig.right_vector - ref / ref[izero]).max() <= 1e-10
     assert eig.residual < 1e-12
 
 
@@ -225,7 +225,7 @@ def test_arpack_exact_start_vector_is_reproducible(linear_cat, fejer, std_g):
     a, b = leading_eigenpair(M0), leading_eigenpair(M0)
     assert a.method == "arpack"
     assert a.lam == b.lam
-    assert np.array_equal(a.right_vector.coeffs, b.right_vector.coeffs)
+    assert np.array_equal(a.right_vector, b.right_vector)
     assert abs(a.lam - 1.0) < 1e-12
 
 
@@ -297,7 +297,7 @@ def _lu_deflated(M, x):
 )
 def test_deflated_solve_matches_lu_oracle(perturbed_map, std_g, kernel, n, N):
     base = baseline(assemble(perturbed_map, kernel, std_g, 0.0, GridSpec(n, N)), std_g)
-    x = restrict_to_coarse(forward_transform(base.centered * base.density), n).coeffs
+    x = restrict_to_coarse(forward_transform(base.centered * base.density), n).ravel()
     w, residual, terms, rate = _deflated_solve(base.M0, x)
     assert w[freq_index(0, 0, n)] == 0.0
     assert np.abs(w - _lu_deflated(base.M0, x)).max() <= 1e-12
