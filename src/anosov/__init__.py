@@ -55,7 +55,7 @@ from .torus import (
     cat_map,
     standard_observable,
 )
-from .ulam import UlamMatrix, build_ulam, ulam_srb, ulam_variance
+from .ulam import build_ulam, ulam_srb, ulam_variance
 
 __all__ = [
     "CertificateReport",
@@ -96,7 +96,6 @@ __all__ = [
     "TrigPolynomial",
     "cat_map",
     "standard_observable",
-    "UlamMatrix",
     "build_ulam",
     "ulam_srb",
     "ulam_variance",

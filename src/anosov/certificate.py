@@ -46,8 +46,8 @@ def diffeo_margin(delta: float):
     certified diffeomorphism when 8 pi d < 1 and s < 1.  Returns (s, passed),
     with s = inf when the denominator is nonpositive.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     den = 1.0 - 8.0 * math.pi * delta
     if den <= 0.0:
         return math.inf, False
@@ -63,8 +63,8 @@ def diffeo_margin(delta: float):
 
 def cone_preservation_max_delta(alpha: float) -> float:
     """Largest delta certified to preserve the stable and unstable cones."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     return alpha * (_LAM_INV - LAMBDA_S) / (4.0 * math.pi * (alpha + 1.0) ** 2)
 
 
@@ -119,8 +119,8 @@ def contraction_check(delta: float, alpha: float, direction: str = "forward"):
     """
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     corners = [
@@ -182,8 +182,6 @@ def translate_bound_product(alpha: float):
 class CertificateReport:
     """Outcome of the five hyperbolicity checks with numeric margins."""
 
-    delta: float
-    alpha: float
     diffeo: CheckResult
     cone_preservation: CheckResult
     forward_contraction: CheckResult
@@ -203,8 +201,8 @@ class CertificateReport:
 
 def certify(delta: float, alpha: float) -> CertificateReport:
     """Run all five checks for the appendix-form map at (delta, alpha)."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s, ok = diffeo_margin(delta)
@@ -219,8 +217,6 @@ def certify(delta: float, alpha: float) -> CertificateReport:
     except ValueError:
         translate = CheckResult(False, math.inf)
     return CertificateReport(
-        delta=delta,
-        alpha=alpha,
         diffeo=diffeo,
         cone_preservation=cone,
         forward_contraction=CheckResult(okf, wf),

@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -53,20 +54,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite(texts, what: str) -> list:
+    """The floats of ``texts``; ConfigError if one is nan or infinite."""
+    vals = [float(t) for t in texts]
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{what} holds a value that is not finite")
+    return vals
+
+
 def _parse_range(text: str) -> list:
     """Parse 'a:step:b' (inclusive ends) or a comma-separated list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:step:stop, got {text!r}")
-        a, h, b = (float(p) for p in parts)
+        a, h, b = _finite(parts, f"range {text!r}")
         if h <= 0:
             raise ConfigError("range step must be positive")
         count = int(round((b - a) / h))
         vals = [a + i * h for i in range(count + 1)]
         vals = [v for v in vals if v <= b + 1e-12]
     else:
-        vals = [float(p) for p in text.split(",") if p.strip()]
+        vals = _finite((p for p in text.split(",") if p.strip()), f"range {text!r}")
     if not vals:
         raise ConfigError(f"range {text!r} holds no value")
     return vals
@@ -198,9 +207,9 @@ def _cmd_rate(args):
     bracket = args.z_bracket.split(",")
     if len(bracket) != 2:
         raise ConfigError(f"z bracket must be lo,hi, got {args.z_bracket!r}")
-    bracket = tuple(map(float, bracket))
-    map_model, kern, g, grid, matched = _fourier_problem(args)
+    bracket = tuple(_finite(bracket, f"z bracket {args.z_bracket!r}"))
     s_values = _parse_range(args.s)
+    map_model, kern, g, grid, matched = _fourier_problem(args)
     table = rate_function(map_model, kern, g, grid, s_values, bracket)
     csv_path = _write_csv(
         os.path.join(_out_dir(args), "rate_table.csv"),
@@ -212,27 +221,29 @@ def _cmd_rate(args):
 
 
 def _cmd_lambda_curve(args):
+    zs = _parse_range(args.z)
     map_model, kern, g, grid, matched = _fourier_problem(args)
-    points = lambda_curve(map_model, kern, g, grid, _parse_range(args.z))
+    points = list(zip(zs, lambda_curve(map_model, kern, g, grid, zs)))
     csv_path = _write_csv(
         os.path.join(_out_dir(args), "lambda_curve.csv"),
         ["z", "lambda_re", "lambda_im", "log_abs_lambda"],
-        ([p.z, p.lam.real, p.lam.imag, np.log(abs(p.lam))] for p in points),
+        ([z, lam.real, lam.imag, np.log(abs(lam))] for z, lam in points),
     )
     return {
-        "points": [{"z": p.z, "lambda": p.lam} for p in points],
+        "points": [{"z": z, "lambda": lam} for z, lam in points],
         "table_file": csv_path,
         **matched,
     }
 
 
 def _cmd_ulam(args):
+    if not args.variance and args.observable != "standard":
+        raise ConfigError("--observable is the variance's observable; it needs --variance")
     map_model, stats = _make_map(args), {}
     if args.variance:
         res = ulam_variance(map_model, args.boxes, args.samples, _make_observable(args))
         stats = asdict(res)
         density = stats.pop("density")
-        del stats["m"]  # reported as "boxes"
     else:
         density = ulam_srb(build_ulam(map_model, args.boxes, args.samples))
     grid_path = os.path.join(_out_dir(args), "ulam_density.grid")

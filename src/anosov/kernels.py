@@ -112,10 +112,6 @@ class BumpKernel:
     def spatial(self, grid: GridSpec) -> np.ndarray:
         return bump_spatial(self.epsilon, grid.N)
 
-    @property
-    def label(self) -> str:
-        return f"bump[eps={self.epsilon!r}]"
-
 
 @dataclass(frozen=True)
 class FejerKernel:
@@ -131,10 +127,6 @@ class FejerKernel:
         fine = np.zeros((N, N), dtype=complex)
         fine[np.ix_(j % N, j % N)] = np.outer(w, w)
         return sfft.ifft2(fine, norm="forward").real
-
-    @property
-    def label(self) -> str:
-        return "fejer"
 
 
 def match_epsilon(n: int, grid: GridSpec):

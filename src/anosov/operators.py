@@ -76,7 +76,6 @@ class OperatorMatrix:
     """
 
     entries: np.ndarray | spla.LinearOperator
-    kernel_label: str
     z: complex
     grid: GridSpec
 
@@ -262,7 +261,7 @@ def _twisted(map_model, kernel, g, z, grid, derivative):
         entries = _product(*next(blocks))
         for G1, G2 in blocks:
             entries += _product(G1, G2)
-    return OperatorMatrix(entries, kernel.label, z, grid)
+    return OperatorMatrix(entries, z, grid)
 
 
 def assemble(

@@ -192,9 +192,6 @@ class VarianceResult:
     solve_residual: float
     solve_terms: int
     solve_rate: float  # contraction per series term, about |lambda_2|
-    n: int
-    N: int
-    kernel: str
 
 
 def variance(
@@ -219,16 +216,7 @@ def _variance(base: Baseline) -> VarianceResult:
     sigma2 = complex(riemann_integral(gc * gc * v + 2.0 * gc * w_spatial))
     if sigma2.real < -1e-8:
         raise NumericalError(f"variance came out negative: {sigma2.real:.3e}")
-    return VarianceResult(
-        sigma2=float(sigma2.real),
-        mean_shift=base.shift,
-        solve_residual=residual,
-        solve_terms=terms,
-        solve_rate=rate,
-        n=n,
-        N=N,
-        kernel=M0.kernel_label,
-    )
+    return VarianceResult(float(sigma2.real), base.shift, residual, terms, rate)
 
 
 def _leading_lam(base: Baseline, map_model, kernel, gc: Observable, z: float):
@@ -238,12 +226,6 @@ def _leading_lam(base: Baseline, map_model, kernel, gc: Observable, z: float):
     return leading_eigenpair(assemble(map_model, kernel, gc, z, base.M0.grid)).lam
 
 
-@dataclass
-class LambdaPoint:
-    z: float
-    lam: complex
-
-
 def lambda_curve(
     map_model: MapModel,
     kernel,
@@ -251,7 +233,8 @@ def lambda_curve(
     grid: GridSpec,
     z_values,
 ) -> list:
-    """Leading eigenvalue of the twisted operator along real twists.
+    """Leading eigenvalue (complex) of the twisted operator at each real
+    twist of ``z_values``, in their order.
 
     The observable is centered against the invariant density of the z = 0
     operator before twisting, so d/dz ln|lambda| vanishes at z = 0.
@@ -259,8 +242,7 @@ def lambda_curve(
     base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
     gc = g.shifted(base.shift)
     return [
-        LambdaPoint(z, complex(_leading_lam(base, map_model, kernel, gc, z)))
-        for z in map(float, z_values)
+        complex(_leading_lam(base, map_model, kernel, gc, z)) for z in map(float, z_values)
     ]
 
 

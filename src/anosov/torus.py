@@ -95,6 +95,8 @@ class PerturbedCat(MapModel):
     form: str = "section7"
 
     def __post_init__(self):
+        if not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.form not in ("section7", "appendix"):
             raise ValueError(f"unknown form {self.form!r}")
 

@@ -27,15 +27,6 @@ from .stats import _arpack_leading, _green_kubo
 from .torus import MapModel, Observable
 
 
-@dataclass
-class UlamMatrix:
-    """Sparse row-stochastic transition matrix on m^2 boxes."""
-
-    m: int
-    P: sp.csr_matrix
-    samples_per_box: int
-
-
 def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     if m < 2 or not _is_pow2(m):
         raise ValueError(f"boxes per side must be a power of two >= 2, got {m}")
@@ -75,23 +66,22 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     rows, cols = np.divmod(np.concatenate(keys), nboxes)
     data = np.concatenate(counts) / k
     P = sp.csr_matrix((data, (rows, cols)), shape=(nboxes, nboxes))
-    return UlamMatrix(m, P, k), gbox
+    return P, gbox
 
 
-def build_ulam(map_model: MapModel, m: int, k: int) -> UlamMatrix:
-    """Transition matrix from k deterministic lattice samples per box."""
-    U, _ = _build(map_model, m, k, None)
-    return U
+def build_ulam(map_model: MapModel, m: int, k: int) -> sp.csr_matrix:
+    """Row-stochastic m^2 x m^2 transition matrix from k lattice samples per box."""
+    return _build(map_model, m, k, None)[0]
 
 
-def ulam_srb(U: UlamMatrix) -> np.ndarray:
+def ulam_srb(P: sp.csr_matrix) -> np.ndarray:
     """Invariant density per box (averages one), from the left eigenvector.
 
     ARPACK on P^T from the uniform vector; raises NonConvergenceError when
     ARPACK fails.
     """
-    nboxes = U.m * U.m
-    _, v = _arpack_leading(U.P.T, np.full(nboxes, 1.0 / nboxes))
+    nboxes = P.shape[0]
+    _, v = _arpack_leading(P.T, np.full(nboxes, 1.0 / nboxes))
     return (v / v.sum()).real * nboxes
 
 
@@ -102,8 +92,6 @@ class UlamVarianceResult:
     solve_residual: float
     solve_terms: int
     solve_rate: float  # contraction per series term, about |lambda_2| of P
-    m: int
-    samples_per_box: int
     density: np.ndarray  # invariant density per box, as from ulam_srb
 
 
@@ -117,20 +105,11 @@ def ulam_variance(
     (v <- v - pi.v), and sigma^2 = sum_i pi_i (g_c_i^2 + 2 g_c_i w_i).  The
     series checks its residual (stats._green_kubo).
     """
-    U, gbox = _build(map_model, m, k, g)
-    density = ulam_srb(U)
+    P, gbox = _build(map_model, m, k, g)
+    density = ulam_srb(P)
     pi = density / (m * m)
     shift = float(pi @ gbox)
     gc = gbox - shift
-    w, residual, terms, rate = _green_kubo(U.P, gc, lambda v: v - pi @ v)
+    w, residual, terms, rate = _green_kubo(P, gc, lambda v: v - pi @ v)
     sigma2 = float(pi @ (gc * gc + 2.0 * gc * w))
-    return UlamVarianceResult(
-        sigma2=sigma2,
-        mean_shift=shift,
-        solve_residual=residual,
-        solve_terms=terms,
-        solve_rate=rate,
-        m=m,
-        samples_per_box=k,
-        density=density,
-    )
+    return UlamVarianceResult(sigma2, shift, residual, terms, rate, density)

@@ -158,10 +158,9 @@ def ldp_grid():
 
 def test_criterion5_ldp_suite(perturbed_map, std_g, ldp_grid):
     fejer = FejerKernel()
-    pts = lambda_curve(
-        perturbed_map, fejer, std_g, ldp_grid, [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
-    )
-    ll = {p.z: np.log(abs(p.lam)) for p in pts}
+    zs = [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
+    lams = lambda_curve(perturbed_map, fejer, std_g, ldp_grid, zs)
+    ll = {z: np.log(abs(lam)) for z, lam in zip(zs, lams)}
     d1 = (ll[1e-4] - ll[-1e-4]) / 2e-4
     d2 = (ll[1e-3] - 2 * ll[0.0] + ll[-1e-3]) / 1e-6
     sig = variance(perturbed_map, fejer, std_g, ldp_grid).sigma2
@@ -336,12 +335,12 @@ def test_criterion8_property_suites(perturbed_map, std_g, rng):
     checks["delta-structure"] = worst < 1e-12
 
     # Ulam row stochasticity and determinism
-    U1 = build_ulam(perturbed_map, 8, 16)
-    U2 = build_ulam(perturbed_map, 8, 16)
-    sums = np.asarray(U1.P.sum(axis=1)).ravel()
+    P1 = build_ulam(perturbed_map, 8, 16)
+    P2 = build_ulam(perturbed_map, 8, 16)
+    sums = np.asarray(P1.sum(axis=1)).ravel()
     checks["ulam-stochastic"] = np.allclose(sums, 1.0, atol=1e-12)
-    checks["ulam-deterministic"] = np.array_equal(U1.P.data, U2.P.data) and np.array_equal(
-        U1.P.indices, U2.P.indices
+    checks["ulam-deterministic"] = np.array_equal(P1.data, P2.data) and np.array_equal(
+        P1.indices, P2.indices
     )
 
     # certificate monotone in delta

@@ -4,13 +4,20 @@
 outside it (``operators.OperatorAssembler.base_matrix``,
 ``backend.twisted_rows``, ``stats.assemble`` and more).  A change that
 deletes or renames one of them breaks the benchmark, not the package; these
-tests run traced samples so the suite sees it.
+tests run traced samples so the suite sees it.  Likewise the benchmark's
+correctness gate (``perfbench/gate.py``) reads named keys of the run
+summaries, so small runs of each task go through its ``extract``.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from anosov.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +50,44 @@ def test_traced_variance_sample_reaches_the_eigen_layer(tmp_path):
     assert eig and all(info["method"] == "arpack" for info in eig)
     assert any(span[0] == "operators.assemble" for span in spans)
     assert sum(span[0] == "grids.transforms" for span in spans) == 4
+
+
+def _gate():
+    """``perfbench/gate.py``, imported from its file as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location("gate", ROOT / "perfbench" / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+@pytest.mark.parametrize(
+    "workload, argv, keys",
+    [
+        (
+            "variance-bump-n16",
+            ["variance", "--scheme", "bump", "--n", "8", "--fine", "64"],
+            ["sigma2", "epsilon"],
+        ),
+        (
+            "rate-fejer-n8",
+            ["rate", "--n", "8", "--fine", "64", "--s", "0:0.5:1"],
+            ["sigma2", "bracket_expanded", "rows"],
+        ),
+        (
+            "ulam-m64",
+            ["ulam", "--boxes", "8", "--samples", "16", "--variance"],
+            ["sigma2", "density_min"],
+        ),
+    ],
+    ids=["variance", "rate", "ulam"],
+)
+def test_gate_extracts_what_it_checks_from_small_runs(tmp_path, workload, argv, keys):
+    """A run under the default summary names yields every value the gate
+    compares, with no KeyError or ValueError."""
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    got = _gate().extract(workload, str(tmp_path))
+    assert list(got) == keys
+    summary = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
+    assert got["sigma2"] == summary["results"]["sigma2"]
+    if "rows" in got:
+        assert [row[0] for row in got["rows"]] == [0.0, 0.5, 1.0]

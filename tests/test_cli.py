@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import anosov.cli as cli_mod
@@ -181,9 +182,9 @@ def test_ulam_command_with_variance(tmp_path, monkeypatch):
         calls["build"] += 1
         return build(*args)
 
-    def counting_srb(U):
+    def counting_srb(P):
         calls["srb"] += 1
-        return srb(U)
+        return srb(P)
 
     monkeypatch.setattr(ulam_mod, "_build", counting_build)
     monkeypatch.setattr(ulam_mod, "ulam_srb", counting_srb)
@@ -294,6 +295,10 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert "it needs --scheme bump" in capsys.readouterr().err
     assert main(["variance", "--scheme", "ulam", "--out-dir", str(tmp_path)]) == 1
     assert "'ulam' is not a Fourier scheme" in capsys.readouterr().err
+    # only the variance reads an observable: without it one would only enter the hash
+    argv = ["ulam", "--boxes", "8", "--samples", "16", "--observable", "bogus"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "it needs --variance" in capsys.readouterr().err
     cfg.write_text("[1, 2]")
     assert main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
     assert "does not hold a JSON object" in capsys.readouterr().err
@@ -334,6 +339,44 @@ def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
         warnings.simplefilter("error")
         assert main(argv + ["--out-dir", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+_SMALL = ["--n", "8", "--fine", "64"]
+_ULAM = ["--boxes", "16", "--samples", "100"]
+_NOT_FINITE = "holds a value that is not finite"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ulam", "--boxes", "8", "--samples", "16", "--delta", "nan", "--variance"],
+         "delta must be finite, got nan"),
+        (["certify", "--delta", "nan"], "delta must be finite and nonnegative, got nan"),
+        (["rate", *_SMALL, "--s", "inf"], f"range 'inf' {_NOT_FINITE}"),
+        (["rate", *_SMALL, "--s", "nan"], f"range 'nan' {_NOT_FINITE}"),
+        (["rate", *_SMALL, "--s", "0:0.5:inf"], f"range '0:0.5:inf' {_NOT_FINITE}"),
+        (["rate", *_SMALL, "--z-bracket=-inf,inf"], f"z bracket '-inf,inf' {_NOT_FINITE}"),
+        (["variance", "--delta", "nan"], "delta must be finite, got nan"),
+        (["lambda-curve", "--z", "nan"], f"range 'nan' {_NOT_FINITE}"),
+    ],
+    ids=[
+        "ulam-delta",
+        "certify-delta",
+        "rate-s-inf",
+        "rate-s-nan",
+        "rate-s-stop-inf",
+        "rate-bracket",
+        "variance-delta",
+        "lambda-curve-z",
+    ],
+)
+def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, message):
+    """nan and inf are refused up front; no summary is written."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_summary.json"))
 
 
 @pytest.mark.parametrize(
@@ -380,6 +423,10 @@ def test_readme_library_surface_runs():
     assert q.shape == (16, 16) and q.dtype == np.float64 and q[7, 7] == 1.0
     assert v.shape == (256,) and v.dtype == np.complex128
     assert np.array_equal(v, namespace["base"].eigen.right_vector)
+    lam, P, rho = namespace["lam"], namespace["P"], namespace["rho"]
+    assert [type(x) for x in lam] == [complex, complex] and lam[0] == pytest.approx(1.0)
+    assert isinstance(P, scipy.sparse.csr_matrix) and P.shape == (256, 256)
+    assert rho.shape == (256,) and rho.mean() == pytest.approx(1.0)
 
 
 # each subcommand's settable values, by dest: the options its run reads and
@@ -440,27 +487,21 @@ def test_option_a_subcommand_does_not_read_exits_one(tmp_path, capsys, command, 
     assert not list(tmp_path.glob("*_summary.json"))
 
 
-_SMALL = ["--n", "8", "--fine", "64"]
-_ULAM = ["--boxes", "16", "--samples", "100"]
-
-
 @pytest.mark.parametrize(
     "argv, keys",
     [
         (
             ["certify"],
-            "delta alpha diffeo cone_preservation forward_contraction inverse_contraction "
+            "diffeo cone_preservation forward_contraction inverse_contraction "
             "translate_bound overall",
         ),
         (
             ["variance", *_SMALL],
-            "sigma2 mean_shift solve_residual solve_terms solve_rate n N kernel "
-            "epsilon matching_residual",
+            "sigma2 mean_shift solve_residual solve_terms solve_rate epsilon matching_residual",
         ),
         (
             ["variance", "--scheme", "bump", *_SMALL],
-            "sigma2 mean_shift solve_residual solve_terms solve_rate n N kernel "
-            "epsilon matching_residual",
+            "sigma2 mean_shift solve_residual solve_terms solve_rate epsilon matching_residual",
         ),
         (
             ["srb", *_SMALL, "--dump-operator"],

@@ -38,7 +38,6 @@ def test_leading_eigenpair_toy_matrix():
     # n = 2: the zero mode, ARPACK's start vector, is entry 0 and the top eigenvector
     M = OperatorMatrix(
         entries=np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex),
-        kernel_label="toy",
         z=0.0,
         grid=GridSpec(2, 4),
     )
@@ -117,10 +116,9 @@ def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
 
 
 def test_lambda_curve_identities(perturbed_map, fejer, std_g, small_grid):
-    pts = lambda_curve(
-        perturbed_map, fejer, std_g, small_grid, [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
-    )
-    ll = {p.z: np.log(abs(p.lam)) for p in pts}
+    zs = [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
+    lams = lambda_curve(perturbed_map, fejer, std_g, small_grid, zs)
+    ll = {z: np.log(abs(lam)) for z, lam in zip(zs, lams)}
     assert abs(ll[0.0]) < 1e-10
     d1 = (ll[1e-4] - ll[-1e-4]) / 2e-4
     assert abs(d1) < 1e-4
@@ -129,10 +127,19 @@ def test_lambda_curve_identities(perturbed_map, fejer, std_g, small_grid):
     assert abs(d2 - sig) / sig < 0.01
 
 
+def test_lambda_curve_lists_the_leading_eigenvalue_of_each_z(perturbed_map, fejer, std_g):
+    grid, zs = GridSpec(8, 64), [0.5, -0.25, 0.0, 1.0]
+    lams = lambda_curve(perturbed_map, fejer, std_g, grid, zs)
+    assert [type(lam) for lam in lams] == [complex] * len(zs)
+    base = baseline(assemble(perturbed_map, fejer, std_g, 0.0, grid), std_g)
+    gc = std_g.shifted(base.shift)
+    for z, lam in zip(zs, lams):
+        assert lam == _leading_lam(base, perturbed_map, fejer, gc, z)
+
+
 def test_lambda_real_positive_and_convex(perturbed_map, fejer, std_g, small_grid):
     zs = np.linspace(-1.0, 1.0, 21)
-    pts = lambda_curve(perturbed_map, fejer, std_g, small_grid, zs)
-    lams = np.array([p.lam for p in pts])
+    lams = np.array(lambda_curve(perturbed_map, fejer, std_g, small_grid, zs))
     assert np.abs(lams.imag).max() < 1e-9
     assert np.all(lams.real > 0)
     ll = np.log(np.abs(lams))
@@ -247,7 +254,6 @@ def test_deflated_solve_flags_singular():
     n = 4
     M = OperatorMatrix(
         entries=np.eye(n * n, dtype=complex),
-        kernel_label="toy",
         z=0.0,
         grid=GridSpec(4, 8),
     )
@@ -605,7 +611,7 @@ def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer,
         log_lam, slope, _ = _legendre_point(M, leading_eigenpair(M), dM)
         assert log_lam == math.log(abs(leading_eigenpair(M).lam))
         lo, hi = lambda_curve(perturbed_map, fejer, g, grid, [z - h, z + h])
-        central = (np.log(abs(hi.lam)) - np.log(abs(lo.lam))) / (2 * h)
+        central = (np.log(abs(hi)) - np.log(abs(lo))) / (2 * h)
         assert abs(slope - central) <= 1e-8, z
 
 

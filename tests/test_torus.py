@@ -43,6 +43,12 @@ def test_appendix_form_cosine_amplitude():
     assert full.image_arrays(0.0, 0.0)[0] == pytest.approx(0.02, abs=1e-15)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+def test_perturbed_cat_requires_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite"):
+        PerturbedCat(delta)
+
+
 def test_linear_toral_requires_automorphism():
     with pytest.raises(ValueError):
         LinearToral(2, 0, 0, 1)

@@ -29,13 +29,13 @@ class Translation(MapModel):
         return mod1(x1 + self.t1), mod1(x2 + self.t2)
 
 
-def _power_srb(U, tol=1e-14, max_iter=100_000):
+def _power_srb(P, tol=1e-14, max_iter=100_000):
     """Reference density: power iteration on P^T from the uniform vector.
 
     Stops when the normalised update moves by less than tol in l1.
     """
-    nboxes = U.m * U.m
-    PT = U.P.T.tocsr()
+    nboxes = P.shape[0]
+    PT = P.T.tocsr()
     pi = np.full(nboxes, 1.0 / nboxes)
     for _ in range(max_iter):
         new = PT @ pi
@@ -47,22 +47,21 @@ def _power_srb(U, tol=1e-14, max_iter=100_000):
 
 
 def test_identity_map_gives_identity_matrix():
-    U = build_ulam(LinearToral(1, 0, 0, 1), 4, 16)
-    assert np.array_equal(U.P.toarray(), np.eye(16))
+    P = build_ulam(LinearToral(1, 0, 0, 1), 4, 16)
+    assert np.array_equal(P.toarray(), np.eye(16))
 
 
 def test_row_sums_exact():
-    U = build_ulam(cat_map(), 2, 4)
-    sums = np.asarray(U.P.sum(axis=1)).ravel()
+    P = build_ulam(cat_map(), 2, 4)
+    sums = np.asarray(P.sum(axis=1)).ravel()
     assert np.allclose(sums, 1.0, atol=1e-12)
-    data = U.P.toarray()
+    data = P.toarray()
     assert np.all(data >= 0) and np.all(data <= 1)
 
 
 def test_translation_gives_permutation():
     m = 8
-    U = build_ulam(Translation(1.0 / m, 0.0), m, 16)
-    P = U.P.toarray()
+    P = build_ulam(Translation(1.0 / m, 0.0), m, 16).toarray()
     perm = np.zeros((m * m, m * m))
     for i1 in range(m):
         for i2 in range(m):
@@ -71,14 +70,12 @@ def test_translation_gives_permutation():
 
 
 def test_stochastic_leading_eigenvalue():
-    U = build_ulam(cat_map(), 8, 16)
-    vals = np.linalg.eigvals(U.P.toarray())
+    vals = np.linalg.eigvals(build_ulam(cat_map(), 8, 16).toarray())
     assert np.abs(vals).max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_srb_uniform_for_linear_map():
-    U = build_ulam(cat_map(), 16, 100)
-    density = ulam_srb(U)
+    density = ulam_srb(build_ulam(cat_map(), 16, 100))
     assert np.allclose(density, 1.0, atol=1e-8)
     assert density.sum() == pytest.approx(16 * 16, rel=1e-12)
     assert density.min() >= -1e-12
@@ -87,8 +84,15 @@ def test_srb_uniform_for_linear_map():
 def test_build_deterministic(perturbed_map):
     a = build_ulam(perturbed_map, 8, 16)
     b = build_ulam(perturbed_map, 8, 16)
-    assert np.array_equal(a.P.indices, b.P.indices)
-    assert np.array_equal(a.P.data, b.P.data)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("m", [2, 8, 16])
+def test_build_returns_the_csr_transition_matrix(perturbed_map, m):
+    P = build_ulam(perturbed_map, m, 16)
+    assert isinstance(P, sp.csr_matrix)
+    assert P.shape == (m * m, m * m) and P.dtype == np.float64
 
 
 def test_build_validates_arguments(perturbed_map):
@@ -109,17 +113,16 @@ def test_ulam_variance_linear_oracle(linear_cat, std_g):
 
 
 def test_ulam_srb_perturbed_density_positive(perturbed_map):
-    U = build_ulam(perturbed_map, 16, 64)
-    density = ulam_srb(U)
+    density = ulam_srb(build_ulam(perturbed_map, 16, 64))
     assert density.min() >= -1e-12
     assert density.sum() == pytest.approx(256.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [16, 32])
 def test_ulam_srb_matches_power_iteration(perturbed_map, std_g, monkeypatch, m):
-    U = build_ulam(perturbed_map, m, 64)
-    density = ulam_srb(U)
-    assert np.abs(density - _power_srb(U)).max() <= 1e-12
+    P = build_ulam(perturbed_map, m, 64)
+    density = ulam_srb(P)
+    assert np.abs(density - _power_srb(P)).max() <= 1e-12
     sigma2 = ulam_variance(perturbed_map, m, 64, std_g).sigma2
     monkeypatch.setattr(ulam_mod, "ulam_srb", _power_srb)
     assert abs(ulam_variance(perturbed_map, m, 64, std_g).sigma2 - sigma2) <= 1e-12
@@ -189,9 +192,9 @@ def _spsolve_deflated(P, gc):
 
 def _centred(map_model, m, k, g):
     """(P, pi, g_c) as ``ulam_variance`` forms them."""
-    U, gbox = ulam_mod._build(map_model, m, k, g)
-    pi = ulam_srb(U) / (m * m)
-    return U.P, pi, gbox - pi @ gbox
+    P, gbox = ulam_mod._build(map_model, m, k, g)
+    pi = ulam_srb(P) / P.shape[0]
+    return P, pi, gbox - pi @ gbox
 
 
 def _series(P, pi, x):
@@ -213,10 +216,10 @@ _MAPS = {
 @pytest.mark.parametrize("name", list(_MAPS))
 def test_build_matches_pointwise_oracle(std_g, name, m, sampled):
     g = CallableObservable(std_g.sample) if sampled else std_g
-    U, gbox = ulam_mod._build(_MAPS[name], m, 100, g)
-    P, oracle = _pointwise_build(_MAPS[name], m, 100, g)
+    P, gbox = ulam_mod._build(_MAPS[name], m, 100, g)
+    oracle_P, oracle = _pointwise_build(_MAPS[name], m, 100, g)
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(U.P, attr), getattr(P, attr)), attr
+        assert np.array_equal(getattr(P, attr), getattr(oracle_P, attr)), attr
     assert np.array_equal(gbox, oracle)
 
 
