@@ -34,7 +34,7 @@ import scipy.fft
 
 from . import __version__
 from .certificate import certify
-from .grids import GridSpec, write_grid, write_grid_csv
+from .grids import GridSpec, evaluate_on_fine, write_grid, write_grid_csv
 from .kernels import BumpKernel, FejerKernel, NoRootError, match_epsilon
 from .operators import assemble, write_opmat
 from .stats import NumericalError, baseline, lambda_curve, rate_function, variance
@@ -84,6 +84,8 @@ def _parse_range(text: str) -> list:
 def _make_map(args):
     name = args.map
     if name == "cat":
+        if (args.delta, args.form) != (PerturbedCat.delta, PerturbedCat.form):
+            raise ConfigError("--delta and --form perturb the cat map; --map cat takes neither")
         return cat_map()
     if name == "perturbed-cat":
         return PerturbedCat(delta=args.delta, form=args.form)
@@ -185,15 +187,17 @@ def _cmd_srb(args):
     map_model, kern, g, grid, matched = _fourier_problem(args)
     M0 = assemble(map_model, kern, g, 0.0, grid)
     base = baseline(M0, g)
+    # the density is the real part of the eigenvector's samples
+    spatial = evaluate_on_fine(base.eigen.right_vector.reshape(grid.n, grid.n), grid.N)
     out = _out_dir(args)
     grid_path = os.path.join(out, "srb_density.grid")
-    write_grid(grid_path, base.density)
+    write_grid(grid_path, spatial.real)
     if args.csv:
-        write_grid_csv(os.path.join(out, "srb_density.csv"), base.density)
+        write_grid_csv(os.path.join(out, "srb_density.csv"), spatial.real)
     payload = {
         "leading_eigenvalue": base.eigen.lam,
         "eigen_residual": base.eigen.residual,
-        "imag_discard_max": base.imag_max,
+        "imag_discard_max": float(np.abs(spatial.imag).max()),
         "density_file": grid_path,
     }
     if args.dump_operator:
@@ -263,9 +267,9 @@ def _add_common(p, *groups):
     add = p.add_argument
     if "map" in groups:
         add("--map", default="perturbed-cat", help="cat | perturbed-cat")
-        add("--form", default="section7", help="section7 | appendix")
+        add("--form", default=PerturbedCat.form, help="section7 | appendix")
     if "map" in groups or "delta" in groups:
-        add("--delta", type=float, default=0.01)
+        add("--delta", type=float, default=PerturbedCat.delta)
     if "observable" in groups:
         add(
             "--observable",

@@ -78,6 +78,11 @@ def forward_transform(samples: np.ndarray) -> np.ndarray:
     return sfft.fft2(samples, norm="forward")
 
 
+def line_transform(rows: np.ndarray) -> np.ndarray:
+    """1-D DFT coefficients c(j) = (1/N) sum f(x) e^{-2 pi i j x} of each row, FFT order."""
+    return sfft.fft(rows, norm="forward")
+
+
 def restrict_to_coarse(fine: np.ndarray, n: int) -> np.ndarray:
     """The coarse (n, n) block {-n/2+1..n/2}^2 of a fine spectrum."""
     N = fine.shape[0]

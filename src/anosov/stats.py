@@ -1,13 +1,14 @@
 """Statistical quantities extracted from assembled transfer operators.
 
-The chain is: the z = 0 operator, its leading eigendata, the invariant
-density and the observable centered against it form one :class:`Baseline`,
-built once per call; the CLT variance comes from the Green-Kubo series of
-the deflated resolvent; the twisted eigenvalue curve lambda(z) gives
-the large-deviations rate function r(s) = sup_z (s z - ln|lambda(z)|) by a
-safeguarded Newton solve of Lambda'(z) = s, Lambda = ln|lambda|, with
-Lambda' from the Hellmann-Feynman formula (left and right eigenvectors and
-the derivative operator).
+The chain is: the z = 0 operator, its leading eigendata, the low
+frequencies of the observable and its mean against the invariant density
+form one :class:`Baseline`, built once per call; the CLT variance comes from
+the Green-Kubo series of the deflated resolvent, its fine-grid means formed
+from coefficients by the grid Parseval identity; the twisted eigenvalue
+curve lambda(z) gives the large-deviations rate function
+r(s) = sup_z (s z - ln|lambda(z)|) by a safeguarded Newton solve of
+Lambda'(z) = s, Lambda = ln|lambda|, with Lambda' from the Hellmann-Feynman
+formula (left and right eigenvectors and the derivative operator).
 
 The eigenvalue 1 of the untwisted operator makes Id - L singular on the zero
 mode.  L preserves mass, so the mean-zero subspace is invariant, L contracts
@@ -25,12 +26,13 @@ import scipy.sparse.linalg as spla
 
 from .grids import (
     GridSpec,
+    coarse_freqs,
     evaluate_on_fine,
     fine_points,
     forward_transform,
     freq_index,
+    line_transform,
     restrict_to_coarse,
-    riemann_integral,
 )
 from .operators import OperatorMatrix, assemble, assemble_derivative
 from .torus import MapModel, Observable
@@ -107,34 +109,53 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
 class Baseline:
     """The untwisted operator and everything the statistics derive from it.
 
-    ``density`` is the unit-mass invariant density on the fine grid (its
-    imaginary part, at most ``imag_max``, is dropped); ``shift`` is the mean
-    of g against it and ``centered`` the fine-grid samples of g - shift.
+    ``shift`` is the mean of g against the unit-mass invariant density (the
+    real part of the eigenvector's function).  ``g_window`` and ``g2_window``
+    are the forward DFTs of the fine-grid samples of g and g^2 at the
+    frequencies {-n+1, ..., n}^2, the coarse block of order 2n: every
+    fine-grid mean the statistics take is a sum over them.
     """
 
     M0: OperatorMatrix
     eigen: EigenData
-    density: np.ndarray
-    imag_max: float
     shift: float
-    centered: np.ndarray
+    g_window: np.ndarray
+    g2_window: np.ndarray
+
+
+def _mean_against(coeffs: np.ndarray, window: np.ndarray) -> float:
+    """Fine-grid mean of Re(f) h by the grid Parseval identity.
+
+    f = sum_j c(j) e^{2 pi i j.x} has the (n, n) coarse coefficients
+    ``coeffs``; h is real, and ``window`` holds the forward DFT F_h of its
+    fine-grid samples on {-n+1..n}^2.  The mean of f h is sum_j c(j) F_h(-j).
+    """
+    neg = len(coeffs) - 1 - coarse_freqs(len(coeffs))  # window index of -j
+    return float(np.sum(coeffs * window[np.ix_(neg, neg)]).real)
 
 
 def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
-    """Leading eigendata of M0, its density, and g centered against it."""
-    N = M0.grid.N
+    """Leading eigendata of M0, the spectra of g and g^2, and g's mean.
+
+    A separable g = g1(x1) + g2(x2) has the spectra of 1-D transforms: F_g
+    is a cross on the zero row and column, and F_{g^2} that of g1^2 and g2^2
+    plus 2 F_g1 F_g2^T.  Any other g transforms its samples on the grid.
+    """
+    n, N = M0.n, M0.grid.N
     eig = leading_eigenpair(M0)
-    spatial = evaluate_on_fine(eig.right_vector.reshape(M0.n, M0.n), N)
-    density = spatial.real.copy()
-    parts, x = g.separable_parts(), np.arange(N) / N
+    parts = g.separable_parts()
     if parts is None:
         gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
+        g_win, g2_win = (restrict_to_coarse(forward_transform(f), 2 * n) for f in (gs, gs * gs))
     else:
-        gs = np.add.outer(parts[0](x), parts[1](x))
-    shift = float(riemann_integral(gs * density).real)
-    return Baseline(
-        M0, eig, density, float(np.abs(spatial.imag).max()), shift, gs - shift
-    )
+        x, k = np.arange(N) / N, coarse_freqs(2 * n)
+        g1, g2 = (np.asarray(part(x), dtype=float) for part in parts)
+        h1, h2, q1, q2 = line_transform(np.array([g1, g2, g1 * g1, g2 * g2]))[:, k % N]
+        zero = (k == 0).astype(float)
+        g_win = np.outer(h1, zero) + np.outer(zero, h2)
+        g2_win = np.outer(q1, zero) + np.outer(zero, q2) + 2.0 * np.outer(h1, h2)
+    shift = _mean_against(eig.right_vector.reshape(n, n), g_win)
+    return Baseline(M0, eig, shift, g_win, g2_win)
 
 
 # Green-Kubo terms summed before an operator that does not mix counts as singular
@@ -202,21 +223,28 @@ def variance(
     sigma^2 = int g_c^2 v + 2 g_c (Id - L)^{-1} L (g_c v) dLeb, with v the
     unit-mass invariant density of the z = 0 operator and g_c the centered
     observable; (Id - L)^{-1} L (g_c v) = sum_{j>=1} L^j (g_c v) off the zero
-    mode.  All products are formed pointwise on the fine grid.
+    mode.  Each fine-grid mean is formed from coefficients by the grid
+    Parseval identity; a separable g needs no N x N array.
     """
     return _variance(baseline(assemble(map_model, kernel, g, 0.0, grid), g))
 
 
 def _variance(base: Baseline) -> VarianceResult:
-    M0, gc, v = base.M0, base.centered, base.density
-    n, N = M0.grid.n, M0.grid.N
-    x = restrict_to_coarse(forward_transform(gc * v), n).ravel()
+    M0, s, n = base.M0, base.shift, base.M0.n
+    r = base.eigen.right_vector.reshape(n, n)
+    gc = base.g_window.copy()  # the spectra of g_c = g - s and of g_c^2
+    gc[n - 1, n - 1] -= s
+    gc2 = base.g2_window - 2.0 * s * base.g_window
+    gc2[n - 1, n - 1] += s * s
+    # the coarse block of g_c v is sum_k v(k) F_gc(j - k): v's k lie in
+    # {-n/2..n/2}, so j - k lies in {-n+1..n} and the 2n x 2n grid does not alias
+    v = evaluate_on_fine(r, 2 * n).real
+    x = restrict_to_coarse(forward_transform(evaluate_on_fine(gc, 2 * n) * v), n).ravel()
     w, residual, terms, rate = _deflated_solve(M0, x)
-    w_spatial = evaluate_on_fine(w.reshape(n, n), N)
-    sigma2 = complex(riemann_integral(gc * gc * v + 2.0 * gc * w_spatial))
-    if sigma2.real < -1e-8:
-        raise NumericalError(f"variance came out negative: {sigma2.real:.3e}")
-    return VarianceResult(float(sigma2.real), base.shift, residual, terms, rate)
+    sigma2 = _mean_against(r, gc2) + 2.0 * _mean_against(w.reshape(n, n), gc)
+    if sigma2 < -1e-8:
+        raise NumericalError(f"variance came out negative: {sigma2:.3e}")
+    return VarianceResult(sigma2, s, residual, terms, rate)
 
 
 def _leading_lam(base: Baseline, map_model, kernel, gc: Observable, z: float):

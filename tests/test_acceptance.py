@@ -93,11 +93,12 @@ def test_criterion2_ulam_variance(perturbed_map, std_g):
 def _series_sigma2(map_model, kernel, g, grid, terms):
     """Truncated Green-Kubo series, independent of the linear-solve path."""
     M0 = assemble(map_model, kernel, g, 0.0, grid)
-    srb = baseline(M0, g)
+    r = baseline(M0, g).eigen.right_vector.reshape(grid.n, grid.n)
+    density = evaluate_on_fine(r, grid.N).real
     gs = g.sample(*fine_points(grid.N))
-    gc = gs - riemann_integral(gs * srb.density).real
-    x = restrict_to_coarse(forward_transform(gc * srb.density), grid.n).ravel()
-    acc = riemann_integral(gc * gc * srb.density)
+    gc = gs - riemann_integral(gs * density).real
+    x = restrict_to_coarse(forward_transform(gc * density), grid.n).ravel()
+    acc = riemann_integral(gc * gc * density)
     for _ in range(terms):
         x = M0.entries @ x
         acc = acc + 2.0 * riemann_integral(

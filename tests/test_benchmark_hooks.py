@@ -43,8 +43,10 @@ def test_traced_benchmark_sample_runs(tmp_path):
 def test_traced_variance_sample_reaches_the_eigen_layer(tmp_path):
     """``certify`` never reaches the operator or eigen layers; a small
     ``variance`` run does, and its eigenpair comes from ARPACK.  Its four
-    fine-grid transforms (density, forward and restrict of g_c v, w on the
-    grid) are still traced through ``stats``."""
+    grid transforms, all on the 2n x 2n grid (the density and g_c sampled
+    there, and the forward transform and restriction of g_c v), are still
+    traced through ``stats``; the standard observable's spectra come from
+    1-D transforms, which are not."""
     spans = _traced_spans(tmp_path, ["variance", "--n", "8", "--fine", "64"])
     eig = [info for name, _, _, _, info in spans if name == "stats.eig"]
     assert eig and all(info["method"] == "arpack" for info in eig)

@@ -295,6 +295,15 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     assert "it needs --scheme bump" in capsys.readouterr().err
     assert main(["variance", "--scheme", "ulam", "--out-dir", str(tmp_path)]) == 1
     assert "'ulam' is not a Fourier scheme" in capsys.readouterr().err
+    # the cat map has no perturbation: a --delta or --form would only enter the hash
+    for flags in (
+        ["--delta", "nan", "--form", "appendix"],
+        ["--delta", "0.02"],
+        ["--form=appendix"],
+    ):
+        argv = ["variance", "--map", "cat", *flags, "--n", "8", "--fine", "64"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert "--map cat takes neither" in capsys.readouterr().err
     # only the variance reads an observable: without it one would only enter the hash
     argv = ["ulam", "--boxes", "8", "--samples", "16", "--observable", "bogus"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
@@ -423,6 +432,9 @@ def test_readme_library_surface_runs():
     assert q.shape == (16, 16) and q.dtype == np.float64 and q[7, 7] == 1.0
     assert v.shape == (256,) and v.dtype == np.complex128
     assert np.array_equal(v, namespace["base"].eigen.right_vector)
+    density = namespace["density"]
+    assert density.shape == (256, 256) and density.dtype == np.float64
+    assert density.mean() == pytest.approx(1.0)
     lam, P, rho = namespace["lam"], namespace["P"], namespace["rho"]
     assert [type(x) for x in lam] == [complex, complex] and lam[0] == pytest.approx(1.0)
     assert isinstance(P, scipy.sparse.csr_matrix) and P.shape == (256, 256)

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from anosov import (
     BumpKernel,
+    CallableObservable,
     FejerKernel,
     GridSpec,
     TrigPolynomial,
@@ -31,7 +32,16 @@ from anosov.stats import (
     _deflated_solve,
     _leading_lam,
     _legendre_point,
+    _variance,
 )
+
+
+def _density(base):
+    """The invariant density sampled on the fine grid, built here
+    independently of the statistics: the real part of the eigenvector's
+    function."""
+    n = base.M0.n
+    return evaluate_on_fine(base.eigen.right_vector.reshape(n, n), base.M0.grid.N).real
 
 
 def test_leading_eigenpair_toy_matrix():
@@ -56,7 +66,7 @@ def test_cat_map_srb_is_lebesgue(linear_cat, fejer, std_g):
     e0[freq_index(0, 0, 16)] = 1.0
     assert np.abs(eig.right_vector - e0).max() < 1e-10
     srb = baseline(M0, std_g)
-    assert np.allclose(srb.density, 1.0, atol=1e-10)
+    assert np.allclose(_density(srb), 1.0, atol=1e-10)
 
 
 def test_perturbed_leading_eigenvalue_is_one(perturbed_map, fejer, std_g, small_grid):
@@ -68,10 +78,10 @@ def test_perturbed_leading_eigenvalue_is_one(perturbed_map, fejer, std_g, small_
 
 def test_srb_density_deterministic(perturbed_map, fejer, std_g, small_grid):
     M0 = assemble(perturbed_map, fejer, std_g, 0.0, small_grid)
-    a = baseline(M0, std_g)
-    b = baseline(M0, std_g)
-    assert np.array_equal(a.density, b.density)
-    assert riemann_integral(a.density) == pytest.approx(1.0, abs=1e-10)
+    a = _density(baseline(M0, std_g))
+    b = _density(baseline(M0, std_g))
+    assert np.array_equal(a, b)
+    assert riemann_integral(a) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_centered_observable_linear_map(linear_cat, fejer, std_g):
@@ -82,7 +92,7 @@ def test_centered_observable_linear_map(linear_cat, fejer, std_g):
     const = TrigPolynomial((((0, 0), 2.5),))
     cen = baseline(M0, const)
     assert cen.shift == pytest.approx(2.5, abs=1e-12)
-    assert np.abs(cen.centered).max() < 1e-12
+    assert np.abs(const.shifted(cen.shift).sample(*fine_points(grid.N))).max() < 1e-12
 
 
 def test_variance_cat_map_analytic(linear_cat, fejer, std_g):
@@ -102,11 +112,11 @@ def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
     res = variance(perturbed_map, fejer, std_g, grid)
     # independent truncated-series oracle
     M0 = assemble(perturbed_map, fejer, std_g, 0.0, grid)
-    srb = baseline(M0, std_g)
+    density = _density(baseline(M0, std_g))
     gs = std_g.sample(*fine_points(grid.N))
-    gc = gs - riemann_integral(gs * srb.density).real
-    x = restrict_to_coarse(forward_transform(gc * srb.density), grid.n).ravel()
-    acc = riemann_integral(gc * gc * srb.density)
+    gc = gs - riemann_integral(gs * density).real
+    x = restrict_to_coarse(forward_transform(gc * density), grid.n).ravel()
+    acc = riemann_integral(gc * gc * density)
     for _ in range(60):
         x = M0.entries @ x
         acc = acc + 2.0 * riemann_integral(
@@ -303,7 +313,9 @@ def _lu_deflated(M, x):
 )
 def test_deflated_solve_matches_lu_oracle(perturbed_map, std_g, kernel, n, N):
     base = baseline(assemble(perturbed_map, kernel, std_g, 0.0, GridSpec(n, N)), std_g)
-    x = restrict_to_coarse(forward_transform(base.centered * base.density), n).ravel()
+    density = _density(base)
+    gc = std_g.sample(*fine_points(N)) - base.shift
+    x = restrict_to_coarse(forward_transform(gc * density), n).ravel()
     w, residual, terms, rate = _deflated_solve(base.M0, x)
     assert w[freq_index(0, 0, n)] == 0.0
     assert np.abs(w - _lu_deflated(base.M0, x)).max() <= 1e-12
@@ -652,3 +664,60 @@ def test_fejer_variance_at_n128_in_bounded_memory(perturbed_map, fejer, std_g):
         tracemalloc.stop()
     assert res.sigma2 == pytest.approx(0.93665838, abs=1e-7)
     assert peak < 400 * 2**20
+
+
+def _fine_grid_oracle(base, g):
+    """(sigma^2, shift) with every product formed pointwise on the N x N
+    grid: the density, g and the Green-Kubo solution w sampled there."""
+    n, N = base.M0.n, base.M0.grid.N
+    density = _density(base)
+    gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
+    shift = float(riemann_integral(gs * density).real)
+    gc = gs - shift
+    x = restrict_to_coarse(forward_transform(gc * density), n).ravel()
+    w = _deflated_solve(base.M0, x)[0]
+    w_spatial = evaluate_on_fine(w.reshape(n, n), N)
+    sigma2 = complex(riemann_integral(gc * gc * density + 2.0 * gc * w_spatial)).real
+    return sigma2, shift
+
+
+_ROUGH = CallableObservable(lambda x1, x2: np.abs(np.mod(x1 - x2, 1.0) - 0.5) - 0.25)
+# the bump needs 16 fine points in its disk: no width below 1/2 finds them on
+# a 4 x 4 grid, and at N = 16 the width is 1/4
+_ORACLE_CASES = [(FejerKernel(), 2, 4), (FejerKernel(), 8, 16), (BumpKernel(0.25), 8, 16)] + [
+    (kernel, n, N)
+    for n, N in [(8, 64), (16, 256), (32, 512)]
+    for kernel in (FejerKernel(), BumpKernel(0.1))
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, n, N",
+    _ORACLE_CASES,
+    ids=[f"{type(k).__name__[:-6].lower()}-{n}-{N}" for k, n, N in _ORACLE_CASES],
+)
+@pytest.mark.parametrize(
+    "g", [standard_observable(), _MIXED, _ROUGH], ids=["standard", "mixed", "callable"]
+)
+def test_variance_matches_the_fine_grid_oracle(perturbed_map, g, kernel, n, N):
+    """sigma^2 and the shift from coefficients equal the fine-grid Riemann
+    sums, for separable, mixed-mode and callable g."""
+    base = baseline(assemble(perturbed_map, kernel, g, 0.0, GridSpec(n, N)), g)
+    res = _variance(base)
+    sigma2, shift = _fine_grid_oracle(base, g)
+    assert abs(res.mean_shift - shift) <= 1e-15
+    assert abs(res.sigma2 - sigma2) <= 1e-14 * abs(sigma2)
+
+
+def test_variance_never_allocates_a_fine_grid_array(perturbed_map, fejer, std_g):
+    """n = 32, N = 512: the peak stays below one 512^2 complex array (4 MiB);
+    the mean shift and sigma^2 need only coarse and 2n x 2n arrays."""
+    grid = GridSpec(32, 512)
+    tracemalloc.start()
+    try:
+        res = variance(perturbed_map, fejer, std_g, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sigma2 == pytest.approx(0.9448165794443963, abs=1e-12)
+    assert peak < 16 * grid.N**2
