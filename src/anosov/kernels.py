@@ -173,6 +173,8 @@ def match_epsilon(n: int, grid: GridSpec):
     lo, hi = float(scan[i]), float(scan[i + 1])
     for _ in range(50):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: nothing moves
+            break
         if f(mid)[0] >= 0:
             lo = mid
         else:

@@ -49,7 +49,7 @@ class MapModel:
         """(A, phi1, phi2) with T(x) = A x + (phi1(x1), phi2(x2)) mod 1.
 
         A is the integer 2 x 2 matrix; phi1 and phi2 map 1-D arrays to arrays.
-        Operator assembly and :meth:`image_arrays` need this form.
+        Operator assembly, the Ulam build and :meth:`image_arrays` need this form.
         """
         raise NotImplementedError
 

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import _is_pow2
+from .operators import _reserve
 from .stats import _arpack_leading, _green_kubo
 from .torus import MapModel, Observable
 
@@ -33,8 +34,13 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     ks = math.isqrt(max(k, 0))
     if k < 1 or ks * ks != k:
         raise ValueError(f"samples per box must be a positive perfect square, got {k}")
-    off = (np.arange(ks) + 0.5) / (m * ks)
     nboxes = m * m
+    # five 8-byte row buffers of m k samples, and gbox, the csr indptr and
+    # the density of m^2 boxes; the budget also keeps the int64 keys
+    # box * m^2 + dest, which overflow from m = 2^16, out of reach
+    _reserve(8 * (5 * m * k + 3 * nboxes), "the Ulam matrix")
+    A, phi1, phi2 = map_model.separable_parts()
+    off = (np.arange(ks) + 0.5) / (m * ks)
     keys, counts = [], []
     parts = None if g is None else g.separable_parts()
     gbox = None if g is None else np.empty(nboxes)
@@ -48,21 +54,41 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     # x1 varies along a and x2 along (i2, b), broadcast to (m, ks, ks), which
     # flattens to the (m, k) samples in row-major (a, b) order
     x2 = np.arange(m)[:, None, None] / m + off
+    a01, a11 = A[0, 1] * x2, A[1, 1] * x2
+    p2 = phi2(x2)
+    t1, t2, fl = (np.empty((m, ks, ks)) for _ in range(3))
+    j1, j2 = (np.empty((m, ks, ks), dtype=np.int64) for _ in range(2))
+    # destinations fit the smallest unsigned type holding m^2 - 1, whose
+    # sort is several times faster than np.unique on int64 keys
+    dest = np.empty((m, k), dtype=np.min_scalar_type(nboxes - 1))
+    new = np.empty((m, k), dtype=bool)
+    new[:, 0] = True
     for i1 in range(m):
         x1 = (i1 / m + off)[:, None]
-        y1, y2 = map_model.image_arrays(x1, x2)
-        # & (m - 1) is % m on int64 for a power-of-two m, and much cheaper
-        j1, j2 = ((y * m).astype(np.int64) & (m - 1) for y in (y1, y2))
-        dest = np.broadcast_to(j1 * m + j2, (m, ks, ks)).reshape(m, k)
+        # the sums of image_arrays, in its order, so every box matches it
+        np.add(A[0, 0] * x1, a01, out=t1)
+        t1 += phi1(x1)
+        np.add(A[1, 0] * x1, a11, out=t2)
+        t2 += p2
+        # mod 1 as t - floor(t); & (m - 1) is % m on int64 for a power-of-two m
+        for t, j in ((t1, j1), (t2, j2)):
+            t -= np.floor(t, out=fl)
+            t *= m
+            np.copyto(j, t, casting="unsafe")
+            j &= m - 1
+        j1 *= m
+        j1 += j2
+        np.copyto(dest, j1.reshape(m, k), casting="unsafe")
         if g is not None and parts is None:
             gs = g.sample(*np.broadcast_arrays(x1, x2))
             gbox[i1 * m : (i1 + 1) * m] = gs.reshape(m, k).mean(axis=1)
-        # (box, destination) pairs encoded as box * nboxes + destination
-        boxes = np.arange(i1 * m, (i1 + 1) * m, dtype=np.int64)
-        pairs = (boxes[:, None] * nboxes + dest).ravel()
-        uniq, c = np.unique(pairs, return_counts=True)
-        keys.append(uniq)
-        counts.append(c)
+        # each box's sorted destinations; a run of equal ones is one entry,
+        # and the (box, destination) keys come out in np.unique's order
+        dest.sort(axis=1)
+        np.not_equal(dest[:, 1:], dest[:, :-1], out=new[:, 1:])
+        starts = np.flatnonzero(new)
+        keys.append((starts // k + i1 * m) * nboxes + dest.ravel()[starts])
+        counts.append(np.diff(starts, append=m * k))
     rows, cols = np.divmod(np.concatenate(keys), nboxes)
     data = np.concatenate(counts) / k
     P = sp.csr_matrix((data, (rows, cols)), shape=(nboxes, nboxes))

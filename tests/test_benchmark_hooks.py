@@ -54,6 +54,14 @@ def test_traced_variance_sample_reaches_the_eigen_layer(tmp_path):
     assert sum(span[0] == "grids.transforms" for span in spans) == 4
 
 
+def test_traced_ulam_sample_reaches_the_build_and_the_density(tmp_path):
+    """The benchmark patches ``ulam._build`` and ``ulam_srb``; a small
+    ``ulam --variance`` run records one span of each."""
+    argv = ["ulam", "--boxes", "8", "--samples", "16", "--variance"]
+    names = [span[0] for span in _traced_spans(tmp_path, argv)]
+    assert names.count("ulam.build") == 1 and names.count("ulam.srb") == 1
+
+
 def _gate():
     """``perfbench/gate.py``, imported from its file as the benchmark runs it."""
     spec = importlib.util.spec_from_file_location("gate", ROOT / "perfbench" / "gate.py")

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -15,18 +17,30 @@ from anosov import (
     ulam_srb,
     ulam_variance,
 )
+from anosov.cli import main
 from anosov.stats import SingularSolveError
 from anosov.torus import MapModel, mod1
 
 
 class Translation(MapModel):
-    """Test helper: rigid translation of the torus."""
+    """Test helper: rigid translation of the torus.
+
+    ``image_arrays`` is spelled out for the pointwise oracle; the build reads
+    ``separable_parts``, whose sums (1 x1 + 0 x2) + t1 round as x1 + t1 does.
+    """
 
     def __init__(self, t1, t2):
         self.t1, self.t2 = t1, t2
 
     def image_arrays(self, x1, x2):
         return mod1(x1 + self.t1), mod1(x2 + self.t2)
+
+    def separable_parts(self):
+        return (
+            np.eye(2, dtype=np.int64),
+            lambda x1: np.full_like(x1, self.t1),
+            lambda x2: np.full_like(x2, self.t2),
+        )
 
 
 def _power_srb(P, tol=1e-14, max_iter=100_000):
@@ -104,6 +118,24 @@ def test_build_validates_arguments(perturbed_map):
     for m, k in ((1, 16), (8, 0), (8, -4)):
         with pytest.raises(ValueError, match=f"got {min(m, k)}"):
             build_ulam(perturbed_map, m, k)
+
+
+def test_build_reserves_its_arrays(tmp_path, capsys):
+    """The row buffers (m k samples) and the m^2 arrays are checked against
+    the budget before anything is allocated; the CLI exits 2."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="the Ulam matrix needs"):
+            build_ulam(cat_map(), 32768, 1)  # 2^30 boxes
+        argv = ["ulam", "--boxes", "2", "--samples", str(2**40)]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MemoryError" and "the Ulam matrix needs" in err["message"]
+    assert not (tmp_path / "ulam_density.grid").exists()
 
 
 def test_ulam_variance_linear_oracle(linear_cat, std_g):
@@ -218,6 +250,19 @@ def test_build_matches_pointwise_oracle(std_g, name, m, sampled):
     g = CallableObservable(std_g.sample) if sampled else std_g
     P, gbox = ulam_mod._build(_MAPS[name], m, 100, g)
     oracle_P, oracle = _pointwise_build(_MAPS[name], m, 100, g)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(P, attr), getattr(oracle_P, attr)), attr
+    assert np.array_equal(gbox, oracle)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["separable-g", "callable-g"])
+def test_build_matches_pointwise_oracle_with_wide_keys(std_g, sampled):
+    """At m = 512 the destinations m^2 - 1 no longer fit 16 bits; the build
+    sorts them as uint32."""
+    assert np.min_scalar_type(512 * 512 - 1) == np.uint32
+    g = CallableObservable(std_g.sample) if sampled else std_g
+    P, gbox = ulam_mod._build(_MAPS["section7"], 512, 4, g)
+    oracle_P, oracle = _pointwise_build(_MAPS["section7"], 512, 4, g)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(P, attr), getattr(oracle_P, attr)), attr
     assert np.array_equal(gbox, oracle)
