@@ -36,8 +36,15 @@ from . import __version__
 from .certificate import certify
 from .grids import GridSpec, evaluate_on_fine, write_grid, write_grid_csv
 from .kernels import BumpKernel, FejerKernel, NoRootError, match_epsilon
-from .operators import assemble, write_opmat
-from .stats import NumericalError, baseline, lambda_curve, rate_function, variance
+from .operators import _reserve, assemble, write_opmat
+from .stats import (
+    NumericalError,
+    baseline,
+    lambda_curve,
+    leading_eigenpair,
+    rate_function,
+    variance,
+)
 from .torus import PerturbedCat, TrigPolynomial, cat_map, standard_observable
 from .ulam import build_ulam, ulam_srb, ulam_variance
 
@@ -71,6 +78,8 @@ def _parse_range(text: str) -> list:
         a, h, b = _finite(parts, f"range {text!r}")
         if h <= 0:
             raise ConfigError("range step must be positive")
+        # a float and its list slot per value; the count may be inf
+        _reserve(32 * ((b - a) / h + 1), f"range {text!r}")
         count = int(round((b - a) / h))
         vals = [a + i * h for i in range(count + 1)]
         vals = [v for v in vals if v <= b + 1e-12]
@@ -121,7 +130,7 @@ def _fourier_problem(args):
     elif args.scheme == "bump":
         eps = args.epsilon
         if eps is None:
-            eps, residual = match_epsilon(grid.n, grid)
+            eps, residual = match_epsilon(grid)
             matched["matching_residual"] = residual
         matched["epsilon"] = eps
         kern = BumpKernel(eps)
@@ -179,24 +188,26 @@ def _cmd_certify(args):
 
 
 def _cmd_variance(args):
-    map_model, kern, g, grid, matched = _fourier_problem(args)
-    return {**asdict(variance(map_model, kern, g, grid)), **matched}
+    *problem, matched = _fourier_problem(args)
+    return {**asdict(variance(baseline(*problem))), **matched}
 
 
 def _cmd_srb(args):
     map_model, kern, g, grid, matched = _fourier_problem(args)
+    # the density's complex samples, their real part and |imag| on the fine grid
+    _reserve(32 * grid.N**2, "the density's fine-grid samples")
     M0 = assemble(map_model, kern, g, 0.0, grid)
-    base = baseline(M0, g)
+    eig = leading_eigenpair(M0)
     # the density is the real part of the eigenvector's samples
-    spatial = evaluate_on_fine(base.eigen.right_vector.reshape(grid.n, grid.n), grid.N)
+    spatial = evaluate_on_fine(eig.right_vector.reshape(grid.n, grid.n), grid.N)
     out = _out_dir(args)
     grid_path = os.path.join(out, "srb_density.grid")
     write_grid(grid_path, spatial.real)
     if args.csv:
         write_grid_csv(os.path.join(out, "srb_density.csv"), spatial.real)
     payload = {
-        "leading_eigenvalue": base.eigen.lam,
-        "eigen_residual": base.eigen.residual,
+        "leading_eigenvalue": eig.lam,
+        "eigen_residual": eig.residual,
         "imag_discard_max": float(np.abs(spatial.imag).max()),
         "density_file": grid_path,
     }
@@ -213,8 +224,8 @@ def _cmd_rate(args):
         raise ConfigError(f"z bracket must be lo,hi, got {args.z_bracket!r}")
     bracket = tuple(_finite(bracket, f"z bracket {args.z_bracket!r}"))
     s_values = _parse_range(args.s)
-    map_model, kern, g, grid, matched = _fourier_problem(args)
-    table = rate_function(map_model, kern, g, grid, s_values, bracket)
+    *problem, matched = _fourier_problem(args)
+    table = rate_function(baseline(*problem), s_values, bracket)
     csv_path = _write_csv(
         os.path.join(_out_dir(args), "rate_table.csv"),
         ["s", "z_star", "r", "iterations", "boundary_flag"],
@@ -226,8 +237,8 @@ def _cmd_rate(args):
 
 def _cmd_lambda_curve(args):
     zs = _parse_range(args.z)
-    map_model, kern, g, grid, matched = _fourier_problem(args)
-    points = list(zip(zs, lambda_curve(map_model, kern, g, grid, zs)))
+    *problem, matched = _fourier_problem(args)
+    points = list(zip(zs, lambda_curve(baseline(*problem), zs)))
     csv_path = _write_csv(
         os.path.join(_out_dir(args), "lambda_curve.csv"),
         ["z", "lambda_re", "lambda_im", "log_abs_lambda"],
@@ -245,9 +256,8 @@ def _cmd_ulam(args):
         raise ConfigError("--observable is the variance's observable; it needs --variance")
     map_model, stats = _make_map(args), {}
     if args.variance:
-        res = ulam_variance(map_model, args.boxes, args.samples, _make_observable(args))
+        res, density = ulam_variance(map_model, args.boxes, args.samples, _make_observable(args))
         stats = asdict(res)
-        density = stats.pop("density")
     else:
         density = ulam_srb(build_ulam(map_model, args.boxes, args.samples))
     grid_path = os.path.join(_out_dir(args), "ulam_density.grid")

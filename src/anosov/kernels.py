@@ -129,7 +129,7 @@ class FejerKernel:
         return sfft.ifft2(fine, norm="forward").real
 
 
-def match_epsilon(n: int, grid: GridSpec):
+def match_epsilon(grid: GridSpec):
     """(epsilon, residual): the bump width whose smallest coarse coefficient
     matches the Fejer minimum, and the relative miss f(epsilon) / target.
 
@@ -148,7 +148,7 @@ def match_epsilon(n: int, grid: GridSpec):
     NoRootError names n, N and the Fejer minimum when no scan point reaches it
     (with the shortfall and the scan floor 8/N) or none falls below it.
     """
-    grid = GridSpec(n, grid.N)
+    n = grid.n
     target = float(fejer_coefficients(n).min())
     cos = _cosine_table(grid.N, n // 2)
 

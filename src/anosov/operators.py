@@ -232,8 +232,9 @@ def _twisted(map_model, kernel, g, z, grid, derivative):
         # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
         sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
     else:
-        # the running sum, one block's product and that block's two factors
-        _reserve(16 * (2 * n**4 + 2 * TERM_BLOCK * n**3), "the dense operator")
+        # the running sum, one block's product and that block's two factors;
+        # on the fine grid the points, g, z g, the weight and the indicators
+        _reserve(16 * (2 * n**4 + 2 * TERM_BLOCK * n**3) + 64 * N * N, "the dense operator")
         gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
         sup = float(np.abs(gs).max())
     if abs(z.real) * sup > EXP_GUARD:

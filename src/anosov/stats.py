@@ -2,10 +2,11 @@
 
 The chain is: the z = 0 operator, its leading eigendata, the low
 frequencies of the observable and its mean against the invariant density
-form one :class:`Baseline`, built once per call; the CLT variance comes from
-the Green-Kubo series of the deflated resolvent, its fine-grid means formed
-from coefficients by the grid Parseval identity; the twisted eigenvalue
-curve lambda(z) gives the large-deviations rate function
+form one :class:`Baseline`, built once per problem and read by
+:func:`variance`, :func:`lambda_curve` and :func:`rate_function`; the CLT
+variance comes from the Green-Kubo series of the deflated resolvent, its
+fine-grid means formed from coefficients by the grid Parseval identity; the
+twisted eigenvalue curve lambda(z) gives the large-deviations rate function
 r(s) = sup_z (s z - ln|lambda(z)|) by a safeguarded Newton solve of
 Lambda'(z) = s, Lambda = ln|lambda|, with Lambda' from the Hellmann-Feynman
 formula (left and right eigenvectors and the derivative operator).
@@ -34,7 +35,7 @@ from .grids import (
     line_transform,
     restrict_to_coarse,
 )
-from .operators import OperatorMatrix, assemble, assemble_derivative
+from .operators import OperatorMatrix, _reserve, assemble, assemble_derivative
 from .torus import MapModel, Observable
 
 
@@ -107,15 +108,20 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
 
 @dataclass(frozen=True)
 class Baseline:
-    """The untwisted operator and everything the statistics derive from it.
+    """One Fourier problem and its untwisted operator, shared by the statistics.
 
-    ``shift`` is the mean of g against the unit-mass invariant density (the
-    real part of the eigenvector's function).  ``g_window`` and ``g2_window``
-    are the forward DFTs of the fine-grid samples of g and g^2 at the
-    frequencies {-n+1, ..., n}^2, the coarse block of order 2n: every
+    ``map_model``, ``kernel`` and the grid of ``M0`` define the problem;
+    ``gc`` is the observable centered by ``shift``, the mean of g against the
+    unit-mass invariant density (the real part of the eigenvector's
+    function), and is what the twist multiplies.  ``g_window`` and
+    ``g2_window`` are the forward DFTs of the fine-grid samples of g and g^2
+    at the frequencies {-n+1, ..., n}^2, the coarse block of order 2n: every
     fine-grid mean the statistics take is a sum over them.
     """
 
+    map_model: MapModel
+    kernel: object
+    gc: Observable
     M0: OperatorMatrix
     eigen: EigenData
     shift: float
@@ -134,16 +140,22 @@ def _mean_against(coeffs: np.ndarray, window: np.ndarray) -> float:
     return float(np.sum(coeffs * window[np.ix_(neg, neg)]).real)
 
 
-def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
-    """Leading eigendata of M0, the spectra of g and g^2, and g's mean.
+def baseline(map_model: MapModel, kernel, g: Observable, grid: GridSpec) -> Baseline:
+    """The z = 0 operator, its leading eigendata, the spectra of g and g^2,
+    g's mean and the centered g: built once per problem.
 
     A separable g = g1(x1) + g2(x2) has the spectra of 1-D transforms: F_g
     is a cross on the zero row and column, and F_{g^2} that of g1^2 and g2^2
-    plus 2 F_g1 F_g2^T.  Any other g transforms its samples on the grid.
+    plus 2 F_g1 F_g2^T.  Any other g transforms its samples on the grid,
+    after a byte guard on them.
     """
-    n, N = M0.n, M0.grid.N
-    eig = leading_eigenpair(M0)
+    n, N = grid.n, grid.N
     parts = g.separable_parts()
+    if parts is None:
+        # the grid points, the samples of g and g^2 and one complex transform
+        _reserve(48 * N * N, "the observable's fine-grid samples")
+    M0 = assemble(map_model, kernel, g, 0.0, grid)
+    eig = leading_eigenpair(M0)
     if parts is None:
         gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
         g_win, g2_win = (restrict_to_coarse(forward_transform(f), 2 * n) for f in (gs, gs * gs))
@@ -155,7 +167,7 @@ def baseline(M0: OperatorMatrix, g: Observable) -> Baseline:
         g_win = np.outer(h1, zero) + np.outer(zero, h2)
         g2_win = np.outer(q1, zero) + np.outer(zero, q2) + 2.0 * np.outer(h1, h2)
     shift = _mean_against(eig.right_vector.reshape(n, n), g_win)
-    return Baseline(M0, eig, shift, g_win, g2_win)
+    return Baseline(map_model, kernel, g.shifted(shift), M0, eig, shift, g_win, g2_win)
 
 
 # Green-Kubo terms summed before an operator that does not mix counts as singular
@@ -215,9 +227,7 @@ class VarianceResult:
     solve_rate: float  # contraction per series term, about |lambda_2|
 
 
-def variance(
-    map_model: MapModel, kernel, g: Observable, grid: GridSpec
-) -> VarianceResult:
+def variance(base: Baseline) -> VarianceResult:
     """CLT variance from the Green-Kubo series of the deflated resolvent.
 
     sigma^2 = int g_c^2 v + 2 g_c (Id - L)^{-1} L (g_c v) dLeb, with v the
@@ -226,10 +236,6 @@ def variance(
     mode.  Each fine-grid mean is formed from coefficients by the grid
     Parseval identity; a separable g needs no N x N array.
     """
-    return _variance(baseline(assemble(map_model, kernel, g, 0.0, grid), g))
-
-
-def _variance(base: Baseline) -> VarianceResult:
     M0, s, n = base.M0, base.shift, base.M0.n
     r = base.eigen.right_vector.reshape(n, n)
     gc = base.g_window.copy()  # the spectra of g_c = g - s and of g_c^2
@@ -247,30 +253,19 @@ def _variance(base: Baseline) -> VarianceResult:
     return VarianceResult(sigma2, s, residual, terms, rate)
 
 
-def _leading_lam(base: Baseline, map_model, kernel, gc: Observable, z: float):
-    """Leading eigenvalue at twist z; z = 0 reuses the baseline eigenpair."""
-    if z == 0.0:
-        return base.eigen.lam
-    return leading_eigenpair(assemble(map_model, kernel, gc, z, base.M0.grid)).lam
-
-
-def lambda_curve(
-    map_model: MapModel,
-    kernel,
-    g: Observable,
-    grid: GridSpec,
-    z_values,
-) -> list:
+def lambda_curve(base: Baseline, z_values) -> list:
     """Leading eigenvalue (complex) of the twisted operator at each real
-    twist of ``z_values``, in their order.
+    twist of ``z_values``, in their order; z = 0 reuses the baseline's.
 
-    The observable is centered against the invariant density of the z = 0
-    operator before twisting, so d/dz ln|lambda| vanishes at z = 0.
+    The twist is exp(z g_c), g_c centered against the invariant density of
+    the z = 0 operator, so d/dz ln|lambda| vanishes at z = 0.
     """
-    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
-    gc = g.shifted(base.shift)
+    grid = base.M0.grid
     return [
-        complex(_leading_lam(base, map_model, kernel, gc, z)) for z in map(float, z_values)
+        base.eigen.lam
+        if z == 0.0
+        else leading_eigenpair(assemble(base.map_model, base.kernel, base.gc, z, grid)).lam
+        for z in map(float, z_values)
     ]
 
 
@@ -319,14 +314,7 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     return math.log(abs(eig.lam)), float(slope.real), float(overlap)
 
 
-def rate_function(
-    map_model: MapModel,
-    kernel,
-    g: Observable,
-    grid: GridSpec,
-    s_values,
-    z_bracket=(-4.0, 4.0),
-) -> RateTable:
+def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
     """Legendre transform r(s) = sup_z (s z - Lambda(z)) over the bracket.
 
     Lambda = ln|lambda| is convex, so the supremum sits where Lambda'(z) = s.
@@ -361,9 +349,8 @@ def rate_function(
     if not z_lo < 0.0 < z_hi:
         raise ValueError("z bracket must contain 0")
 
-    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
-    gc = g.shifted(base.shift)
-    var = _variance(base)
+    map_model, kernel, gc, grid = base.map_model, base.kernel, base.gc, base.M0.grid
+    var = variance(base)
 
     # (Lambda, Lambda') by twist, in evaluation order; |Im lam| / |lam| and
     # the eigenvector overlap of each evaluation

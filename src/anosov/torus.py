@@ -140,7 +140,8 @@ class TrigPolynomial(Observable):
     """Finite Fourier sum sum_j c_j e^{2 pi i j.x} with c_{-j} = conj(c_j).
 
     ``modes`` is a tuple of ((j1, j2), amplitude) pairs.  Conjugate symmetry
-    is required so the function is real valued.
+    is required so the function is real valued, and every amplitude must be
+    finite.
     """
 
     modes: tuple
@@ -148,8 +149,11 @@ class TrigPolynomial(Observable):
     def __post_init__(self):
         m = dict(self.modes)
         for (j1, j2), c in m.items():
+            if not np.isfinite(c):
+                raise ValueError(f"amplitude at {(j1, j2)} is not finite: {c!r}")
             c_neg = m.get((-j1, -j2), 0.0)
-            if abs(np.conj(c) - c_neg) > 1e-12 * max(1.0, abs(c)):
+            # written so that a nan defect fails it
+            if not abs(np.conj(c) - c_neg) <= 1e-12 * max(1.0, abs(c)):
                 raise ValueError(f"modes violate conjugate symmetry at {(j1, j2)}")
         object.__setattr__(self, "modes", tuple(sorted(m.items())))
 

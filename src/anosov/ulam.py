@@ -17,14 +17,13 @@ frequency, projected off each term.  No matrix is factored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grids import _is_pow2
 from .operators import _reserve
-from .stats import _arpack_leading, _green_kubo
+from .stats import VarianceResult, _arpack_leading, _green_kubo
 from .torus import MapModel, Observable
 
 
@@ -111,20 +110,9 @@ def ulam_srb(P: sp.csr_matrix) -> np.ndarray:
     return (v / v.sum()).real * nboxes
 
 
-@dataclass
-class UlamVarianceResult:
-    sigma2: float
-    mean_shift: float
-    solve_residual: float
-    solve_terms: int
-    solve_rate: float  # contraction per series term, about |lambda_2| of P
-    density: np.ndarray  # invariant density per box, as from ulam_srb
-
-
-def ulam_variance(
-    map_model: MapModel, m: int, k: int, g: Observable
-) -> UlamVarianceResult:
-    """Variance in the Ulam basis from the Green-Kubo series.
+def ulam_variance(map_model: MapModel, m: int, k: int, g: Observable):
+    """(VarianceResult, density): the variance in the Ulam basis from the
+    Green-Kubo series, and the invariant density per box as from ulam_srb.
 
     g is box-averaged and centered by the stationary weights pi; w is the
     series sum_{j>=1} P^j g_c with each term's constant mode cut
@@ -138,4 +126,4 @@ def ulam_variance(
     gc = gbox - shift
     w, residual, terms, rate = _green_kubo(P, gc, lambda v: v - pi @ v)
     sigma2 = float(pi @ (gc * gc + 2.0 * gc * w))
-    return UlamVarianceResult(sigma2, shift, residual, terms, rate, density)
+    return VarianceResult(sigma2, shift, residual, terms, rate), density

@@ -59,10 +59,8 @@ def variance_table(perturbed_map, std_g):
     out = {}
     for n in (32, 64):
         grid = GridSpec(n, 512)
-        out[("fejer", n)] = variance(perturbed_map, FejerKernel(), std_g, grid).sigma2
-        out[("bump", n)] = variance(
-            perturbed_map, BumpKernel(BUMP_WIDTHS[n]), std_g, grid
-        ).sigma2
+        for scheme, kernel in (("fejer", FejerKernel()), ("bump", BumpKernel(BUMP_WIDTHS[n]))):
+            out[(scheme, n)] = variance(baseline(perturbed_map, kernel, std_g, grid)).sigma2
     return out
 
 
@@ -81,8 +79,8 @@ def test_criterion1_variance_table(variance_table):
 # -- criterion 2: Ulam variance ----------------------------------------------
 
 def test_criterion2_ulam_variance(perturbed_map, std_g):
-    got64 = ulam_variance(perturbed_map, 64, 1600, std_g).sigma2
-    got128 = ulam_variance(perturbed_map, 128, 1600, std_g).sigma2
+    got64 = ulam_variance(perturbed_map, 64, 1600, std_g)[0].sigma2
+    got128 = ulam_variance(perturbed_map, 128, 1600, std_g)[0].sigma2
     ok = abs(got64 - 0.9320) <= 0.005 and abs(got128 - 0.9307) <= 0.005
     _report(2, "Ulam variance", ok, f"m=64: {got64:.4f}, m=128: {got128:.4f}")
     assert ok
@@ -92,8 +90,8 @@ def test_criterion2_ulam_variance(perturbed_map, std_g):
 
 def _series_sigma2(map_model, kernel, g, grid, terms):
     """Truncated Green-Kubo series, independent of the linear-solve path."""
-    M0 = assemble(map_model, kernel, g, 0.0, grid)
-    r = baseline(M0, g).eigen.right_vector.reshape(grid.n, grid.n)
+    base = baseline(map_model, kernel, g, grid)
+    M0, r = base.M0, base.eigen.right_vector.reshape(grid.n, grid.n)
     density = evaluate_on_fine(r, grid.N).real
     gs = g.sample(*fine_points(grid.N))
     gc = gs - riemann_integral(gs * density).real
@@ -109,7 +107,7 @@ def _series_sigma2(map_model, kernel, g, grid, terms):
 
 def test_criterion3_linear_map_oracle(linear_cat, std_g):
     grid = GridSpec(16, 256)
-    solve = variance(linear_cat, FejerKernel(), std_g, grid).sigma2
+    solve = variance(baseline(linear_cat, FejerKernel(), std_g, grid)).sigma2
     series = _series_sigma2(linear_cat, FejerKernel(), std_g, grid, 60)
     ok = (
         abs(solve - 1.0) < 1e-6
@@ -160,17 +158,19 @@ def ldp_grid():
 def test_criterion5_ldp_suite(perturbed_map, std_g, ldp_grid):
     fejer = FejerKernel()
     zs = [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
-    lams = lambda_curve(perturbed_map, fejer, std_g, ldp_grid, zs)
+    lams = lambda_curve(baseline(perturbed_map, fejer, std_g, ldp_grid), zs)
     ll = {z: np.log(abs(lam)) for z, lam in zip(zs, lams)}
     d1 = (ll[1e-4] - ll[-1e-4]) / 2e-4
     d2 = (ll[1e-3] - 2 * ll[0.0] + ll[-1e-3]) / 1e-6
-    sig = variance(perturbed_map, fejer, std_g, ldp_grid).sigma2
+    sig = variance(baseline(perturbed_map, fejer, std_g, ldp_grid)).sigma2
 
     small = rate_function(
-        perturbed_map, fejer, std_g, ldp_grid, [-0.05, -0.025, 0.0, 0.025, 0.05]
+        baseline(perturbed_map, fejer, std_g, ldp_grid),
+        [-0.05, -0.025, 0.0, 0.025, 0.05],
     )
     big = rate_function(
-        perturbed_map, fejer, std_g, ldp_grid, [round(0.1 * i, 1) for i in range(19)]
+        baseline(perturbed_map, fejer, std_g, ldp_grid),
+        [round(0.1 * i, 1) for i in range(19)],
     )
     r_by_s = {row.s: row.r for row in big.rows}
     rs = np.array([row.r for row in big.rows])
@@ -292,8 +292,7 @@ def test_criterion6e_translate_bound_crossing():
 # -- criterion 7: kernel matching --------------------------------------------
 
 def test_criterion7_kernel_matching():
-    grid = GridSpec(32, 512)
-    eps = {n: match_epsilon(n, grid)[0] for n in (32, 64, 128)}
+    eps = {n: match_epsilon(GridSpec(n, 512))[0] for n in (32, 64, 128)}
     windows = {32: (0.066, 0.073), 64: (0.036, 0.040), 128: (0.020, 0.022)}
     ok = all(windows[n][0] <= eps[n] <= windows[n][1] for n in eps)
     ok &= eps[32] > eps[64] > eps[128]

@@ -1,5 +1,6 @@
 import json
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import scipy.sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import anosov.cli as cli_mod
+import anosov.operators as ops
 import anosov.stats as stats_mod
 import anosov.ulam as ulam_mod
 from anosov import (
@@ -213,7 +215,7 @@ def test_ulam_command_with_variance(tmp_path, monkeypatch):
     monkeypatch.undo()
     expected = ulam_srb(build_ulam(cat_map(), 16, 100)).reshape(16, 16)
     assert np.array_equal(density, expected)
-    res = ulam_variance(cat_map(), 16, 100, standard_observable())
+    res, _ = ulam_variance(cat_map(), 16, 100, standard_observable())
     assert summary["results"]["sigma2"] == res.sigma2
 
 
@@ -353,6 +355,7 @@ def test_bad_sizes_and_brackets_exit_one(tmp_path, capsys, argv, message):
 _SMALL = ["--n", "8", "--fine", "64"]
 _ULAM = ["--boxes", "16", "--samples", "100"]
 _NOT_FINITE = "holds a value that is not finite"
+_AMPLITUDE = "amplitude at (1, 0) is not finite"
 
 
 @pytest.mark.parametrize(
@@ -367,6 +370,17 @@ _NOT_FINITE = "holds a value that is not finite"
         (["rate", *_SMALL, "--z-bracket=-inf,inf"], f"z bracket '-inf,inf' {_NOT_FINITE}"),
         (["variance", "--delta", "nan"], "delta must be finite, got nan"),
         (["lambda-curve", "--z", "nan"], f"range 'nan' {_NOT_FINITE}"),
+        (["variance", *_SMALL, "--observable", "[[1,0,NaN,0],[-1,0,NaN,0]]"], _AMPLITUDE),
+        (["rate", *_SMALL, "--observable", "[[1,0,Infinity,0],[-1,0,Infinity,0]]"], _AMPLITUDE),
+        (
+            ["lambda-curve", *_SMALL, "--observable", "[[1,1,0.5,0],[-1,-1,NaN,0]]"],
+            "modes violate conjugate symmetry at (1, 1)",
+        ),
+        (
+            ["ulam", *_ULAM, "--variance"]
+            + ["--observable", "[[1,0,0,-Infinity],[-1,0,0,Infinity]]"],
+            _AMPLITUDE,
+        ),
     ],
     ids=[
         "ulam-delta",
@@ -377,6 +391,10 @@ _NOT_FINITE = "holds a value that is not finite"
         "rate-bracket",
         "variance-delta",
         "lambda-curve-z",
+        "variance-observable-nan",
+        "rate-observable-inf",
+        "lambda-curve-observable-asymmetric-nan",
+        "ulam-observable-inf",
     ],
 )
 def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, message):
@@ -673,6 +691,60 @@ def test_operator_dump_over_the_memory_budget_exits_two(tmp_path, monkeypatch, c
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"
     assert not (tmp_path / "operator.opmat").exists()
+
+
+def _peak_of(run):
+    """(run's result, its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_srb_density_over_the_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
+    """N = 512: the density's 4 MiB of complex samples do not fit a 1 MiB
+    budget, so srb exits 2 before it assembles anything and writes nothing."""
+    monkeypatch.setattr(ops, "MEMORY_BUDGET", 2**20)
+    argv = ["srb", "--n", "8", "--fine", "512", "--out-dir", str(tmp_path)]
+    code, peak = _peak_of(lambda: main(argv))
+    assert code == 2 and peak < 2**20
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MemoryError" and "the density's fine-grid samples" in err["message"]
+    assert not (tmp_path / "srb_density.grid").exists()
+
+
+_MIXED_SPEC = "[[1,1,0.25,0],[-1,-1,0.25,0],[2,0,0.5,0],[-2,0,0.5,0],[0,1,0,-0.5],[0,-1,0,0.5]]"
+
+
+@pytest.mark.parametrize(
+    "argv", [["variance"], ["lambda-curve", "--z", "0.5"]], ids=["variance", "lambda-curve"]
+)
+def test_mixed_observable_samples_over_the_memory_budget_exit_two(
+    tmp_path, monkeypatch, capsys, argv
+):
+    """A mixed-mode g is sampled on the N x N grid (2 MiB of doubles at
+    N = 512): with a 1 MiB budget the baseline refuses before sampling."""
+    monkeypatch.setattr(ops, "MEMORY_BUDGET", 2**20)
+    argv = [*argv, "--n", "8", "--fine", "512", "--observable", _MIXED_SPEC]
+    code, peak = _peak_of(lambda: main([*argv, "--out-dir", str(tmp_path)]))
+    assert code == 2 and peak < 2**20
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MemoryError"
+    assert "the observable's fine-grid samples" in err["message"]
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
+def test_range_is_reserved_before_it_is_listed(monkeypatch):
+    """A float and a list slot per value: 100001 values take 3 MiB."""
+    monkeypatch.setattr(ops, "MEMORY_BUDGET", 2**20)
+    assert len(cli_mod._parse_range("0:0.001:1")) == 1001
+
+    def refused():
+        with pytest.raises(MemoryError, match="range '0:1e-5:1' needs 3 MiB"):
+            cli_mod._parse_range("0:1e-5:1")
+
+    assert _peak_of(refused)[1] < 2**20
 
 
 def test_numerical_failure_exits_two(tmp_path):

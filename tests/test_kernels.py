@@ -171,11 +171,11 @@ def test_match_epsilon_no_root_for_tiny_order():
     # at n = 2 the Fejer minimum is 1/4, and every bump width in the scan keeps
     # all its coarse coefficients above it
     with pytest.raises(NoRootError, match=r"at n = 2, N = 64 up to epsilon = 0\.25"):
-        match_epsilon(2, GridSpec(2, 64))
+        match_epsilon(GridSpec(2, 64))
     # at n = 32, N = 64 the scan starts at 8/N = 0.125, already too wide: every
     # width has a coefficient below the Fejer minimum 3.460e-03
     with pytest.raises(NoRootError) as err:
-        match_epsilon(32, GridSpec(32, 64))
+        match_epsilon(GridSpec(32, 64))
     msg = str(err.value)
     assert "n = 32, N = 64" in msg and "minimum 3.460e-03" in msg
     assert "best min |q_hat| is 9.083e-04, short by 2.552e-03" in msg
@@ -206,13 +206,13 @@ def test_matching_objective_matches_rfft2_over_the_scan(n, N):
 
 @pytest.mark.parametrize("n, N", [(8, 64), (16, 128), (16, 256)])
 def test_match_epsilon_matches_rfft2_matching(monkeypatch, n, N):
-    eps, _ = match_epsilon(n, GridSpec(n, N))
+    eps, _ = match_epsilon(GridSpec(n, N))
 
     def oracle(widths, N, cos):
         return np.array([_rfft2_block(e, N, cos.shape[0] - 1) for e in np.atleast_1d(widths)])
 
     monkeypatch.setattr(kernels, "_bump_cosine_block", oracle)
-    assert abs(eps - match_epsilon(n, GridSpec(n, N))[0]) <= 1e-12
+    assert abs(eps - match_epsilon(GridSpec(n, N))[0]) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -228,13 +228,13 @@ def test_match_epsilon_matches_rfft2_matching(monkeypatch, n, N):
 )
 def test_match_epsilon_keeps_its_widths(n, N, epsilon):
     """The matched widths of the one-width-at-a-time full-window scan, to the bit."""
-    assert match_epsilon(n, GridSpec(n, N))[0] == epsilon
+    assert match_epsilon(GridSpec(n, N))[0] == epsilon
 
 
 def test_match_epsilon_empty_scan_has_no_root():
     # at N = 32 the scan [8/N, 0.25) holds no width at all
     with pytest.raises(NoRootError, match=r"8/N = 0\.25"):
-        match_epsilon(8, GridSpec(8, 32))
+        match_epsilon(GridSpec(8, 32))
 
 
 def test_match_epsilon_reserves_the_bump_window(monkeypatch, tmp_path, capsys):
@@ -242,7 +242,7 @@ def test_match_epsilon_reserves_the_bump_window(monkeypatch, tmp_path, capsys):
     the CLI reports the refusal with exit code 2."""
     monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**20)
     with pytest.raises(MemoryError, match="the bump window needs"):
-        match_epsilon(256, GridSpec(256, 2048))
+        match_epsilon(GridSpec(256, 2048))
     argv = ["variance", "--scheme", "bump", "--n", "256", "--fine", "2048"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"
@@ -269,6 +269,6 @@ def test_bump_cosine_block_resolution_guard():
 
 def test_match_epsilon_pins_the_cli_bump_width():
     # the bump width of `anosov variance --scheme bump --n 16 --fine 256`
-    eps, residual = match_epsilon(16, GridSpec(16, 256))
+    eps, residual = match_epsilon(GridSpec(16, 256))
     assert abs(eps - 0.09523105128506545) <= 1e-10
     assert abs(residual) <= 1e-13

@@ -19,6 +19,7 @@ from anosov import (
     coarse_freqs,
     standard_observable,
 )
+from anosov import operators
 from anosov.grids import fine_points, freq_index
 from anosov.kernels import ResolutionError
 from anosov.operators import (
@@ -128,6 +129,21 @@ def test_guards(perturbed_map, fejer, std_g):
         assemble(perturbed_map, fejer, _MIXED, 0.3, GridSpec(256, 512))
     with pytest.raises(OverflowError):
         assemble(perturbed_map, fejer, std_g, 400.0, GridSpec(8, 64))
+
+
+def test_mixed_weight_samples_are_reserved(monkeypatch, perturbed_map, fejer):
+    """n = 8, N = 512: the dense operator's 0.6 MiB fits a 1 MiB budget, the
+    N x N samples of g and of exp(z g) do not; the assembly refuses first."""
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**20)
+    tracemalloc.start()
+    try:
+        for build in (assemble, assemble_derivative):
+            with pytest.raises(MemoryError, match="the dense operator needs 17 MiB"):
+                build(perturbed_map, fejer, _MIXED, 0.5, GridSpec(8, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dense_request_is_refused_before_allocation(tmp_path, perturbed_map, fejer, std_g):

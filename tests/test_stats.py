@@ -30,9 +30,7 @@ from anosov.operators import OperatorMatrix, assemble_derivative
 from anosov.stats import (
     SingularSolveError,
     _deflated_solve,
-    _leading_lam,
     _legendre_point,
-    _variance,
 )
 
 
@@ -65,7 +63,7 @@ def test_cat_map_srb_is_lebesgue(linear_cat, fejer, std_g):
     e0 = np.zeros(16 * 16, dtype=complex)
     e0[freq_index(0, 0, 16)] = 1.0
     assert np.abs(eig.right_vector - e0).max() < 1e-10
-    srb = baseline(M0, std_g)
+    srb = baseline(linear_cat, fejer, std_g, grid)
     assert np.allclose(_density(srb), 1.0, atol=1e-10)
 
 
@@ -77,42 +75,40 @@ def test_perturbed_leading_eigenvalue_is_one(perturbed_map, fejer, std_g, small_
 
 
 def test_srb_density_deterministic(perturbed_map, fejer, std_g, small_grid):
-    M0 = assemble(perturbed_map, fejer, std_g, 0.0, small_grid)
-    a = _density(baseline(M0, std_g))
-    b = _density(baseline(M0, std_g))
+    a = _density(baseline(perturbed_map, fejer, std_g, small_grid))
+    b = _density(baseline(perturbed_map, fejer, std_g, small_grid))
     assert np.array_equal(a, b)
     assert riemann_integral(a) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_centered_observable_linear_map(linear_cat, fejer, std_g):
     grid = GridSpec(16, 128)
-    M0 = assemble(linear_cat, fejer, std_g, 0.0, grid)
-    cen = baseline(M0, std_g)
+    cen = baseline(linear_cat, fejer, std_g, grid)
     assert abs(cen.shift) < 1e-12
     const = TrigPolynomial((((0, 0), 2.5),))
-    cen = baseline(M0, const)
+    cen = baseline(linear_cat, fejer, const, grid)
     assert cen.shift == pytest.approx(2.5, abs=1e-12)
-    assert np.abs(const.shifted(cen.shift).sample(*fine_points(grid.N))).max() < 1e-12
+    assert cen.gc == const.shifted(cen.shift)
+    assert np.abs(cen.gc.sample(*fine_points(grid.N))).max() < 1e-12
 
 
 def test_variance_cat_map_analytic(linear_cat, fejer, std_g):
-    res = variance(linear_cat, fejer, std_g, GridSpec(16, 128))
+    res = variance(baseline(linear_cat, fejer, std_g, GridSpec(16, 128)))
     assert res.sigma2 == pytest.approx(1.0, abs=1e-8)
     assert res.solve_residual < 1e-10
 
 
 def test_variance_stable_under_fine_refinement(perturbed_map, fejer, std_g):
-    r1 = variance(perturbed_map, fejer, std_g, GridSpec(16, 256))
-    r2 = variance(perturbed_map, fejer, std_g, GridSpec(16, 512))
+    r1 = variance(baseline(perturbed_map, fejer, std_g, GridSpec(16, 256)))
+    r2 = variance(baseline(perturbed_map, fejer, std_g, GridSpec(16, 512)))
     assert abs(r1.sigma2 - r2.sigma2) < 1e-5
 
 
 def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
-    grid = GridSpec(16, 128)
-    res = variance(perturbed_map, fejer, std_g, grid)
+    base = baseline(perturbed_map, fejer, std_g, GridSpec(16, 128))
+    grid, res = base.M0.grid, variance(base)
     # independent truncated-series oracle
-    M0 = assemble(perturbed_map, fejer, std_g, 0.0, grid)
-    density = _density(baseline(M0, std_g))
+    M0, density = base.M0, _density(base)
     gs = std_g.sample(*fine_points(grid.N))
     gc = gs - riemann_integral(gs * density).real
     x = restrict_to_coarse(forward_transform(gc * density), grid.n).ravel()
@@ -127,29 +123,29 @@ def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
 
 def test_lambda_curve_identities(perturbed_map, fejer, std_g, small_grid):
     zs = [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
-    lams = lambda_curve(perturbed_map, fejer, std_g, small_grid, zs)
+    lams = lambda_curve(baseline(perturbed_map, fejer, std_g, small_grid), zs)
     ll = {z: np.log(abs(lam)) for z, lam in zip(zs, lams)}
     assert abs(ll[0.0]) < 1e-10
     d1 = (ll[1e-4] - ll[-1e-4]) / 2e-4
     assert abs(d1) < 1e-4
     d2 = (ll[1e-3] - 2 * ll[0.0] + ll[-1e-3]) / 1e-6
-    sig = variance(perturbed_map, fejer, std_g, small_grid).sigma2
+    sig = variance(baseline(perturbed_map, fejer, std_g, small_grid)).sigma2
     assert abs(d2 - sig) / sig < 0.01
 
 
 def test_lambda_curve_lists_the_leading_eigenvalue_of_each_z(perturbed_map, fejer, std_g):
     grid, zs = GridSpec(8, 64), [0.5, -0.25, 0.0, 1.0]
-    lams = lambda_curve(perturbed_map, fejer, std_g, grid, zs)
+    base = baseline(perturbed_map, fejer, std_g, grid)
+    lams = lambda_curve(base, zs)
     assert [type(lam) for lam in lams] == [complex] * len(zs)
-    base = baseline(assemble(perturbed_map, fejer, std_g, 0.0, grid), std_g)
-    gc = std_g.shifted(base.shift)
     for z, lam in zip(zs, lams):
-        assert lam == _leading_lam(base, perturbed_map, fejer, gc, z)
+        M = base.M0 if z == 0.0 else assemble(perturbed_map, fejer, base.gc, z, grid)
+        assert lam == leading_eigenpair(M).lam
 
 
 def test_lambda_real_positive_and_convex(perturbed_map, fejer, std_g, small_grid):
     zs = np.linspace(-1.0, 1.0, 21)
-    lams = np.array(lambda_curve(perturbed_map, fejer, std_g, small_grid, zs))
+    lams = np.array(lambda_curve(baseline(perturbed_map, fejer, std_g, small_grid), zs))
     assert np.abs(lams.imag).max() < 1e-9
     assert np.all(lams.real > 0)
     ll = np.log(np.abs(lams))
@@ -158,7 +154,9 @@ def test_lambda_real_positive_and_convex(perturbed_map, fejer, std_g, small_grid
 
 def test_rate_function_basic(perturbed_map, fejer, std_g, small_grid):
     tab = rate_function(
-        perturbed_map, fejer, std_g, small_grid, [0.0, 0.05, 0.1], (-4.0, 4.0)
+        baseline(perturbed_map, fejer, std_g, small_grid),
+        [0.0, 0.05, 0.1],
+        (-4.0, 4.0),
     )
     rows = tab.rows
     assert [row.s for row in rows] == [0.0, 0.05, 0.1]
@@ -174,20 +172,28 @@ def test_rate_function_basic(perturbed_map, fejer, std_g, small_grid):
 
 def test_rate_function_boundary_flag(perturbed_map, fejer, std_g, small_grid):
     tab = rate_function(
-        perturbed_map, fejer, std_g, small_grid, [1.0], (-0.05, 0.05)
+        baseline(perturbed_map, fejer, std_g, small_grid),
+        [1.0],
+        (-0.05, 0.05),
     )
     assert tab.bracket_expanded
     assert tab.z_bracket == (-0.1, 0.1)
     assert tab.rows[0].at_bracket_boundary
 
 
+def _every_statistic(base):
+    """One baseline serves variance, lambda_curve and rate_function."""
+    return variance(base), lambda_curve(base, [-0.1, 0.0, 0.1]), rate_function(base, [0.0, 0.1])
+
+
 @pytest.mark.parametrize(
     "run",
     [
-        lambda m, k, g, grid: rate_function(m, k, g, grid, [0.0, 0.1]),
-        lambda m, k, g, grid: lambda_curve(m, k, g, grid, [-0.1, 0.0, 0.1]),
+        lambda m, k, g, grid: rate_function(baseline(m, k, g, grid), [0.0, 0.1]),
+        lambda m, k, g, grid: lambda_curve(baseline(m, k, g, grid), [-0.1, 0.0, 0.1]),
+        lambda m, k, g, grid: _every_statistic(baseline(m, k, g, grid)),
     ],
-    ids=["rate_function", "lambda_curve"],
+    ids=["rate_function", "lambda_curve", "every_statistic"],
 )
 def test_untwisted_baseline_computed_once(
     perturbed_map, fejer, std_g, monkeypatch, run
@@ -312,7 +318,7 @@ def _lu_deflated(M, x):
     ids=["fejer-8", "fejer-16", "fejer-32", "bump-16"],
 )
 def test_deflated_solve_matches_lu_oracle(perturbed_map, std_g, kernel, n, N):
-    base = baseline(assemble(perturbed_map, kernel, std_g, 0.0, GridSpec(n, N)), std_g)
+    base = baseline(perturbed_map, kernel, std_g, GridSpec(n, N))
     density = _density(base)
     gc = std_g.sample(*fine_points(N)) - base.shift
     x = restrict_to_coarse(forward_transform(gc * density), n).ravel()
@@ -335,7 +341,7 @@ def test_spectral_and_ulam_solves_share_the_series(perturbed_map, fejer, std_g, 
 
     for mod in (stats_mod, ulam_mod):
         monkeypatch.setattr(mod, "_green_kubo", counted)
-    variance(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    variance(baseline(perturbed_map, fejer, std_g, GridSpec(8, 64)))
     ulam_variance(perturbed_map, 16, 16, std_g)
     assert calls == ["SeparableOperator", "csr_matrix"]
 
@@ -400,13 +406,12 @@ def _golden_rate_table(map_model, kernel, g, grid, s_values, z_bracket):
     Returns ((s, z*, r, flag) rows, final bracket, expanded, log_lam) with the
     same bracket-doubling and boundary-flag rules as ``rate_function``.
     """
-    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
-    gc = g.shifted(base.shift)
+    base = baseline(map_model, kernel, g, grid)
     memo = {}
 
     def log_lam(z):
         if z not in memo:
-            memo[z] = np.log(abs(_leading_lam(base, map_model, kernel, gc, z)))
+            memo[z] = np.log(abs(lambda_curve(base, [z])[0]))
         return memo[z]
 
     z_lo, z_hi = z_bracket
@@ -433,7 +438,7 @@ def _golden_rate_table(map_model, kernel, g, grid, s_values, z_bracket):
 @pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
 def test_newton_rate_matches_golden_section_oracle(perturbed_map, std_g, kernel):
     grid, s_values = GridSpec(8, 64), [-0.9, -0.45, -0.1, 0.0, 0.2, 0.6, 0.9]
-    tab = rate_function(perturbed_map, kernel, std_g, grid, s_values)
+    tab = rate_function(baseline(perturbed_map, kernel, std_g, grid), s_values)
     rows, bracket, expanded, _ = _golden_rate_table(
         perturbed_map, kernel, std_g, grid, s_values, (-4.0, 4.0)
     )
@@ -447,7 +452,7 @@ def test_newton_rate_matches_golden_section_oracle(perturbed_map, std_g, kernel)
 def test_newton_rate_boundary_rows_match_oracle(perturbed_map, fejer, std_g):
     """Both ends hit: z* is the end, r its value there, the bracket doubled once."""
     grid, s_values = GridSpec(8, 64), [-1.0, 0.0, 1.0]
-    tab = rate_function(perturbed_map, fejer, std_g, grid, s_values, (-0.05, 0.05))
+    tab = rate_function(baseline(perturbed_map, fejer, std_g, grid), s_values, (-0.05, 0.05))
     rows, bracket, expanded, log_lam = _golden_rate_table(
         perturbed_map, fejer, std_g, grid, s_values, (-0.05, 0.05)
     )
@@ -472,7 +477,7 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
     inside the jump the supremum sits on the kink: Newton's sign bracket closes
     on it, and golden section lands within 1e-6 of it."""
     kernel, grid, s_values = BumpKernel(0.1), GridSpec(8, 64), [1.1, 1.4]
-    tab = rate_function(perturbed_map, kernel, std_g, grid, s_values)
+    tab = rate_function(baseline(perturbed_map, kernel, std_g, grid), s_values)
     rows, _, _, log_lam = _golden_rate_table(
         perturbed_map, kernel, std_g, grid, s_values, (-4.0, 4.0)
     )
@@ -492,8 +497,7 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
 def _legendre_points(map_model, kernel, g, grid):
     """z -> (Lambda, Lambda', eigenvector overlap) at twist z, for g centered
     against the baseline as rate_function centers it."""
-    base = baseline(assemble(map_model, kernel, g, 0.0, grid), g)
-    gc = g.shifted(base.shift)
+    gc = baseline(map_model, kernel, g, grid).gc
 
     def point(z):
         M = assemble(map_model, kernel, gc, z, grid)
@@ -530,7 +534,7 @@ def test_newton_rate_closes_on_the_kink(perturbed_map, std_g, s_values):
     kink acceptance close the bracket on it instead."""
     kernel, grid = BumpKernel(0.1), GridSpec(8, 64)
     kink = _kink(perturbed_map, kernel, std_g, grid)
-    tab = rate_function(perturbed_map, kernel, std_g, grid, s_values)
+    tab = rate_function(baseline(perturbed_map, kernel, std_g, grid), s_values)
     rows, _, _, _ = _golden_rate_table(
         perturbed_map, kernel, std_g, grid, s_values, (-4.0, 4.0)
     )
@@ -570,11 +574,11 @@ def test_rate_table_reports_convexity_and_complex_eigenvalues(perturbed_map, fej
     Bump, n = 8: past the kink at z = 3.05, Lambda' decreases."""
     grid = GridSpec(8, 64)
     s_values = [round(0.1 * i, 1) for i in range(19)]
-    tab = rate_function(perturbed_map, fejer, std_g, grid, s_values)
+    tab = rate_function(baseline(perturbed_map, fejer, std_g, grid), s_values)
     assert tab.slope_monotone
     assert tab.lambda_imag_max > 1e-3
     assert 0.02 < tab.eigvec_overlap_min <= 1.0
-    bump = rate_function(perturbed_map, BumpKernel(0.1), std_g, grid, s_values[:16])
+    bump = rate_function(baseline(perturbed_map, BumpKernel(0.1), std_g, grid), s_values[:16])
     assert not bump.slope_monotone
     assert 0.0 <= bump.lambda_imag_max < 1.0
     assert 0.0 <= bump.eigvec_overlap_min <= 1.0
@@ -582,7 +586,7 @@ def test_rate_table_reports_convexity_and_complex_eigenvalues(perturbed_map, fej
 
 def test_rate_table_legendre_budget(perturbed_map, fejer, std_g):
     s_values = [round(0.1 * i, 1) for i in range(19)]
-    tab = rate_function(perturbed_map, fejer, std_g, GridSpec(8, 64), s_values)
+    tab = rate_function(baseline(perturbed_map, fejer, std_g, GridSpec(8, 64)), s_values)
     assert tab.bracket_expanded and tab.z_bracket == (-8.0, 8.0)
     assert tab.legendre_evals <= 100
     # every evaluation is charged to the row that made it, except z = 0
@@ -596,7 +600,7 @@ def test_newton_evaluation_cap_raises(perturbed_map, fejer, std_g, monkeypatch):
 
     monkeypatch.setattr(stats_mod, "_NEWTON_MAX_EVALS", 2)
     with pytest.raises(NonConvergenceError, match="s = 0.5 took 2 evaluations"):
-        rate_function(perturbed_map, fejer, std_g, GridSpec(8, 64), [0.5])
+        rate_function(baseline(perturbed_map, fejer, std_g, GridSpec(8, 64)), [0.5])
 
 
 _MIXED = TrigPolynomial(
@@ -615,20 +619,20 @@ _MIXED = TrigPolynomial(
 def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer, g):
     grid, h = GridSpec(8, 64), 1e-4
     assert (g.separable_parts() is None) == (g is _MIXED)
-    base = baseline(assemble(perturbed_map, fejer, g, 0.0, grid), g)
-    gc = g.shifted(base.shift)
+    base = baseline(perturbed_map, fejer, g, grid)
+    gc = base.gc
     for z in (-0.5, 0.0, 0.3, 1.0, 3.0):
         M = assemble(perturbed_map, fejer, gc, z, grid)
         dM = assemble_derivative(perturbed_map, fejer, gc, z, grid)
         log_lam, slope, _ = _legendre_point(M, leading_eigenpair(M), dM)
         assert log_lam == math.log(abs(leading_eigenpair(M).lam))
-        lo, hi = lambda_curve(perturbed_map, fejer, g, grid, [z - h, z + h])
+        lo, hi = lambda_curve(base, [z - h, z + h])
         central = (np.log(abs(hi)) - np.log(abs(lo))) / (2 * h)
         assert abs(slope - central) <= 1e-8, z
 
 
 def test_variance_reports_solve_terms_and_rate(perturbed_map, fejer, std_g):
-    res = variance(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    res = variance(baseline(perturbed_map, fejer, std_g, GridSpec(8, 64)))
     assert 0 < res.solve_terms < 100 and 0.0 < res.solve_rate < 1.0
     summary = asdict(res)
     assert (summary["solve_terms"], summary["solve_rate"]) == (res.solve_terms, res.solve_rate)
@@ -645,10 +649,10 @@ def test_statistics_never_build_the_dense_operator(perturbed_map, fejer, std_g, 
     monkeypatch.setattr(ops, "_product", refuse)
     monkeypatch.setattr(ops.SeparableOperator, "dense", refuse)
     monkeypatch.setattr(OperatorMatrix, "dense", refuse)
-    grid = GridSpec(8, 64)
-    assert variance(perturbed_map, fejer, std_g, grid).sigma2 > 0.0
-    assert len(lambda_curve(perturbed_map, fejer, std_g, grid, [-0.5, 0.0, 0.5])) == 3
-    tab = rate_function(perturbed_map, fejer, std_g, grid, [0.0, 0.5, 1.0])
+    base = baseline(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    assert variance(base).sigma2 > 0.0
+    assert len(lambda_curve(base, [-0.5, 0.0, 0.5])) == 3
+    tab = rate_function(base, [0.0, 0.5, 1.0])
     assert len(tab.rows) == 3 and tab.legendre_evals > 3
 
 
@@ -658,7 +662,7 @@ def test_fejer_variance_at_n128_in_bounded_memory(perturbed_map, fejer, std_g):
     (0.9448 at n = 32, 0.9395 at n = 64)."""
     tracemalloc.start()
     try:
-        res = variance(perturbed_map, fejer, std_g, GridSpec(128, 512))
+        res = variance(baseline(perturbed_map, fejer, std_g, GridSpec(128, 512)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -702,8 +706,8 @@ _ORACLE_CASES = [(FejerKernel(), 2, 4), (FejerKernel(), 8, 16), (BumpKernel(0.25
 def test_variance_matches_the_fine_grid_oracle(perturbed_map, g, kernel, n, N):
     """sigma^2 and the shift from coefficients equal the fine-grid Riemann
     sums, for separable, mixed-mode and callable g."""
-    base = baseline(assemble(perturbed_map, kernel, g, 0.0, GridSpec(n, N)), g)
-    res = _variance(base)
+    base = baseline(perturbed_map, kernel, g, GridSpec(n, N))
+    res = variance(base)
     sigma2, shift = _fine_grid_oracle(base, g)
     assert abs(res.mean_shift - shift) <= 1e-15
     assert abs(res.sigma2 - sigma2) <= 1e-14 * abs(sigma2)
@@ -715,7 +719,7 @@ def test_variance_never_allocates_a_fine_grid_array(perturbed_map, fejer, std_g)
     grid = GridSpec(32, 512)
     tracemalloc.start()
     try:
-        res = variance(perturbed_map, fejer, std_g, grid)
+        res = variance(baseline(perturbed_map, fejer, std_g, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

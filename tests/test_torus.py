@@ -138,6 +138,16 @@ def test_trig_polynomial_requires_conjugate_symmetry():
         TrigPolynomial((((1, 0), 0.5j), ((-1, 0), 0.5j)))
 
 
+def test_trig_polynomial_rejects_non_finite_amplitudes():
+    """nan fails every comparison, so it must not pass the symmetry check."""
+    nan, inf = float("nan"), float("inf")
+    for c in (nan, inf, complex(0.0, -inf)):
+        with pytest.raises(ValueError, match="is not finite"):
+            TrigPolynomial((((1, 0), c), ((-1, 0), np.conj(c))))
+    with pytest.raises(ValueError, match="conjugate symmetry at \\(1, 1\\)"):
+        TrigPolynomial((((1, 1), 0.5), ((-1, -1), nan)))
+
+
 def test_standard_observable_zero_mean():
     g = standard_observable()
     N = 256
