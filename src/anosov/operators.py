@@ -25,23 +25,30 @@ factors G1[j, r, k1] (q_hat folded in) and G2[j, r, k2].  The terms are exact:
 * any other g (mixed modes, a callable): N terms, one per fine column c,
   a_c = w[:, c] and b_c the indicator of x2 = c/N.
 
+Only the weight depends on z.  A :class:`TwistPlan`, built once per
+problem, holds the rest: the phases exp(-2 pi i j_i phi_i) on the fine axis,
+the gather indices, q_hat, and a separable g's 1-D samples and sup|g|;
+:func:`assemble` and :func:`assemble_derivative` are one-off plans.  Its
+``pair(z)`` gives L_z and dL/dz from the derivative's one batch of 1-D
+transforms, whose second a-term and first b-term are L_z's one term.
+
 With one or two terms the operator is a :class:`SeparableOperator`: it
 applies L and L^H from G1 and G2 in R n^4 multiply-adds, as a dense matvec
 does, and O(R n^3) memory; ``dense()`` alone builds the n^4 matrix.  The
 N-term weight is summed into the dense matrix, one batched matrix product
-over the rows j per block of ``TERM_BLOCK`` terms.  At n = 32, N = 512 the
-factors take about 1.5 ms and one apply 0.3 ms; the N-term weight 1 s.
+over the rows j per block of ``TERM_BLOCK`` terms.  At n = 32, N = 512 a
+plan's pair takes about 1.9 ms (4.5 ms as two one-off assemblies) and one
+apply 0.3 ms; the N-term weight 1 s.
 
 The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
-does not change results.  Both functions share the guards: MemoryError
+does not change results.  Every assembly has the guards: MemoryError
 before any allocation when what the operator needs exceeds
 ``MEMORY_BUDGET`` bytes (``dense()`` checks its n^4 complex entries the
 same way), and OverflowError when |Re z| sup|g| exceeds the exp range guard;
-GridSpec refuses N < 2n.  A separable g's sup comes from its 1-D samples;
-any other g is sampled on the fine grid, which its weight needs anyway.  A
-separable weight factor's largest exponent is taken out of it and put back
-into q_hat, so exp(z g) may pass the guard where exp(z g2) alone would
-overflow.
+GridSpec refuses N < 2n.  Any g that does not separate is sampled on the
+fine grid, which its weight needs anyway.  A separable weight factor's
+largest exponent is taken out of it and put back into q_hat, so exp(z g)
+may pass the guard where exp(z g2) alone would overflow.
 
 :class:`OperatorAssembler` is the brute-force reference: n^2 two-dimensional
 FFTs of the full integrand over power tables of exp(-2 pi i T).  The
@@ -190,104 +197,107 @@ def _windows(U: np.ndarray) -> np.ndarray:
     return sliding_window_view(wrapped, n, axis=-1)[..., ::-1].transpose(1, 2, 0, 3)
 
 
-def _separable_factors(map_parts, a, b, q, grid: GridSpec):
-    """Yield (G1, G2) for blocks of ``TERM_BLOCK`` terms, each (n^2, R, n):
+class TwistPlan:
+    """The z-independent part of one problem's twisted operators (see the
+    module docstring): each z costs the weight, one batch of 1-D
+    transforms and the gathers."""
 
-        G1[j, r, k1] = q(j) U1_r[j1, (A^T j)_1 - k1]
-        G2[j, r, k2] = U2_r[j2, (A^T j)_2 - k2]
+    def __init__(self, map_model: MapModel, kernel, g: Observable, grid: GridSpec):
+        A, phi1, phi2 = map_model.separable_parts()
+        n, N = grid.n, grid.N
+        js = coarse_freqs(n)
+        x = np.arange(N) / N
+        self.grid, self.g = grid, g
+        self.E1, self.E2 = (np.exp(-2j * np.pi * js[:, None] * phi(x)) for phi in (phi1, phi2))
+        J1, J2 = (J.ravel() for J in np.meshgrid(js, js, indexing="ij"))
+        # U_i[j_i, (A^T j)_i - k_i] over k_i = js is the n-wide window of columns
+        # from (A^T j)_i - js[-1] on, read backwards: one row and start per j
+        self.gat1 = (J1 - js[0], (A[0, 0] * J1 + A[1, 0] * J2 - js[-1]) % N)
+        self.gat2 = (J2 - js[0], (A[0, 1] * J1 + A[1, 1] * J2 - js[-1]) % N)
+        self.q = kernel.coefficients(grid).ravel()
+        parts = g.separable_parts()
+        self.parts = self.sup = None
+        if parts is not None:
+            g1, g2 = self.parts = tuple(gi(x) for gi in parts)
+            # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
+            self.sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
 
-    ``a`` and ``b`` are (R, N) samples of the weight's terms a_r(x1), b_r(x2).
-    """
-    A, phi1, phi2 = map_parts
-    n, N = grid.n, grid.N
-    js = coarse_freqs(n)
-    x = np.arange(N) / N
-    E1, E2 = (np.exp(-2j * np.pi * js[:, None] * phi(x)) for phi in (phi1, phi2))
-    J1, J2 = (J.ravel() for J in np.meshgrid(js, js, indexing="ij"))
-    # U_i[j_i, (A^T j)_i - k_i] over k_i = js is the n-wide window of columns
-    # from (A^T j)_i - js[-1] on, read backwards: one row and start per j
-    gat1 = (J1 - js[0], (A[0, 0] * J1 + A[1, 0] * J2 - js[-1]) % N)
-    gat2 = (J2 - js[0], (A[0, 1] * J1 + A[1, 1] * J2 - js[-1]) % N)
-    for r in range(0, len(a), TERM_BLOCK):
-        G1, G2 = (
-            _windows(sfft.fft(E * f[r : r + TERM_BLOCK, None], axis=-1, norm="forward"))[gat]
-            for E, f, gat in ((E1, a, gat1), (E2, b, gat2))
-        )
-        G1 *= q[:, None, None]
-        yield G1, G2
+    def _factors(self, a, b, q):
+        """Yield the factors (G1, G2) of the module docstring, each (n^2, R, n),
+        for blocks of ``TERM_BLOCK`` terms; ``a`` and ``b`` are (R, N) samples
+        of the weight's terms a_r(x1), b_r(x2), and q_hat is ``q``."""
+        for r in range(0, len(a), TERM_BLOCK):
+            G1, G2 = (
+                _windows(sfft.fft(E * f[r : r + TERM_BLOCK, None], axis=-1, norm="forward"))[gat]
+                for E, f, gat in ((self.E1, a, self.gat1), (self.E2, b, self.gat2))
+            )
+            G1 *= q[:, None, None]
+            yield G1, G2
 
-
-def _twisted(map_model, kernel, g, z, grid, derivative):
-    """The guards, the weight's separable terms and the operator of
-    :func:`assemble` or :func:`assemble_derivative`."""
-    z = complex(z)
-    n, N = grid.n, grid.N
-    x = np.arange(N) / N
-    # at z = 0 the weight is 1, separable whatever g is
-    g_parts = (np.zeros_like,) * 2 if z == 0 and not derivative else g.separable_parts()
-    if g_parts is not None:
-        # the two factors and one apply's work array, each R n^3 entries
-        _reserve(3 * 16 * (2 if derivative else 1) * n**3, "the operator's factors")
-        g1, g2 = (gi(x) for gi in g_parts)
-        # Rounded addition is monotone: this is max |g1(x1) + g2(x2)| on the grid.
-        sup = max(abs(g1.max() + g2.max()), abs(g1.min() + g2.min()))
-    else:
-        # the running sum, one block's product and that block's two factors;
-        # on the fine grid the points, g, z g, the weight and the indicators
-        _reserve(16 * (2 * n**4 + 2 * TERM_BLOCK * n**3) + 64 * N * N, "the dense operator")
-        gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
-        sup = float(np.abs(gs).max())
-    if abs(z.real) * sup > EXP_GUARD:
-        raise OverflowError("twist weight exp(z g) would overflow")
-    q = kernel.coefficients(grid).ravel()
-    if g_parts is not None:
+    def operator(self, z, derivative: bool = False) -> OperatorMatrix:
+        """L_z, the weight exp(z g), or with ``derivative`` dL/dz, the weight
+        g exp(z g); both after the guards."""
+        z = complex(z)
+        n, N = self.grid.n, self.grid.N
+        # at z = 0 the weight is 1, separable whatever g is
+        unit = z == 0 and not derivative
+        parts, sup = ((np.zeros(N),) * 2, 0.0) if unit else (self.parts, self.sup)
+        if parts is not None:
+            # the two factors and one apply's work array, each R n^3 entries
+            _reserve(3 * 16 * (2 if derivative else 1) * n**3, "the operator's factors")
+        else:
+            # the running sum, one block's product and that block's two factors;
+            # on the fine grid the points, g, z g, the weight and the indicators
+            _reserve(16 * (2 * n**4 + 2 * TERM_BLOCK * n**3) + 64 * N * N, "the dense operator")
+            gs = np.asarray(self.g.sample(*fine_points(N)), dtype=float)
+            sup = float(np.abs(gs).max())
+        if abs(z.real) * sup > EXP_GUARD:
+            raise OverflowError("twist weight exp(z g) would overflow")
+        if parts is None:
+            w = np.exp(z * gs)
+            if derivative:
+                w *= gs
+            # column c of w times the indicator of x2 = c/N
+            blocks = self._factors(w.T, np.eye(N), self.q)
+            entries = _product(*next(blocks))
+            for G1, G2 in blocks:
+                entries += _product(G1, G2)
+            return OperatorMatrix(entries, z, self.grid)
         # The guard bounds exp(z g), not exp(z g_i): take each factor's largest
         # exponent out of it and put the sum, max Re(z g), back into q.
+        g1, g2 = parts
         zg1, zg2 = z * g1, z * g2
         top1, top2 = float(zg1.real.max()), float(zg2.real.max())
         e1, e2 = np.exp(zg1 - top1), np.exp(zg2 - top2)
-        q = q * np.exp(top1 + top2)
         a, b = ([g1 * e1, e1], [e2, g2 * e2]) if derivative else ([e1], [e2])
-    else:
-        w = np.exp(z * gs)
-        if derivative:
-            w *= gs
-        a, b = w.T, np.eye(N)  # column c of w times the indicator of x2 = c/N
-    blocks = _separable_factors(
-        map_model.separable_parts(), np.asarray(a), np.asarray(b), q, grid
-    )
-    if g_parts is not None:
-        entries = SeparableOperator(*next(blocks))
-    else:
-        entries = _product(*next(blocks))
-        for G1, G2 in blocks:
-            entries += _product(G1, G2)
-    return OperatorMatrix(entries, z, grid)
+        G1, G2 = next(self._factors(np.asarray(a), np.asarray(b), self.q * np.exp(top1 + top2)))
+        return OperatorMatrix(SeparableOperator(G1, G2), z, self.grid)
+
+    def pair(self, z):
+        """(L_z, dL/dz).  For a separable g, L_z's factors are column 1 of the
+        derivative's G1 (a = [g1 e1, e1]) and column 0 of its G2
+        (b = [e2, g2 e2]), copied so each apply reads contiguous factors."""
+        if self.parts is None:
+            return self.operator(z), self.operator(z, derivative=True)
+        # the derivative's factors and work array, and L_z's two columns
+        _reserve(16 * 8 * self.grid.n**3, "the operator's factors")
+        dM = self.operator(z, derivative=True)
+        G1, G2 = dM.entries.G1[:, 1:].copy(), dM.entries.G2[:, :1].copy()
+        return OperatorMatrix(SeparableOperator(G1, G2), dM.z, self.grid), dM
 
 
-def assemble(
-    map_model: MapModel,
-    kernel,
-    g: Observable,
-    z: complex,
-    grid: GridSpec,
-) -> OperatorMatrix:
-    """Assemble the twisted operator matrix at twist parameter z.
+def assemble(map_model: MapModel, kernel, g: Observable, z: complex, grid: GridSpec):
+    """The twisted operator at z from a one-off :class:`TwistPlan`.
 
-    See the module docstring for the method.  Raises OverflowError when
-    |Re z| * sup|g| exceeds the double-precision exp range guard.
+    Raises OverflowError when |Re z| * sup|g| exceeds the exp range guard.
     """
-    return _twisted(map_model, kernel, g, z, grid, derivative=False)
+    return TwistPlan(map_model, kernel, g, grid).operator(z)
 
 
-def assemble_derivative(
-    map_model: MapModel, kernel, g: Observable, z: complex, grid: GridSpec
-) -> OperatorMatrix:
-    """d/dz of the twisted operator at z: the weight exp(z g) becomes g exp(z g).
-
-    Same method and guards as :func:`assemble`.
-    """
-    return _twisted(map_model, kernel, g, z, grid, derivative=True)
+def assemble_derivative(map_model: MapModel, kernel, g: Observable, z: complex, grid: GridSpec):
+    """d/dz of the twisted operator at z (the weight g exp(z g)), with the
+    guards of :func:`assemble`."""
+    return TwistPlan(map_model, kernel, g, grid).operator(z, derivative=True)
 
 
 def write_opmat(path, M: OperatorMatrix) -> None:

@@ -1,20 +1,23 @@
 """Statistical quantities extracted from assembled transfer operators.
 
-The chain is: the z = 0 operator, its leading eigendata, the low
-frequencies of the observable and its mean against the invariant density
-form one :class:`Baseline`, built once per problem and read by
+The chain is: the z = 0 operator, its leading eigendata (from the series
+below, not ARPACK), the low frequencies of the observable, its mean against
+the invariant density and the twist plan of the centered observable form one
+:class:`Baseline`, built once per problem and read by
 :func:`variance`, :func:`lambda_curve` and :func:`rate_function`; the CLT
 variance comes from the Green-Kubo series of the deflated resolvent, its
 fine-grid means formed from coefficients by the grid Parseval identity; the
 twisted eigenvalue curve lambda(z) gives the large-deviations rate function
 r(s) = sup_z (s z - ln|lambda(z)|) by a safeguarded Newton solve of
 Lambda'(z) = s, Lambda = ln|lambda|, with Lambda' from the Hellmann-Feynman
-formula (left and right eigenvectors and the derivative operator).
+formula (left and right eigenvectors and the derivative operator, which
+each twisted evaluation builds with L_z from one batch of transforms).
 
 The eigenvalue 1 of the untwisted operator makes Id - L singular on the zero
 mode.  L preserves mass, so the mean-zero subspace is invariant, L contracts
 it by |lambda_2| (about 0.1), and (Id - L)^{-1} L there is the series
-sum_{j>=1} L^j with the zero-mode coordinate cut from each term.
+sum_{j>=1} L^j with the zero-mode coordinate cut from each term.  The same
+series from e_0 gives the invariant density.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .grids import (
     line_transform,
     restrict_to_coarse,
 )
-from .operators import OperatorMatrix, _reserve, assemble, assemble_derivative
+from .operators import OperatorMatrix, TwistPlan, _reserve, assemble
 from .torus import MapModel, Observable
 
 
@@ -59,15 +62,7 @@ class EigenData:
     lam: complex
     right_vector: np.ndarray
     residual: float
-    method: str  # always "arpack"
-
-
-def _normalise(n: int, vec: np.ndarray) -> np.ndarray:
-    izero = freq_index(0, 0, n)
-    norm = np.linalg.norm(vec)
-    if abs(vec[izero]) > 1e-12 * norm:
-        return vec / vec[izero]
-    return vec / norm
+    method: str  # "series" at z = 0 (untwisted_eigenpair), else "arpack"
 
 
 def _arpack_leading(A, v0: np.ndarray):
@@ -87,7 +82,7 @@ def _arpack_leading(A, v0: np.ndarray):
 
 
 def _zero_mode(n: int) -> np.ndarray:
-    """ARPACK's start vector for a coarse operator: the zero mode."""
+    """The zero mode e_0: ARPACK's start vector, and L_0's left eigenvector."""
     return (np.arange(n * n) == freq_index(0, 0, n)).astype(complex)
 
 
@@ -99,9 +94,9 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
     eigenvalues cross ARPACK returns either.  The residual is
     ||A v - lam v|| / ||v|| for the mass-normalised v.
     """
-    A = M.entries
+    A, izero = M.entries, freq_index(0, 0, M.n)
     lam, v = _arpack_leading(A, _zero_mode(M.n))
-    v = _normalise(M.n, v)
+    v = v / (v[izero] if abs(v[izero]) > 1e-12 * np.linalg.norm(v) else np.linalg.norm(v))
     residual = float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
     return EigenData(lam, v, residual, "arpack")
 
@@ -110,23 +105,21 @@ def leading_eigenpair(M: OperatorMatrix) -> EigenData:
 class Baseline:
     """One Fourier problem and its untwisted operator, shared by the statistics.
 
-    ``map_model``, ``kernel`` and the grid of ``M0`` define the problem;
-    ``gc`` is the observable centered by ``shift``, the mean of g against the
-    unit-mass invariant density (the real part of the eigenvector's
-    function), and is what the twist multiplies.  ``g_window`` and
-    ``g2_window`` are the forward DFTs of the fine-grid samples of g and g^2
-    at the frequencies {-n+1, ..., n}^2, the coarse block of order 2n: every
-    fine-grid mean the statistics take is a sum over them.
+    ``shift`` is the mean of g against the unit-mass invariant density (the
+    real part of the eigenvector's function); ``plan`` assembles every
+    twisted operator, for the centered observable ``plan.g`` = g - shift.
+    ``g_window`` and ``g2_window`` are the forward DFTs of the fine-grid
+    samples of g and g^2 at the frequencies {-n+1, ..., n}^2, the coarse
+    block of order 2n: every fine-grid mean the statistics take is a sum
+    over them.
     """
 
-    map_model: MapModel
-    kernel: object
-    gc: Observable
     M0: OperatorMatrix
     eigen: EigenData
     shift: float
     g_window: np.ndarray
     g2_window: np.ndarray
+    plan: TwistPlan
 
 
 def _mean_against(coeffs: np.ndarray, window: np.ndarray) -> float:
@@ -155,7 +148,7 @@ def baseline(map_model: MapModel, kernel, g: Observable, grid: GridSpec) -> Base
         # the grid points, the samples of g and g^2 and one complex transform
         _reserve(48 * N * N, "the observable's fine-grid samples")
     M0 = assemble(map_model, kernel, g, 0.0, grid)
-    eig = leading_eigenpair(M0)
+    eig = untwisted_eigenpair(M0)
     if parts is None:
         gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
         g_win, g2_win = (restrict_to_coarse(forward_transform(f), 2 * n) for f in (gs, gs * gs))
@@ -167,7 +160,8 @@ def baseline(map_model: MapModel, kernel, g: Observable, grid: GridSpec) -> Base
         g_win = np.outer(h1, zero) + np.outer(zero, h2)
         g2_win = np.outer(q1, zero) + np.outer(zero, q2) + 2.0 * np.outer(h1, h2)
     shift = _mean_against(eig.right_vector.reshape(n, n), g_win)
-    return Baseline(map_model, kernel, g.shifted(shift), M0, eig, shift, g_win, g2_win)
+    plan = TwistPlan(map_model, kernel, g.shifted(shift), grid)
+    return Baseline(M0, eig, shift, g_win, g2_win, plan)
 
 
 # Green-Kubo terms summed before an operator that does not mix counts as singular
@@ -218,6 +212,19 @@ def _deflated_solve(M: OperatorMatrix, x: np.ndarray):
     return _green_kubo(M.entries, x, off_zero_mode)
 
 
+def untwisted_eigenpair(M0: OperatorMatrix) -> EigenData:
+    """The z = 0 eigenpair without ARPACK: L_0 preserves mass, so e_0 is its
+    left eigenvector of 1, the mass-normalised right one is v = e_0 + w with
+    w = :func:`_deflated_solve` (M0, e_0), and lam = (L_0 v)_0.  The residual
+    is that of :func:`leading_eigenpair`."""
+    e0 = _zero_mode(M0.n)
+    v = e0 + _deflated_solve(M0, e0)[0]
+    Lv = M0.entries @ v
+    lam = complex(Lv[freq_index(0, 0, M0.n)])
+    residual = float(np.linalg.norm(Lv - lam * v) / np.linalg.norm(v))
+    return EigenData(lam, v, residual, "series")
+
+
 @dataclass
 class VarianceResult:
     sigma2: float
@@ -260,11 +267,8 @@ def lambda_curve(base: Baseline, z_values) -> list:
     The twist is exp(z g_c), g_c centered against the invariant density of
     the z = 0 operator, so d/dz ln|lambda| vanishes at z = 0.
     """
-    grid = base.M0.grid
     return [
-        base.eigen.lam
-        if z == 0.0
-        else leading_eigenpair(assemble(base.map_model, base.kernel, base.gc, z, grid)).lam
+        base.eigen.lam if z == 0.0 else leading_eigenpair(base.plan.operator(z)).lam
         for z in map(float, z_values)
     ]
 
@@ -301,12 +305,15 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     """(Lambda, Lambda', overlap) at M's twist, Lambda = ln|lam|.
 
     Hellmann-Feynman: Lambda' = Re <l, dM r> / (lam <l, r>), with r the right
-    eigenvector in ``eig``, l the left one (the leading eigenvector of M^H,
-    from the same start vector) and dM the derivative operator.  The overlap
+    eigenvector in ``eig``, l the left one and dM the derivative operator.
+    At z = 0, l is e_0 (L_0 preserves mass); at any other z it is the leading
+    eigenvector of M^H from ARPACK, from the same start vector.  The overlap
     |<l, r>| / (|l| |r|) vanishes where two eigenvalues of equal modulus
     cross and l and r belong to different ones; Lambda' is meaningless there.
     """
-    _, left = _arpack_leading(spla.aslinearoperator(M.entries).H, _zero_mode(M.n))
+    left = _zero_mode(M.n)
+    if M.z != 0:
+        _, left = _arpack_leading(spla.aslinearoperator(M.entries).H, left)
     r = eig.right_vector
     inner = np.vdot(left, r)
     slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)
@@ -349,15 +356,13 @@ def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
     if not z_lo < 0.0 < z_hi:
         raise ValueError("z bracket must contain 0")
 
-    map_model, kernel, gc, grid = base.map_model, base.kernel, base.gc, base.M0.grid
-    var = variance(base)
+    plan, var = base.plan, variance(base)
 
     # (Lambda, Lambda') by twist, in evaluation order; |Im lam| / |lam| and
     # the eigenvector overlap of each evaluation
     points, imag, overlaps = {}, [], []
 
-    def record(z: float, M: OperatorMatrix, eig: EigenData) -> float:
-        dM = assemble_derivative(map_model, kernel, gc, z, grid)
+    def record(z: float, M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix) -> float:
         log_lam, slope, overlap = _legendre_point(M, eig, dM)
         points[z] = log_lam, slope
         imag.append(abs(eig.lam.imag) / abs(eig.lam))
@@ -365,10 +370,10 @@ def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
         return slope
 
     def evaluate(z: float) -> float:
-        M = assemble(map_model, kernel, gc, z, grid)
-        return record(z, M, leading_eigenpair(M))
+        M, dM = plan.pair(z)
+        return record(z, M, leading_eigenpair(M), dM)
 
-    record(0.0, base.M0, base.eigen)
+    record(0.0, base.M0, base.eigen, plan.operator(0.0, derivative=True))
 
     def secant(s: float):
         """(Lambda'' estimate, whether the last two evaluations straddle s)."""

@@ -15,9 +15,14 @@ import anosov.operators as ops
 import anosov.stats as stats_mod
 import anosov.ulam as ulam_mod
 from anosov import (
+    BumpKernel,
+    GridSpec,
     LinearToral,
+    PerturbedCat,
+    baseline,
     build_ulam,
     cat_map,
+    evaluate_on_fine,
     standard_observable,
     ulam_srb,
     ulam_variance,
@@ -122,6 +127,19 @@ def test_srb_command_writes_grid(tmp_path):
     assert density.shape == (64, 64)
     assert np.mean(density) == pytest.approx(1.0, abs=1e-8)
     assert (tmp_path / "srb_density.csv").exists()
+
+
+def test_srb_density_is_the_baselines(tmp_path):
+    """srb and variance share one z = 0 solve: the GRID payload is the real
+    part of the baseline eigenvector's samples, bit for bit, and the leading
+    eigenvalue the series' exact 1."""
+    argv = ["srb", "--scheme", "bump", "--n", "8", "--fine", "64", "--epsilon", "0.1"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    base = baseline(PerturbedCat(), BumpKernel(0.1), standard_observable(), GridSpec(8, 64))
+    expected = evaluate_on_fine(base.eigen.right_vector.reshape(8, 8), 64).real
+    assert np.array_equal(read_grid(tmp_path / "srb_density.grid"), expected)
+    # the summary writes a complex number as its str
+    assert _load_summary(tmp_path, "srb_summary.json")["results"]["leading_eigenvalue"] == "(1+0j)"
 
 
 def test_rate_command_csv(tmp_path):
@@ -773,7 +791,8 @@ def test_numerical_failure_exits_two(tmp_path):
     [
         ("variance", np.linalg.LinAlgError("Eigenvalues did not converge"), "fejer"),
         ("match_epsilon", NoRootError("no root in the scan range"), "bump"),
-        # inside variance: ARPACK's own error is reported as NonConvergenceError
+        # inside rate, at a twisted z (z = 0 needs no ARPACK): ARPACK's own
+        # error is reported as NonConvergenceError
         ("eigs", ArpackNoConvergence("No convergence (3 iterations)", [], []), "fejer"),
     ],
 )
@@ -783,7 +802,8 @@ def test_solver_exceptions_exit_two(tmp_path, monkeypatch, capsys, target, exc, 
 
     owner = stats_mod.spla if target == "eigs" else cli_mod
     monkeypatch.setattr(owner, target, fail)
-    argv = ["variance", "--map", "cat", "--scheme", scheme, "--n", "8", "--fine", "64"]
+    task = ["rate", "--s", "0.5"] if target == "eigs" else ["variance"]
+    argv = [*task, "--map", "cat", "--scheme", scheme, "--n", "8", "--fine", "64"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     diag = json.loads(capsys.readouterr().err)
     shown = NonConvergenceError if isinstance(exc, ArpackError) else type(exc)

@@ -330,6 +330,56 @@ def test_derivative_is_the_central_difference(perturbed_map, fejer, g):
         assert np.abs(dM - (hi - lo) / (2 * h)).max() <= 1e-8 * np.abs(dM).max()
 
 
+_SEPARABLE = TrigPolynomial(
+    (((1, 0), 0.3), ((-1, 0), 0.3), ((0, 3), 0.2j), ((0, -3), -0.2j), ((0, 0), -0.1))
+)
+
+
+@pytest.mark.parametrize("n, N", [(8, 64), (16, 256)])
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
+@pytest.mark.parametrize("g", [standard_observable(), _SEPARABLE], ids=["standard", "separable"])
+def test_plan_pair_equals_the_one_shot_assemblies(perturbed_map, kernel, g, n, N):
+    """One plan's L_z and dL/dz, from one batch of transforms, are the
+    one-shot assemble and assemble_derivative bit for bit, and so is its
+    operator()."""
+    grid = GridSpec(n, N)
+    plan = operators.TwistPlan(perturbed_map, kernel, g, grid)
+    for z in (0.0, 0.3, -2.0, 5.0, 0.2 + 0.1j):
+        L, dL = plan.pair(z)
+        for got, want in (
+            (L, assemble(perturbed_map, kernel, g, z, grid)),
+            (plan.operator(z), assemble(perturbed_map, kernel, g, z, grid)),
+            (dL, assemble_derivative(perturbed_map, kernel, g, z, grid)),
+        ):
+            assert got.z == want.z == z
+            assert got.entries.G1.flags.c_contiguous and got.entries.G2.flags.c_contiguous
+            assert np.array_equal(got.entries.G1, want.entries.G1), z
+            assert np.array_equal(got.entries.G2, want.entries.G2), z
+
+
+def test_plan_pair_of_a_mixed_observable_is_the_two_operators(perturbed_map, fejer):
+    """The N-term path keeps its arithmetic: its pair is the dense L_z and dL/dz."""
+    grid = GridSpec(8, 64)
+    plan = operators.TwistPlan(perturbed_map, fejer, _MIXED, grid)
+    for z in (0.0, 0.3):
+        L, dL = plan.pair(z)
+        assert np.array_equal(L.dense(), assemble(perturbed_map, fejer, _MIXED, z, grid).dense())
+        want = assemble_derivative(perturbed_map, fejer, _MIXED, z, grid).dense()
+        assert isinstance(dL.entries, np.ndarray) and np.array_equal(dL.entries, want)
+
+
+def test_plan_pair_is_reserved_with_its_copies(monkeypatch, perturbed_map, fejer, std_g):
+    """The pair holds the derivative's factors, its apply's work array and
+    L_z's two copied columns, 8 n^3 entries: a budget that admits dL/dz's
+    6 n^3 refuses the pair before anything is transformed."""
+    n = 16
+    plan = operators.TwistPlan(perturbed_map, fejer, std_g, GridSpec(n, 64))
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 16 * 7 * n**3)
+    assert plan.operator(0.3, derivative=True).entries.G1.shape == (n * n, 2, n)
+    with pytest.raises(MemoryError, match="the operator's factors"):
+        plan.pair(0.3)
+
+
 def test_derivative_shares_the_assembly_guards(perturbed_map, fejer, std_g):
     with pytest.raises(OverflowError):
         assemble_derivative(perturbed_map, fejer, std_g, 400.0, GridSpec(8, 64))

@@ -55,6 +55,59 @@ def test_leading_eigenpair_toy_matrix():
     assert eig.method == "arpack"
 
 
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.25)], ids=["fejer", "bump"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("linear", [False, True], ids=["perturbed", "cat"])
+def test_untwisted_eigenpair_from_the_series(perturbed_map, linear_cat, std_g, kernel, n, linear):
+    """The z = 0 pair without ARPACK: lam = (L_0 v)_0 is exactly 1, and v
+    agrees with ARPACK's mass-normalised eigenvector to rounding."""
+    from anosov.stats import untwisted_eigenpair
+
+    map_model = linear_cat if linear else perturbed_map
+    M0 = assemble(map_model, kernel, std_g, 0.0, GridSpec(n, max(16, 4 * n)))
+    eig = untwisted_eigenpair(M0)
+    assert eig.lam == 1.0 and eig.method == "series"
+    assert eig.residual < 1e-14
+    assert eig.right_vector[freq_index(0, 0, n)] == 1.0
+    assert np.abs(eig.right_vector - leading_eigenpair(M0).right_vector).max() < 1e-14
+
+
+def test_arpack_never_runs_at_zero_twist(perturbed_map, fejer, std_g, monkeypatch):
+    """rate_function makes two ARPACK calls (right and left eigenvector) per
+    twisted evaluation and none at z = 0, from one plan per baseline;
+    variance makes none."""
+    import anosov.stats as stats_mod
+
+    arpack_orig, legendre_orig = stats_mod._arpack_leading, stats_mod._legendre_point
+    eig_orig, plan_cls = stats_mod.leading_eigenpair, stats_mod.TwistPlan
+    twist, arpack, plans = [None], [], []
+
+    def at_twist(solve):
+        def traced(M, *args):
+            twist[0] = M.z
+            return solve(M, *args)
+
+        return traced
+
+    def counting_arpack(A, v0):
+        arpack.append(twist[0])
+        return arpack_orig(A, v0)
+
+    def counting_plan(*args):
+        plans.append(args)
+        return plan_cls(*args)
+
+    monkeypatch.setattr(stats_mod, "_arpack_leading", counting_arpack)
+    monkeypatch.setattr(stats_mod, "_legendre_point", at_twist(legendre_orig))
+    monkeypatch.setattr(stats_mod, "leading_eigenpair", at_twist(eig_orig))
+    monkeypatch.setattr(stats_mod, "TwistPlan", counting_plan)
+    base = baseline(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    assert variance(base).sigma2 > 0.0 and arpack == [] and len(plans) == 1
+    tab = rate_function(base, [0.0, 0.5, 1.0])
+    assert len(arpack) == 2 * (tab.legendre_evals - 1) and 0 not in arpack
+    assert len(plans) == 1
+
+
 def test_cat_map_srb_is_lebesgue(linear_cat, fejer, std_g):
     grid = GridSpec(16, 128)
     M0 = assemble(linear_cat, fejer, std_g, 0.0, grid)
@@ -88,8 +141,8 @@ def test_centered_observable_linear_map(linear_cat, fejer, std_g):
     const = TrigPolynomial((((0, 0), 2.5),))
     cen = baseline(linear_cat, fejer, const, grid)
     assert cen.shift == pytest.approx(2.5, abs=1e-12)
-    assert cen.gc == const.shifted(cen.shift)
-    assert np.abs(cen.gc.sample(*fine_points(grid.N))).max() < 1e-12
+    assert cen.plan.g == const.shifted(cen.shift)
+    assert np.abs(cen.plan.g.sample(*fine_points(grid.N))).max() < 1e-12
 
 
 def test_variance_cat_map_analytic(linear_cat, fejer, std_g):
@@ -134,13 +187,18 @@ def test_lambda_curve_identities(perturbed_map, fejer, std_g, small_grid):
 
 
 def test_lambda_curve_lists_the_leading_eigenvalue_of_each_z(perturbed_map, fejer, std_g):
+    """A twisted z gives ARPACK's eigenvalue of the one-shot assembly, bit for
+    bit; z = 0 gives the baseline's series eigenvalue, exactly 1."""
     grid, zs = GridSpec(8, 64), [0.5, -0.25, 0.0, 1.0]
     base = baseline(perturbed_map, fejer, std_g, grid)
     lams = lambda_curve(base, zs)
     assert [type(lam) for lam in lams] == [complex] * len(zs)
     for z, lam in zip(zs, lams):
-        M = base.M0 if z == 0.0 else assemble(perturbed_map, fejer, base.gc, z, grid)
-        assert lam == leading_eigenpair(M).lam
+        if z == 0.0:
+            assert lam == base.eigen.lam == 1.0 and base.eigen.method == "series"
+        else:
+            M = assemble(perturbed_map, fejer, base.plan.g, z, grid)
+            assert lam == leading_eigenpair(M).lam
 
 
 def test_lambda_real_positive_and_convex(perturbed_map, fejer, std_g, small_grid):
@@ -200,25 +258,38 @@ def test_untwisted_baseline_computed_once(
 ):
     import anosov.stats as stats_mod
 
-    twists = {"assemble": [], "eig": []}
+    """One z = 0 assembly, one series eigen-solve and one twist plan per
+    baseline; every twisted operator comes from the plan, and ARPACK never
+    sees z = 0."""
+    twists = {"assemble": [], "series": [], "eig": [], "plan": 0}
     assemble_orig = stats_mod.assemble
-    eig_orig = stats_mod.leading_eigenpair
+    series_orig, eig_orig = stats_mod.untwisted_eigenpair, stats_mod.leading_eigenpair
 
     def counting_assemble(*args, **kwargs):
         M = assemble_orig(*args, **kwargs)
         twists["assemble"].append(M.z)
         return M
 
-    def counting_eig(M):
-        twists["eig"].append(M.z)
-        return eig_orig(M)
+    def counting(key, solve):
+        def counted(M):
+            twists[key].append(M.z)
+            return solve(M)
+
+        return counted
+
+    class CountingPlan(stats_mod.TwistPlan):
+        def __init__(self, *args):
+            twists["plan"] += 1
+            super().__init__(*args)
 
     monkeypatch.setattr(stats_mod, "assemble", counting_assemble)
-    monkeypatch.setattr(stats_mod, "leading_eigenpair", counting_eig)
+    monkeypatch.setattr(stats_mod, "untwisted_eigenpair", counting("series", series_orig))
+    monkeypatch.setattr(stats_mod, "leading_eigenpair", counting("eig", eig_orig))
+    monkeypatch.setattr(stats_mod, "TwistPlan", CountingPlan)
     run(perturbed_map, fejer, std_g, GridSpec(8, 64))
-    assert twists["assemble"].count(0) == 1
-    assert twists["eig"].count(0) == 1
-    assert len(twists["eig"]) == len(twists["assemble"])
+    assert twists["assemble"] == [0] and twists["series"] == [0]
+    assert twists["plan"] == 1
+    assert twists["eig"] and 0 not in twists["eig"]
 
 
 @pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
@@ -343,7 +414,8 @@ def test_spectral_and_ulam_solves_share_the_series(perturbed_map, fejer, std_g, 
         monkeypatch.setattr(mod, "_green_kubo", counted)
     variance(baseline(perturbed_map, fejer, std_g, GridSpec(8, 64)))
     ulam_variance(perturbed_map, 16, 16, std_g)
-    assert calls == ["SeparableOperator", "csr_matrix"]
+    # the baseline's eigenvector, the variance's Green-Kubo sum, Ulam's sum
+    assert calls == ["SeparableOperator", "SeparableOperator", "csr_matrix"]
 
 
 # -- Newton-Legendre rate function -------------------------------------------
@@ -497,7 +569,7 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
 def _legendre_points(map_model, kernel, g, grid):
     """z -> (Lambda, Lambda', eigenvector overlap) at twist z, for g centered
     against the baseline as rate_function centers it."""
-    gc = baseline(map_model, kernel, g, grid).gc
+    gc = baseline(map_model, kernel, g, grid).plan.g
 
     def point(z):
         M = assemble(map_model, kernel, gc, z, grid)
@@ -620,7 +692,7 @@ def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer,
     grid, h = GridSpec(8, 64), 1e-4
     assert (g.separable_parts() is None) == (g is _MIXED)
     base = baseline(perturbed_map, fejer, g, grid)
-    gc = base.gc
+    gc = base.plan.g
     for z in (-0.5, 0.0, 0.3, 1.0, 3.0):
         M = assemble(perturbed_map, fejer, gc, z, grid)
         dM = assemble_derivative(perturbed_map, fejer, gc, z, grid)
