@@ -231,8 +231,11 @@ def _cmd_rate(args):
         ["s", "z_star", "r", "iterations", "boundary_flag"],
         map(astuple, table.rows),
     )
-    # the summary counts the rows; the CSV holds them
-    return {**asdict(table), "rows": len(table.rows), "table_file": csv_path, **matched}
+    results = asdict(table)
+    del results["rows"], results["variance"]
+    # the summary counts the rows (the CSV holds them) and flattens the variance
+    head = {"rows": len(table.rows), **asdict(table.variance)}
+    return {**head, **results, "table_file": csv_path, **matched}
 
 
 def _cmd_lambda_curve(args):

@@ -5,8 +5,7 @@ Entry (j, k) of the n^2 x n^2 matrix is
     q_hat(j) * F[ exp(-2 pi i j.T(y)) * w(y) ](-k)
 
 where F is the fine-grid forward transform, q_hat the kernel coefficients
-and w the weight: exp(z g) for :func:`assemble`, its z-derivative
-g exp(z g) for :func:`assemble_derivative`.
+and w the weight: exp(z g) for L_z, its z-derivative g exp(z g) for dL/dz.
 
 Every map is T(x) = A x + (phi1(x1), phi2(x2)) (``separable_parts()``), and
 the weight is written as a sum of R separable terms, w = sum_r a_r(x1) b_r(x2).
@@ -28,9 +27,9 @@ factors G1[j, r, k1] (q_hat folded in) and G2[j, r, k2].  The terms are exact:
 Only the weight depends on z.  A :class:`TwistPlan`, built once per
 problem, holds the rest: the phases exp(-2 pi i j_i phi_i) on the fine axis,
 the gather indices, q_hat, and a separable g's 1-D samples and sup|g|;
-:func:`assemble` and :func:`assemble_derivative` are one-off plans.  Its
-``pair(z)`` gives L_z and dL/dz from the derivative's one batch of 1-D
-transforms, whose second a-term and first b-term are L_z's one term.
+:func:`assemble` is a one-off plan.  Its ``pair(z)`` gives L_z and dL/dz
+from the derivative's one batch of 1-D transforms, whose second a-term and
+first b-term are L_z's one term.
 
 With one or two terms the operator is a :class:`SeparableOperator`: it
 applies L and L^H from G1 and G2 in R n^4 multiply-adds, as a dense matvec
@@ -292,12 +291,6 @@ def assemble(map_model: MapModel, kernel, g: Observable, z: complex, grid: GridS
     Raises OverflowError when |Re z| * sup|g| exceeds the exp range guard.
     """
     return TwistPlan(map_model, kernel, g, grid).operator(z)
-
-
-def assemble_derivative(map_model: MapModel, kernel, g: Observable, z: complex, grid: GridSpec):
-    """d/dz of the twisted operator at z (the weight g exp(z g)), with the
-    guards of :func:`assemble`."""
-    return TwistPlan(map_model, kernel, g, grid).operator(z, derivative=True)
 
 
 def write_opmat(path, M: OperatorMatrix) -> None:

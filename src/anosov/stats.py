@@ -17,7 +17,8 @@ The eigenvalue 1 of the untwisted operator makes Id - L singular on the zero
 mode.  L preserves mass, so the mean-zero subspace is invariant, L contracts
 it by |lambda_2| (about 0.1), and (Id - L)^{-1} L there is the series
 sum_{j>=1} L^j with the zero-mode coordinate cut from each term.  The same
-series from e_0 gives the invariant density.
+series from e_0 gives the invariant density, and from the uniform vector the
+Ulam matrix's (ulam.ulam_srb); ARPACK runs only on twisted operators.
 """
 
 from __future__ import annotations
@@ -285,10 +286,7 @@ class RateRow:
 @dataclass
 class RateTable:
     rows: list
-    sigma2: float
-    mean_shift: float
-    solve_terms: int
-    solve_rate: float
+    variance: VarianceResult  # the baseline's; its sigma^2 is Lambda''(0)
     z_bracket: tuple
     bracket_expanded: bool
     legendre_evals: int
@@ -446,10 +444,7 @@ def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
     slopes = [d for _, (_, d) in sorted(points.items())]
     return RateTable(
         rows=rows,
-        sigma2=var.sigma2,
-        mean_shift=base.shift,
-        solve_terms=var.solve_terms,
-        solve_rate=var.solve_rate,
+        variance=var,
         z_bracket=(z_lo, z_hi),
         bracket_expanded=expanded,
         legendre_evals=len(points),

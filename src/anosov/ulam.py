@@ -6,12 +6,12 @@ sample points per box, so the construction is fully reproducible: entry
 (i, j) is the fraction of box i's samples whose image lands in box j.  Rows
 are exact integer counts divided by k.
 
-The invariant density is the leading left eigenvector (ARPACK on the
-transpose, from the uniform vector).  The variance is the Green-Kubo sum in
-the box basis: for a mixing P the deflated resolvent solution is the
-fundamental-matrix series w = sum_{j>=1} P^j g_c (Kemeny-Snell), summed by
-stats._green_kubo with the constant mode, the spectral method's zero
-frequency, projected off each term.  No matrix is factored.
+The invariant density and the variance are sums of the series of
+stats._green_kubo, which checks its residual: the density that of P^T from
+the uniform vector (ulam_srb), the variance that of the box basis, where for
+a mixing P the deflated resolvent solution is the fundamental-matrix series
+w = sum_{j>=1} P^j g_c (Kemeny-Snell).  Each term has its constant mode, the
+spectral method's zero frequency, projected off.  No matrix is factored.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .grids import _is_pow2
 from .operators import _reserve
-from .stats import VarianceResult, _arpack_leading, _green_kubo
+from .stats import VarianceResult, _green_kubo
 from .torus import MapModel, Observable
 
 
@@ -100,14 +100,14 @@ def build_ulam(map_model: MapModel, m: int, k: int) -> sp.csr_matrix:
 
 
 def ulam_srb(P: sp.csr_matrix) -> np.ndarray:
-    """Invariant density per box (averages one), from the left eigenvector.
+    """Invariant density per box (averages one), the fixed point of P^T.
 
-    ARPACK on P^T from the uniform vector; raises NonConvergenceError when
-    ARPACK fails.
+    P^T preserves total mass, so its mean-zero subspace is invariant and the
+    density is ones + sum_{j>=1} (P^T)^j ones with the mean cut from each
+    term.  Raises SingularSolveError when P does not mix (stats._green_kubo).
     """
-    nboxes = P.shape[0]
-    _, v = _arpack_leading(P.T, np.full(nboxes, 1.0 / nboxes))
-    return (v / v.sum()).real * nboxes
+    ones = np.ones(P.shape[0])
+    return ones + _green_kubo(P.T, ones, lambda v: v - v.mean())[0]
 
 
 def ulam_variance(map_model: MapModel, m: int, k: int, g: Observable):

@@ -156,22 +156,16 @@ def ldp_grid():
 
 
 def test_criterion5_ldp_suite(perturbed_map, std_g, ldp_grid):
-    fejer = FejerKernel()
+    base = baseline(perturbed_map, FejerKernel(), std_g, ldp_grid)
     zs = [-1e-3, -1e-4, 0.0, 1e-4, 1e-3]
-    lams = lambda_curve(baseline(perturbed_map, fejer, std_g, ldp_grid), zs)
+    lams = lambda_curve(base, zs)
     ll = {z: np.log(abs(lam)) for z, lam in zip(zs, lams)}
     d1 = (ll[1e-4] - ll[-1e-4]) / 2e-4
     d2 = (ll[1e-3] - 2 * ll[0.0] + ll[-1e-3]) / 1e-6
-    sig = variance(baseline(perturbed_map, fejer, std_g, ldp_grid)).sigma2
+    sig = variance(base).sigma2
 
-    small = rate_function(
-        baseline(perturbed_map, fejer, std_g, ldp_grid),
-        [-0.05, -0.025, 0.0, 0.025, 0.05],
-    )
-    big = rate_function(
-        baseline(perturbed_map, fejer, std_g, ldp_grid),
-        [round(0.1 * i, 1) for i in range(19)],
-    )
+    small = rate_function(base, [-0.05, -0.025, 0.0, 0.025, 0.05])
+    big = rate_function(base, [round(0.1 * i, 1) for i in range(19)])
     r_by_s = {row.s: row.r for row in big.rows}
     rs = np.array([row.r for row in big.rows])
 

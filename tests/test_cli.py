@@ -558,9 +558,9 @@ def test_option_a_subcommand_does_not_read_exits_one(tmp_path, capsys, command, 
         ),
         (
             ["rate", *_SMALL, "--s", "0,0.5"],
-            "rows sigma2 mean_shift solve_terms solve_rate z_bracket bracket_expanded "
-            "legendre_evals lambda_imag_max slope_monotone eigvec_overlap_min table_file "
-            "epsilon matching_residual",
+            "rows sigma2 mean_shift solve_residual solve_terms solve_rate z_bracket "
+            "bracket_expanded legendre_evals lambda_imag_max slope_monotone "
+            "eigvec_overlap_min table_file epsilon matching_residual",
         ),
         (["lambda-curve", *_SMALL, "--z", "0,0.2"], "points table_file epsilon matching_residual"),
         (["ulam", *_ULAM], "boxes samples_per_box density_min density_file"),
@@ -673,6 +673,28 @@ def test_ulam_non_mixing_map_exits_two(tmp_path, monkeypatch, capsys):
     argv = ["ulam", "--boxes", "8", "--samples", "16", "--variance"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "SingularSolveError" in capsys.readouterr().err
+
+
+def test_ulam_chain_that_does_not_mix_exits_two(tmp_path, capsys):
+    """With one sample per box P sends each box to one box, a map of a finite
+    set whose cycles leave P^T more eigenvalues of modulus one: the density
+    series refuses it, and no density is written."""
+    assert main(["ulam", "--boxes", "16", "--samples", "1", "--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SingularSolveError"
+    assert not (tmp_path / "ulam_density.grid").exists()
+
+
+@pytest.mark.parametrize("variance", [False, True], ids=["density", "variance"])
+def test_ulam_runs_without_arpack(tmp_path, monkeypatch, variance):
+    """The Ulam density and variance both come from the Green-Kubo series."""
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    monkeypatch.setattr(stats_mod.spla, "eigs", no_arpack)
+    argv = ["ulam", *_ULAM, *(["--variance"] if variance else [])]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert read_grid(tmp_path / "ulam_density.grid").min() > 0.0
 
 
 def test_srb_operator_dump(tmp_path):

@@ -26,7 +26,6 @@ from anosov.operators import (
     EXP_GUARD,
     OperatorAssembler,
     SeparableOperator,
-    assemble_derivative,
     read_opmat,
     write_opmat,
 )
@@ -137,9 +136,10 @@ def test_mixed_weight_samples_are_reserved(monkeypatch, perturbed_map, fejer):
     monkeypatch.setattr(operators, "MEMORY_BUDGET", 2**20)
     tracemalloc.start()
     try:
-        for build in (assemble, assemble_derivative):
+        for derivative in (False, True):
+            plan = operators.TwistPlan(perturbed_map, fejer, _MIXED, GridSpec(8, 512))
             with pytest.raises(MemoryError, match="the dense operator needs 17 MiB"):
-                build(perturbed_map, fejer, _MIXED, 0.5, GridSpec(8, 512))
+                plan.operator(0.5, derivative=derivative)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,15 +159,18 @@ def test_dense_request_is_refused_before_allocation(tmp_path, perturbed_map, fej
     assert not path.exists()
 
 
-@pytest.mark.parametrize("build, R", [(assemble, 1), (assemble_derivative, 2)])
-def test_factor_assembly_peak_within_its_byte_estimate(perturbed_map, fejer, std_g, build, R):
+@pytest.mark.parametrize(
+    "derivative, R", [(False, 1), (True, 2)], ids=["operator-1", "derivative-2"]
+)
+def test_factor_assembly_peak_within_its_byte_estimate(perturbed_map, fejer, std_g, derivative, R):
     """The guard's estimate for the factor form, 3 R n^3 complex entries (two
     factors and one apply's work array), bounds the assembly's own peak: the
     gather allocates nothing of n^3 size besides the factors."""
     n = 128
     tracemalloc.start()
     try:
-        M = build(perturbed_map, fejer, std_g, 0.3, GridSpec(n, 512))
+        plan = operators.TwistPlan(perturbed_map, fejer, std_g, GridSpec(n, 512))
+        M = plan.operator(0.3, derivative=derivative)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,7 +245,7 @@ def test_factored_derivative_matches_generic(map_model, n, N, std_g):
         base = _reference_base(reference, g, z, derivative=True)
         for kernel in (FejerKernel(), BumpKernel(0.1)):
             q = kernel.coefficients(grid).ravel()
-            dM = assemble_derivative(map_model, kernel, g, z, grid)
+            dM = operators.TwistPlan(map_model, kernel, g, grid).operator(z, derivative=True)
             assert dM.z == z
             assert np.abs(dM.dense() - q[:, None] * base).max() <= 1e-13
 
@@ -266,10 +269,8 @@ def test_column_terms_match_reference(map_model, n, N):
             base = _reference_base(reference, _MIXED, z, derivative)
             for g, kernel in zip(observables, (FejerKernel(), BumpKernel(0.1))):
                 q = kernel.coefficients(grid).ravel()
-                if derivative:
-                    M = assemble_derivative(map_model, kernel, g, z, grid)
-                else:
-                    M = assemble(map_model, kernel, g, z, grid)
+                plan = operators.TwistPlan(map_model, kernel, g, grid)
+                M = plan.operator(z, derivative=derivative)
                 assert np.abs(M.dense() - q[:, None] * base).max() <= 1e-13
 
 
@@ -304,7 +305,7 @@ def test_derivative_apply_matches_its_dense_form(perturbed_map, std_g, n, rng):
     v = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
     for z in (0.0, 0.7, -0.5):
         for kernel in (FejerKernel(), BumpKernel(0.3)):
-            dM = assemble_derivative(perturbed_map, kernel, g, z, grid)
+            dM = operators.TwistPlan(perturbed_map, kernel, g, grid).operator(z, derivative=True)
             assert isinstance(dM.entries, SeparableOperator)
             assert dM.entries.G1.shape == (n * n, 2, n)
             D = dM.dense()
@@ -323,8 +324,9 @@ def test_derivative_apply_matches_its_dense_form(perturbed_map, std_g, n, rng):
 )
 def test_derivative_is_the_central_difference(perturbed_map, fejer, g):
     grid, h = GridSpec(8, 64), 1e-5
+    plan = operators.TwistPlan(perturbed_map, fejer, g, grid)
     for z in (0.0, 0.7):
-        dM = assemble_derivative(perturbed_map, fejer, g, z, grid).dense()
+        dM = plan.operator(z, derivative=True).dense()
         hi = assemble(perturbed_map, fejer, g, z + h, grid).dense()
         lo = assemble(perturbed_map, fejer, g, z - h, grid).dense()
         assert np.abs(dM - (hi - lo) / (2 * h)).max() <= 1e-8 * np.abs(dM).max()
@@ -340,8 +342,8 @@ _SEPARABLE = TrigPolynomial(
 @pytest.mark.parametrize("g", [standard_observable(), _SEPARABLE], ids=["standard", "separable"])
 def test_plan_pair_equals_the_one_shot_assemblies(perturbed_map, kernel, g, n, N):
     """One plan's L_z and dL/dz, from one batch of transforms, are the
-    one-shot assemble and assemble_derivative bit for bit, and so is its
-    operator()."""
+    one-shot plans' operator(z) and operator(z, derivative=True) bit for bit,
+    and so is its own operator()."""
     grid = GridSpec(n, N)
     plan = operators.TwistPlan(perturbed_map, kernel, g, grid)
     for z in (0.0, 0.3, -2.0, 5.0, 0.2 + 0.1j):
@@ -349,7 +351,7 @@ def test_plan_pair_equals_the_one_shot_assemblies(perturbed_map, kernel, g, n, N
         for got, want in (
             (L, assemble(perturbed_map, kernel, g, z, grid)),
             (plan.operator(z), assemble(perturbed_map, kernel, g, z, grid)),
-            (dL, assemble_derivative(perturbed_map, kernel, g, z, grid)),
+            (dL, operators.TwistPlan(perturbed_map, kernel, g, grid).operator(z, derivative=True)),
         ):
             assert got.z == want.z == z
             assert got.entries.G1.flags.c_contiguous and got.entries.G2.flags.c_contiguous
@@ -364,7 +366,8 @@ def test_plan_pair_of_a_mixed_observable_is_the_two_operators(perturbed_map, fej
     for z in (0.0, 0.3):
         L, dL = plan.pair(z)
         assert np.array_equal(L.dense(), assemble(perturbed_map, fejer, _MIXED, z, grid).dense())
-        want = assemble_derivative(perturbed_map, fejer, _MIXED, z, grid).dense()
+        one_off = operators.TwistPlan(perturbed_map, fejer, _MIXED, grid)
+        want = one_off.operator(z, derivative=True).dense()
         assert isinstance(dL.entries, np.ndarray) and np.array_equal(dL.entries, want)
 
 
@@ -381,12 +384,15 @@ def test_plan_pair_is_reserved_with_its_copies(monkeypatch, perturbed_map, fejer
 
 
 def test_derivative_shares_the_assembly_guards(perturbed_map, fejer, std_g):
+    def derivative(g, z, grid):
+        return operators.TwistPlan(perturbed_map, fejer, g, grid).operator(z, derivative=True)
+
     with pytest.raises(OverflowError):
-        assemble_derivative(perturbed_map, fejer, std_g, 400.0, GridSpec(8, 64))
+        derivative(std_g, 400.0, GridSpec(8, 64))
     with pytest.raises(ValueError, match="N >= 2n"):
-        assemble_derivative(perturbed_map, fejer, std_g, 0.0, GridSpec(8, 8))
+        derivative(std_g, 0.0, GridSpec(8, 8))
     with pytest.raises(MemoryError, match="dense operator"):
-        assemble_derivative(perturbed_map, fejer, _MIXED, 0.0, GridSpec(256, 512))
+        derivative(_MIXED, 0.0, GridSpec(256, 512))
 
 
 def test_factored_assembly_near_the_exp_guard(perturbed_map, fejer):
@@ -502,7 +508,7 @@ def test_assembly_dispatch(monkeypatch, perturbed_map, fejer):
     results = {}
     for name, g in observables.items():
         M = assemble(perturbed_map, fejer, g, z, grid)
-        dM = assemble_derivative(perturbed_map, fejer, g, z, grid)
+        dM = operators.TwistPlan(perturbed_map, fejer, g, grid).operator(z, derivative=True)
         assert calls[0] == 0, name
         assert np.isfinite(M.dense()).all() and np.isfinite(dM.dense()).all(), name
         results[name] = M.dense()

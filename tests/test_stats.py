@@ -26,7 +26,7 @@ from anosov import (
     variance,
 )
 from anosov.grids import fine_points, forward_transform, freq_index
-from anosov.operators import OperatorMatrix, assemble_derivative
+from anosov.operators import OperatorMatrix
 from anosov.stats import (
     SingularSolveError,
     _deflated_solve,
@@ -224,7 +224,7 @@ def test_rate_function_basic(perturbed_map, fejer, std_g, small_grid):
     assert not tab.bracket_expanded
     # small-s Legendre duality against the stored variance
     for row in rows[1:]:
-        quad = row.s**2 / (2.0 * tab.sigma2)
+        quad = row.s**2 / (2.0 * tab.variance.sigma2)
         assert abs(row.r - quad) / quad < 0.05
 
 
@@ -414,8 +414,9 @@ def test_spectral_and_ulam_solves_share_the_series(perturbed_map, fejer, std_g, 
         monkeypatch.setattr(mod, "_green_kubo", counted)
     variance(baseline(perturbed_map, fejer, std_g, GridSpec(8, 64)))
     ulam_variance(perturbed_map, 16, 16, std_g)
-    # the baseline's eigenvector, the variance's Green-Kubo sum, Ulam's sum
-    assert calls == ["SeparableOperator", "SeparableOperator", "csr_matrix"]
+    # the baseline's eigenvector, the variance's Green-Kubo sum, then Ulam's
+    # density (the series of P^T) and its Green-Kubo sum
+    assert calls == ["SeparableOperator", "SeparableOperator", "csc_matrix", "csr_matrix"]
 
 
 # -- Newton-Legendre rate function -------------------------------------------
@@ -569,11 +570,11 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
 def _legendre_points(map_model, kernel, g, grid):
     """z -> (Lambda, Lambda', eigenvector overlap) at twist z, for g centered
     against the baseline as rate_function centers it."""
-    gc = baseline(map_model, kernel, g, grid).plan.g
+    plan = baseline(map_model, kernel, g, grid).plan
 
     def point(z):
-        M = assemble(map_model, kernel, gc, z, grid)
-        dM = assemble_derivative(map_model, kernel, gc, z, grid)
+        M = assemble(map_model, kernel, plan.g, z, grid)
+        dM = plan.operator(z, derivative=True)
         return _legendre_point(M, leading_eigenpair(M), dM)
 
     return point
@@ -663,7 +664,7 @@ def test_rate_table_legendre_budget(perturbed_map, fejer, std_g):
     assert tab.legendre_evals <= 100
     # every evaluation is charged to the row that made it, except z = 0
     assert sum(row.iterations for row in tab.rows) == tab.legendre_evals - 1
-    assert 0 < tab.solve_terms < 100 and 0.0 < tab.solve_rate < 1.0
+    assert 0 < tab.variance.solve_terms < 100 and 0.0 < tab.variance.solve_rate < 1.0
 
 
 def test_newton_evaluation_cap_raises(perturbed_map, fejer, std_g, monkeypatch):
@@ -695,7 +696,7 @@ def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer,
     gc = base.plan.g
     for z in (-0.5, 0.0, 0.3, 1.0, 3.0):
         M = assemble(perturbed_map, fejer, gc, z, grid)
-        dM = assemble_derivative(perturbed_map, fejer, gc, z, grid)
+        dM = base.plan.operator(z, derivative=True)
         log_lam, slope, _ = _legendre_point(M, leading_eigenpair(M), dM)
         assert log_lam == math.log(abs(leading_eigenpair(M).lam))
         lo, hi = lambda_curve(base, [z - h, z + h])

@@ -114,7 +114,7 @@ def test_build_validates_arguments(perturbed_map):
         build_ulam(perturbed_map, 12, 16)
     with pytest.raises(ValueError):
         build_ulam(perturbed_map, 8, 15)
-    # one box leaves ARPACK nothing to iterate on; no samples, no counts
+    # one box partitions nothing; no samples, no counts
     for m, k in ((1, 16), (8, 0), (8, -4)):
         with pytest.raises(ValueError, match=f"got {min(m, k)}"):
             build_ulam(perturbed_map, m, k)
@@ -136,6 +136,15 @@ def test_build_reserves_its_arrays(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MemoryError" and "the Ulam matrix needs" in err["message"]
     assert not (tmp_path / "ulam_density.grid").exists()
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_ulam_srb_refuses_a_chain_that_does_not_mix(perturbed_map, m):
+    """One sample per box makes P a map of the boxes into themselves; its
+    cycles leave P^T eigenvalues of modulus one besides 1, and the density
+    series raises instead of returning a density."""
+    with pytest.raises(SingularSolveError, match="did not converge"):
+        ulam_srb(build_ulam(perturbed_map, m, 1))
 
 
 def test_ulam_variance_linear_oracle(linear_cat, std_g):
