@@ -1,4 +1,9 @@
-"""Twisted-row fill, the hot loop of operator assembly.
+"""Twisted-row fill of the brute-force reference assembly.
+
+``twisted_rows`` serves only ``operators.OperatorAssembler.base_matrix``, the
+reference the tests check the factored assembly against; no pipeline
+assembles through it.  ``backend_name`` serves only the benchmark's sample
+record.
 
 Row (j1, j2) of the frequency-space operator needs the fine-grid field
 exp(-2 pi i (j1*T1 + j2*T2)) * W.  The caller supplies power tables

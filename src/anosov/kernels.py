@@ -45,21 +45,28 @@ def fejer_coefficients(n: int) -> np.ndarray:
     return np.outer(w, w)
 
 
-def _bump_window(widths, N: int):
+def _bump_window(widths, N: int, work=None):
     """Fold weights w of the offsets i = 0..h, h = floor(eps N) shared by the
     widths, and the unnormalised bump on the quarter window i1, i2 >= 0, one
     (h+1)^2 slice per width.  w is 2 for i > 0, which stands for +-i.
 
-    Raises ResolutionError when fewer than 16 fine points lie in a disk, and
-    MemoryError when the arrays exceed the budget.
+    The bump is written into the head of the flat float array ``work`` when
+    one is given (its caller reserved it), else into a new array.  Raises
+    ResolutionError when fewer than 16 fine points lie in a disk, and
+    MemoryError when a new array exceeds the budget.
     """
     widths = np.atleast_1d(widths)
     if not np.all((0.0 < widths) & (widths < 0.5)):
         raise ValueError("epsilon must lie in (0, 1/2)")
     i = np.arange(int(widths[0] * N) + 1)
-    _reserve(16 * widths.size * i.size**2, "the bump window")
+    size = widths.size * i.size**2
+    if work is None:
+        _reserve(8 * size, "the bump window")
+        work = np.empty(size)
+    t = work[:size].reshape(widths.size, i.size, i.size)
     r2, w = (i / N) ** 2, np.where(i > 0, 2, 1)
-    t = 1.0 - np.add.outer(r2, r2) / (widths * widths)[:, None, None]  # 1 - |x/eps|^2
+    np.divide(np.add.outer(r2, r2), (widths * widths)[:, None, None], out=t)
+    np.subtract(1.0, t, out=t)  # 1 - |x/eps|^2
     count = w @ (t[widths.argmin()] > 0.0) @ w  # points in the narrowest disk
     if count < 16:
         raise ResolutionError(f"bump of width {widths.min()} covers only {count} fine points")
@@ -83,13 +90,14 @@ def _cosine_table(N: int, jmax: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * ji / N)
 
 
-def _bump_cosine_block(widths, N: int, cos: np.ndarray) -> np.ndarray:
+def _bump_cosine_block(widths, N: int, cos: np.ndarray, work=None) -> np.ndarray:
     """Real bump coefficients at j1, j2 = 0..jmax, one block per width with
     entry (0, 0) exactly 1: the fold-weighted cosine sums over the quarter window.
 
-    ``cos`` is ``_cosine_table(N, jmax)``.  Raises as ``_bump_window`` does.
+    ``cos`` is ``_cosine_table(N, jmax)``; ``work`` is ``_bump_window``'s.
+    Raises as ``_bump_window`` does.
     """
-    w, q = _bump_window(widths, N)
+    w, q = _bump_window(widths, N, work)
     Cm = cos[:, : w.size] * w
     block = Cm @ q @ Cm.T
     return block / block[:, :1, :1]
@@ -143,8 +151,10 @@ def match_epsilon(grid: GridSpec):
     right, so the achieved residual is at round-off level.  Structure finer
     than the scan step is treated as noise.  The scan is split where
     floor(eps N) changes (56 groups at N = 256), and each group of widths is
-    one batched cosine block; each bisection step is a group of one.  The
-    objective is the minimum of a block over j in {0..n/2}^2.
+    one batched cosine block; each bisection step is a group of one.  All
+    their windows are written into one work buffer, reserved and allocated
+    once at the largest group's size.  The objective is the minimum of a
+    block over j in {0..n/2}^2.
     NoRootError names n, N and the Fejer minimum when no scan point reaches it
     (with the shortfall and the scan floor 8/N) or none falls below it.
     """
@@ -152,11 +162,16 @@ def match_epsilon(grid: GridSpec):
     target = float(fejer_coefficients(n).min())
     cos = _cosine_table(grid.N, n // 2)
 
-    def f(widths):
-        return np.abs(_bump_cosine_block(widths, grid.N, cos)).min(axis=(1, 2)) - target
-
     scan = np.arange(8.0 / grid.N, 0.25, 1e-4)
     groups = np.split(scan, np.flatnonzero(np.diff((scan * grid.N).astype(int))) + 1)
+    # bisection widths lie below the last scan width, so their windows fit too
+    size = max((g.size * (int(g[0] * grid.N) + 1) ** 2 for g in groups if g.size), default=0)
+    _reserve(8 * size, "the bump window")
+    work = np.empty(size)
+
+    def f(widths):
+        return np.abs(_bump_cosine_block(widths, grid.N, cos, work)).min(axis=(1, 2)) - target
+
     vals = np.concatenate([np.empty(0), *(f(g) for g in groups if g.size)])
     above = np.nonzero(vals >= 0)[0]
     where = f"the Fejer minimum {target:.3e} at n = {n}, N = {grid.N}"

@@ -105,9 +105,21 @@ def ulam_srb(P: sp.csr_matrix) -> np.ndarray:
     P^T preserves total mass, so its mean-zero subspace is invariant and the
     density is ones + sum_{j>=1} (P^T)^j ones with the mean cut from each
     term.  Raises SingularSolveError when P does not mix (stats._green_kubo).
+    A doubly stochastic P stops that series at its first term, which tells
+    nothing about mixing, so the series must then converge from a fixed
+    pseudo-random start too; an alternating +-1 start would pass
+    LinearToral(2, 1, 3, 2) at m = 32, k = 4, whose P^T has two eigenvalues
+    of modulus one.
     """
     ones = np.ones(P.shape[0])
-    return ones + _green_kubo(P.T, ones, lambda v: v - v.mean())[0]
+    w, _, terms, _ = _green_kubo(P.T, ones, _mean_off)
+    if terms == 1:
+        _green_kubo(P.T, np.random.default_rng(0).standard_normal(ones.size), _mean_off)
+    return ones + w
+
+
+def _mean_off(v):
+    return v - v.mean()
 
 
 def ulam_variance(map_model: MapModel, m: int, k: int, g: Observable):

@@ -684,6 +684,15 @@ def test_ulam_chain_that_does_not_mix_exits_two(tmp_path, capsys):
     assert not (tmp_path / "ulam_density.grid").exists()
 
 
+def test_ulam_doubly_stochastic_chain_that_does_not_mix_exits_two(tmp_path, capsys):
+    """With one sample per box the cat map permutes the boxes: P^T fixes the
+    uniform start exactly, and the check from a non-constant start refuses it."""
+    argv = ["ulam", "--map", "cat", "--boxes", "16", "--samples", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SingularSolveError"
+    assert not (tmp_path / "ulam_density.grid").exists()
+
+
 @pytest.mark.parametrize("variance", [False, True], ids=["density", "variance"])
 def test_ulam_runs_without_arpack(tmp_path, monkeypatch, variance):
     """The Ulam density and variance both come from the Green-Kubo series."""

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_matching_objective_matches_rfft2_over_the_scan(n, N):
 def test_match_epsilon_matches_rfft2_matching(monkeypatch, n, N):
     eps, _ = match_epsilon(GridSpec(n, N))
 
-    def oracle(widths, N, cos):
+    def oracle(widths, N, cos, work=None):
         return np.array([_rfft2_block(e, N, cos.shape[0] - 1) for e in np.atleast_1d(widths)])
 
     monkeypatch.setattr(kernels, "_bump_cosine_block", oracle)
@@ -235,6 +236,24 @@ def test_match_epsilon_empty_scan_has_no_root():
     # at N = 32 the scan [8/N, 0.25) holds no width at all
     with pytest.raises(NoRootError, match=r"8/N = 0\.25"):
         match_epsilon(GridSpec(8, 32))
+
+
+def test_match_epsilon_scans_in_one_window_buffer():
+    """The scan and the bisection write every window into one buffer sized
+    for the largest group: the traced peak stays near that one window, where
+    a fresh window per group, with its temporaries, peaks at twice it."""
+    grid = GridSpec(16, 256)
+    scan = np.arange(8.0 / grid.N, 0.25, 1e-4)
+    h = (scan * grid.N).astype(int)
+    window = 8 * max(np.count_nonzero(h == k) * (k + 1) ** 2 for k in np.unique(h))
+    match_epsilon(grid)  # warm
+    tracemalloc.start()
+    try:
+        match_epsilon(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * window, (peak, window)
 
 
 def test_match_epsilon_reserves_the_bump_window(monkeypatch, tmp_path, capsys):

@@ -147,6 +147,30 @@ def test_ulam_srb_refuses_a_chain_that_does_not_mix(perturbed_map, m):
         ulam_srb(build_ulam(perturbed_map, m, 1))
 
 
+@pytest.mark.parametrize("m, k", [(16, 100), (8, 16), (64, 1600)])
+def test_ulam_srb_keeps_the_uniform_density_of_mixing_cat_chains(linear_cat, m, k):
+    """The cat map preserves area, so P is doubly stochastic and its series
+    from the uniform start stops at once; the chain mixes, so the check from a
+    non-constant start passes and the density stays exactly uniform."""
+    P = build_ulam(linear_cat, m, k)
+    assert np.all(np.asarray(P.sum(axis=0)).ravel() == 1.0)
+    assert np.array_equal(ulam_srb(P), np.ones(m * m))
+
+
+@pytest.mark.parametrize(
+    "map_model, m, k",
+    [(cat_map(), 16, 1), (LinearToral(1, 0, 0, 1), 8, 16), (LinearToral(2, 1, 3, 2), 32, 4)],
+    ids=["cat-permutation", "identity", "linear-two-unit-modes"],
+)
+def test_ulam_srb_refuses_a_doubly_stochastic_chain_that_does_not_mix(map_model, m, k):
+    """P^T fixes the uniform vector here as well, but has another eigenvalue
+    of modulus one, so the invariant density is not unique."""
+    P = build_ulam(map_model, m, k)
+    assert np.all(np.asarray(P.sum(axis=0)).ravel() == 1.0)
+    with pytest.raises(SingularSolveError, match="did not converge"):
+        ulam_srb(P)
+
+
 def test_ulam_variance_linear_oracle(linear_cat, std_g):
     res, _ = ulam_variance(linear_cat, 64, 1600, std_g)
     assert res.sigma2 == pytest.approx(1.0, abs=0.02)
