@@ -9,8 +9,7 @@ subcommand does not take exits 1.  Every run writes a JSON summary with the scal
 results, residuals and provenance (config echo, config hash, versions, wall
 time): each _cmd_* returns the "results" payload, mostly the fields of its
 result dataclass, and main writes the summary.  Grids are dumped in the GRID
-binary format, tables as CSV.  --workers sets the FFT thread count through
-scipy.fft.set_workers.
+binary format, tables as CSV.
 
 Exit codes: 0 success, 1 configuration error (argparse usage errors
 included), 2 numerical failure.
@@ -30,7 +29,7 @@ import time
 from dataclasses import asdict, astuple
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from . import __version__
 from .certificate import certify
@@ -153,9 +152,9 @@ def _write_csv(path: str, header: list, rows) -> str:
     return path
 
 
-# options that say where output goes or how many threads run, not what is
-# computed: echoed in the summary's config, left out of config_sha256
-_UNHASHED = ("out_dir", "json_name", "config", "workers")
+# options that say where output goes, not what is computed: echoed in the
+# summary's config, left out of config_sha256
+_UNHASHED = ("out_dir", "json_name", "config")
 
 
 def _write_summary(args, payload: dict, started: float) -> str:
@@ -294,13 +293,6 @@ def _add_common(p, *groups):
         add("--n", type=int, default=32, help="coarse order")
         add("--fine", "--N", dest="fine", type=int, default=512, help="fine order N")
         add("--epsilon", type=float, default=None, help="bump width (else matched)")
-        add(
-            "--workers",
-            type=int,
-            default=1,
-            help="FFT threads as in scipy.fft.set_workers: nonzero, negative counts "
-            "back from the CPU count; does not change results",
-        )
     if "boxes" in groups:
         add("--boxes", type=int, default=64, help="Ulam boxes per side")
         add("--samples", type=int, default=1600, help="Ulam samples per box")
@@ -399,8 +391,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _parse_args(argv)
-        with scipy.fft.set_workers(getattr(args, "workers", 1)):
-            payload = args.func(args)
+        payload = args.func(args)
         _write_summary(args, payload, started)
         return 0
     # LinAlgError subclasses ValueError, so it must be caught first

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 
 def _is_pow2(n: int) -> bool:
@@ -64,23 +63,17 @@ def fine_points(N: int):
     return np.meshgrid(a, a, indexing="ij")
 
 
-def _coarse_slots(n: int, N: int):
-    """Index of the coarse block {-n/2+1..n/2}^2 in a fine N x N spectrum."""
-    k = coarse_freqs(n) % N
-    return np.ix_(k, k)
-
-
 def forward_transform(samples: np.ndarray) -> np.ndarray:
     """DFT coefficients c(j) = (1/N^2) sum f(x) e^{-2 pi i j.x}, FFT order."""
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] != samples.shape[1]:
         raise ValueError("samples must be a square N x N array")
-    return sfft.fft2(samples, norm="forward")
+    return np.fft.fft2(samples, norm="forward")
 
 
 def line_transform(rows: np.ndarray) -> np.ndarray:
     """1-D DFT coefficients c(j) = (1/N) sum f(x) e^{-2 pi i j x} of each row, FFT order."""
-    return sfft.fft(rows, norm="forward")
+    return np.fft.fft(rows, norm="forward")
 
 
 def restrict_to_coarse(fine: np.ndarray, n: int) -> np.ndarray:
@@ -88,16 +81,21 @@ def restrict_to_coarse(fine: np.ndarray, n: int) -> np.ndarray:
     N = fine.shape[0]
     if n > N:
         raise ValueError("coarse order exceeds fine order")
-    return fine[_coarse_slots(n, N)]
+    k = coarse_freqs(n) % N
+    return fine[np.ix_(k, k)]
 
 
 def evaluate_on_fine(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """Samples of sum_j c(j) e^{2 pi i j.x} on the fine N x N grid; c is (n, n)."""
+    """Samples of sum_j c(j) e^{2 pi i j.x} on the fine N x N grid; c is (n, n).
+    The x2 transform runs on the n nonzero rows only, then x1 on all columns."""
     if N < len(coeffs):
         raise ValueError("fine order must be at least the coarse order")
+    k = coarse_freqs(len(coeffs)) % N
+    rows = np.zeros((len(k), N), dtype=complex)
+    rows[:, k] = coeffs
     fine = np.zeros((N, N), dtype=complex)
-    fine[_coarse_slots(len(coeffs), N)] = coeffs
-    return sfft.ifft2(fine, norm="forward")
+    fine[k] = np.fft.ifft(rows, norm="forward")
+    return np.fft.ifft(fine, axis=0, norm="forward")
 
 
 def riemann_integral(samples: np.ndarray):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grids import GridSpec, coarse_freqs
 from .operators import _reserve
@@ -78,6 +77,7 @@ def _bump_window(widths, N: int, work=None):
 def bump_spatial(epsilon: float, N: int) -> np.ndarray:
     """Fine-grid samples of the bump, rescaled so (1/N^2) sum = 1."""
     w, window = _bump_window(epsilon, N)
+    _reserve(16 * N * N, "the bump's fine-grid samples")  # q and its rescaled copy
     i = np.arange(1 - w.size, w.size)
     q = np.zeros((N, N))
     q[np.ix_(i % N, i % N)] = window[0][np.ix_(np.abs(i), np.abs(i))]
@@ -130,11 +130,12 @@ class FejerKernel:
         # The full Fejer series has the symmetric index -n/2 as well, so it is
         # written at j mod N for j = -n/2..n/2, not on the coarse block.
         n, N = grid.n, grid.N
+        _reserve(32 * N * N, "the Fejer series' fine-grid samples and transform")
         j = np.arange(-(n // 2), n // 2 + 1)
         w = 1.0 - np.abs(j) / (n // 2 + 1)
         fine = np.zeros((N, N), dtype=complex)
         fine[np.ix_(j % N, j % N)] = np.outer(w, w)
-        return sfft.ifft2(fine, norm="forward").real
+        return np.fft.ifft2(fine, norm="forward").real
 
 
 def match_epsilon(grid: GridSpec):
@@ -202,6 +203,8 @@ def summability_check(kernel, eta: float, grid: GridSpec) -> float:
     """Discrete kernel mass outside the ball B_eta(0) on the fine grid."""
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
+    # the squared distances, the mask and the mass outside it; spatial reserves q
+    _reserve(17 * grid.N**2, "the summability mask")
     q = kernel.spatial(grid)
     a = np.arange(grid.N) / grid.N
     r = np.where(a >= 0.5, a - 1.0, a)  # signed torus distance to 0 per axis

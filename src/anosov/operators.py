@@ -39,15 +39,14 @@ over the rows j per block of ``TERM_BLOCK`` terms.  At n = 32, N = 512 a
 plan's pair takes about 1.9 ms (4.5 ms as two one-off assemblies) and one
 apply 0.3 ms; the N-term weight 1 s.
 
-The FFTs use scipy.fft's thread count, set with scipy.fft.set_workers; it
-does not change results.  Every assembly has the guards: MemoryError
-before any allocation when what the operator needs exceeds
-``MEMORY_BUDGET`` bytes (``dense()`` checks its n^4 complex entries the
-same way), and OverflowError when |Re z| sup|g| exceeds the exp range guard;
-GridSpec refuses N < 2n.  Any g that does not separate is sampled on the
-fine grid, which its weight needs anyway.  A separable weight factor's
-largest exponent is taken out of it and put back into q_hat, so exp(z g)
-may pass the guard where exp(z g2) alone would overflow.
+Every assembly has the guards: MemoryError before any allocation when
+what the operator needs exceeds ``MEMORY_BUDGET`` bytes (a plan checks its
+phases, each block of terms its transforms and ``dense()`` its n^4 complex
+entries the same way), and OverflowError when |Re z| sup|g| exceeds the exp
+range guard; GridSpec refuses N < 2n.  Any g that does not separate is
+sampled on the fine grid, which its weight needs anyway.  A separable
+weight factor's largest exponent is taken out of it and put back into
+q_hat, so exp(z g) may pass the guard where exp(z g2) alone would overflow.
 
 :class:`OperatorAssembler` is the brute-force reference: n^2 two-dimensional
 FFTs of the full integrand over power tables of exp(-2 pi i T).  The
@@ -59,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -134,7 +132,7 @@ class OperatorAssembler:
         for i1, j1 in enumerate(js):
             j1s = np.full(n, j1, dtype=np.int64)
             backend.twisted_rows(pow1, pow2, w, j1s, j2s, block)
-            C = sfft.fft2(block, axes=(-2, -1), overwrite_x=True)
+            C = np.fft.fft2(block)
             C *= 1.0 / (N * N)
             base[i1 * n : (i1 + 1) * n, :] = C[:, gat[:, None], gat[None, :]].reshape(
                 n, n * n
@@ -205,9 +203,12 @@ class TwistPlan:
         A, phi1, phi2 = map_model.separable_parts()
         n, N = grid.n, grid.N
         js = coarse_freqs(n)
+        _reserve(2 * 16 * n * N, "the twist plan's phases")
         x = np.arange(N) / N
         self.grid, self.g = grid, g
-        self.E1, self.E2 = (np.exp(-2j * np.pi * js[:, None] * phi(x)) for phi in (phi1, phi2))
+        self.E1, self.E2 = (-2j * np.pi * js[:, None] * phi(x) for phi in (phi1, phi2))
+        for E in (self.E1, self.E2):
+            np.exp(E, out=E)
         J1, J2 = (J.ravel() for J in np.meshgrid(js, js, indexing="ij"))
         # U_i[j_i, (A^T j)_i - k_i] over k_i = js is the n-wide window of columns
         # from (A^T j)_i - js[-1] on, read backwards: one row and start per j
@@ -225,9 +226,12 @@ class TwistPlan:
         """Yield the factors (G1, G2) of the module docstring, each (n^2, R, n),
         for blocks of ``TERM_BLOCK`` terms; ``a`` and ``b`` are (R, N) samples
         of the weight's terms a_r(x1), b_r(x2), and q_hat is ``q``."""
+        n, N = self.grid.n, self.grid.N
+        # one side's R n N transform input and output, then the output and its wrap
+        _reserve(16 * min(len(a), TERM_BLOCK) * n * (2 * N + n), "a term block's transforms")
         for r in range(0, len(a), TERM_BLOCK):
             G1, G2 = (
-                _windows(sfft.fft(E * f[r : r + TERM_BLOCK, None], axis=-1, norm="forward"))[gat]
+                _windows(np.fft.fft(E * f[r : r + TERM_BLOCK, None], norm="forward"))[gat]
                 for E, f, gat in ((self.E1, a, self.gat1), (self.E2, b, self.gat2))
             )
             G1 *= q[:, None, None]

@@ -1,12 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
@@ -266,27 +268,27 @@ def test_config_file_strings_are_type_converted(tmp_path):
     assert summary["config"]["delta"] == 0.02 and summary["config"]["alpha"] == 0.1
 
 
-def test_fft_workers_do_not_change_results(tmp_path):
-    argv = ["variance", "--n", "8", "--fine", "64", "--out-dir", str(tmp_path)]
-    assert main(argv + ["--json-name", "w1.json"]) == 0
-    assert main(argv + ["--workers", "2", "--json-name", "w2.json"]) == 0
-    a = _load_summary(tmp_path, "w1.json")["results"]
-    b = _load_summary(tmp_path, "w2.json")["results"]
-    assert a == b
-    assert scipy.fft.get_workers() == 1  # the setting does not outlive the run
+def test_cli_import_leaves_scipy_fft_unloaded():
+    """numpy.fft is the one FFT library: a fresh ``import anosov.cli`` does not
+    load scipy.fft (scipy.sparse does not need it either)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, anosov.cli; print('scipy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_config_hash_names_the_problem_not_the_output(tmp_path):
-    """The output directory and file name, the config file's path and the FFT
-    thread count leave config_sha256 alone, and stay in the config echo; a
-    different coarse order changes it."""
+    """The output directory and file name and the config file's path leave
+    config_sha256 alone, and stay in the config echo; a different coarse
+    order changes it."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 8}))
     argv = ["variance", "--map", "cat", "--fine", "64"]
     runs = {
         "base": ["--n", "8", "--out-dir", str(tmp_path / "a")],
         "dir": ["--n", "8", "--out-dir", str(tmp_path / "b"), "--json-name", "x.json"],
-        "workers": ["--n", "8", "--out-dir", str(tmp_path / "c"), "--workers", "2"],
         "config": ["--config", str(cfg), "--out-dir", str(tmp_path / "d")],
         "n": ["--n", "16", "--out-dir", str(tmp_path / "e")],
     }
@@ -297,7 +299,7 @@ def test_config_hash_names_the_problem_not_the_output(tmp_path):
         summary = json.loads(next(out.glob("*.json")).read_text())
         assert summary["config"]["out_dir"] == str(out)
         hashes[name] = summary["config_sha256"]
-    assert hashes["dir"] == hashes["workers"] == hashes["config"] == hashes["base"]
+    assert hashes["dir"] == hashes["config"] == hashes["base"]
     assert hashes["n"] != hashes["base"]
 
 
@@ -306,8 +308,10 @@ def test_bad_configuration_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
     assert main(["variance", "--config", str(cfg)]) == 1
-    assert main(["variance", "--workers", "0", "--out-dir", str(tmp_path)]) == 1
-    assert "workers must not be zero" in capsys.readouterr().err
+    # the FFT thread count is no option: a config file that sets it is refused
+    cfg.write_text(json.dumps({"workers": 2}))
+    assert main(["variance", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert "unknown config key 'workers'" in capsys.readouterr().err
     assert main(["variance", "--map", "linear", "--out-dir", str(tmp_path)]) == 1
     assert "unknown map 'linear'" in capsys.readouterr().err
     # the Fejer kernel has no width: an --epsilon would only enter the config hash
@@ -481,7 +485,7 @@ def test_readme_library_surface_runs():
 # the output options --out-dir, --json-name and --config
 _OUTPUT = "out_dir json_name config"
 _MAP = "map form delta"
-_FOURIER = "scheme n fine epsilon workers"
+_FOURIER = "scheme n fine epsilon"
 _OPTIONS = {
     "certify": f"delta alpha {_OUTPUT}",
     "variance": f"{_MAP} observable {_FOURIER} {_OUTPUT}",
@@ -498,8 +502,8 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     for name, parser in commands.items():
         dests = set(vars(parser.parse_args([]))) - {"func"}
         assert dests == set(_OPTIONS[name].split()), name
-    assert sum(len(names.split()) for names in _OPTIONS.values()) == 67
-    assert len(_NOT_TAKEN) == 24
+    assert sum(len(names.split()) for names in _OPTIONS.values()) == 63
+    assert len(_NOT_TAKEN) == 28
 
 
 _VALUES = {

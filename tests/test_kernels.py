@@ -256,6 +256,25 @@ def test_match_epsilon_scans_in_one_window_buffer():
     assert peak <= 1.5 * window, (peak, window)
 
 
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
+def test_summability_check_reserves_its_fine_grids(monkeypatch, kernel):
+    """At N = 2048 the kernel's N x N samples and the check's mask take tens
+    of MiB; a 4 MiB budget refuses them before they exist."""
+    budget = 4 * 2**20
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
+    grid = GridSpec(8, 2048)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="the summability mask"):
+            summability_check(kernel, 0.1, grid)
+        with pytest.raises(MemoryError, match="fine-grid"):
+            kernel.spatial(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
 def test_match_epsilon_reserves_the_bump_window(monkeypatch, tmp_path, capsys):
     """The window arrays are checked against the budget before allocation;
     the CLI reports the refusal with exit code 2."""

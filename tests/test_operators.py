@@ -15,6 +15,7 @@ from anosov import (
     TrigPolynomial,
     assemble,
     backend,
+    baseline,
     cat_map,
     coarse_freqs,
     standard_observable,
@@ -144,6 +145,39 @@ def test_mixed_weight_samples_are_reserved(monkeypatch, perturbed_map, fejer):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_twist_plan_reserves_its_phases(monkeypatch, perturbed_map, fejer, std_g):
+    """n = 8, N = 2^16: the plan's two n x N phase tables take 16 MiB; a 4 MiB
+    budget refuses the baseline before they, or anything N-sized, exist."""
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", 4 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="the twist plan's phases needs 16 MiB"):
+            baseline(perturbed_map, fejer, std_g, GridSpec(8, 2**16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_term_block_transforms_are_reserved(monkeypatch, perturbed_map, fejer, std_g, derivative):
+    """n = 8, N = 2^14, the plan built: a 4 MiB budget refuses one term
+    block's transform input, output and wrap, R n (2N + n) complex entries
+    (just over 4 MiB for L_z, R = 1; 8 MiB for dL/dz, R = 2), before the
+    transform."""
+    plan = operators.TwistPlan(perturbed_map, fejer, std_g, GridSpec(8, 2**14))
+    budget = 4 * 2**20
+    monkeypatch.setattr(operators, "MEMORY_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="a term block's transforms"):
+            plan.operator(0.3, derivative=derivative)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 def test_dense_request_is_refused_before_allocation(tmp_path, perturbed_map, fejer, std_g):
