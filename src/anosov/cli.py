@@ -29,7 +29,6 @@ import time
 from dataclasses import asdict, astuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .certificate import certify
@@ -167,11 +166,7 @@ def _write_summary(args, payload: dict, started: float) -> str:
         "results": payload,
         "config": config,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
-        "versions": {
-            "anosov_spectral": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"anosov_spectral": __version__, "numpy": np.__version__},
         "wall_time_s": time.perf_counter() - started,
     }
     path = os.path.join(_out_dir(args), args.json_name or f"{task}_summary.json")

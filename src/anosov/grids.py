@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import fft  # numpy 2 loads numpy.fft on first use; this loads it here
 
 
 def _is_pow2(n: int) -> bool:
@@ -38,7 +39,7 @@ class GridSpec:
         if self.n < 2:
             raise ValueError(
                 "coarse order n must be at least 2: the grid {-n/2+1, ..., n/2} "
-                "is empty at n = 1, and ARPACK needs a matrix of order n^2 >= 3"
+                "is empty at n = 1"
             )
         if self.N < 2 * self.n:
             raise ValueError(f"fine order N >= 2n required, got n = {self.n}, N = {self.N}")
@@ -68,12 +69,12 @@ def forward_transform(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[0] != samples.shape[1]:
         raise ValueError("samples must be a square N x N array")
-    return np.fft.fft2(samples, norm="forward")
+    return fft.fft2(samples, norm="forward")
 
 
 def line_transform(rows: np.ndarray) -> np.ndarray:
     """1-D DFT coefficients c(j) = (1/N) sum f(x) e^{-2 pi i j x} of each row, FFT order."""
-    return np.fft.fft(rows, norm="forward")
+    return fft.fft(rows, norm="forward")
 
 
 def restrict_to_coarse(fine: np.ndarray, n: int) -> np.ndarray:
@@ -94,8 +95,8 @@ def evaluate_on_fine(coeffs: np.ndarray, N: int) -> np.ndarray:
     rows = np.zeros((len(k), N), dtype=complex)
     rows[:, k] = coeffs
     fine = np.zeros((N, N), dtype=complex)
-    fine[k] = np.fft.ifft(rows, norm="forward")
-    return np.fft.ifft(fine, axis=0, norm="forward")
+    fine[k] = fft.ifft(rows, norm="forward")
+    return fft.ifft(fine, axis=0, norm="forward")
 
 
 def riemann_integral(samples: np.ndarray):

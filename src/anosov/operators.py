@@ -58,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import backend
@@ -76,16 +75,21 @@ class OperatorMatrix:
 
     ``entries`` is a :class:`SeparableOperator` for a weight of one or two
     separable terms and the dense n^2 x n^2 ndarray otherwise; both take
-    ``@`` and ARPACK.  :meth:`dense` is the ndarray either way.
+    ``@``.  :meth:`adjoint` applies L^H and :meth:`dense` is the ndarray.
     """
 
-    entries: np.ndarray | spla.LinearOperator
+    entries: np.ndarray | SeparableOperator
     z: complex
     grid: GridSpec
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        if isinstance(self.entries, np.ndarray):
+            return (u.conj() @ self.entries).conj()
+        return self.entries.adjoint(u)
 
     def dense(self) -> np.ndarray:
         if isinstance(self.entries, np.ndarray):
@@ -140,20 +144,21 @@ class OperatorAssembler:
         return base
 
 
-class SeparableOperator(spla.LinearOperator):
+class SeparableOperator:
     """L from its gathered factors, L[j, (k1, k2)] = sum_r G1[j, r, k1] G2[j, r, k2].
 
-    ``G1`` and ``G2`` are (n^2, R, n) arrays, q_hat folded into G1.  The
-    apply is one (n^2 R x n)(n x n) GEMM and a row-wise dot, R n^4
-    multiply-adds in O(R n^3) memory; only :meth:`dense` forms n^4 entries.
+    ``G1`` and ``G2`` are (n^2, R, n) arrays, q_hat folded into G1.  ``L @ v``
+    and :meth:`adjoint` are each a GEMM of (n^2 R x n)(n x n) and a row-wise
+    dot, R n^4 multiply-adds in O(R n^3) memory; only :meth:`dense` forms n^4.
     """
 
-    def __init__(self, G1: np.ndarray, G2: np.ndarray):
-        n2 = G1.shape[0]
-        super().__init__(np.dtype(complex), (n2, n2))
-        self.G1, self.G2 = G1, G2
+    dtype = np.dtype(complex)
 
-    def _matvec(self, v):
+    def __init__(self, G1: np.ndarray, G2: np.ndarray):
+        self.G1, self.G2 = G1, G2
+        self.shape = (G1.shape[0],) * 2
+
+    def __matmul__(self, v):
         # T[(j, r), k1] = sum_k2 G2[j, r, k2] V[k1, k2], then sum over (r, k1)
         n2, R, n = self.G1.shape
         T = self.G2.reshape(n2 * R, n) @ v.reshape(n, n).T
@@ -161,7 +166,7 @@ class SeparableOperator(spla.LinearOperator):
             self.G1.reshape(n2, 1, R * n), T.reshape(n2, R * n, 1)
         ).reshape(n2)
 
-    def _rmatvec(self, u):
+    def adjoint(self, u):
         # conj(L^H u) = sum_j conj(u_j) G1[j, r, k1] G2[j, r, k2]
         n2, R, n = self.G1.shape
         W = (self.G1 * u.conj().reshape(n2, 1, 1)).reshape(n2 * R, n)

@@ -1,24 +1,26 @@
 """Statistical quantities extracted from assembled transfer operators.
 
 The chain is: the z = 0 operator, its leading eigendata (from the series
-below, not ARPACK), the low frequencies of the observable, its mean against
-the invariant density and the twist plan of the centered observable form one
-:class:`Baseline`, built once per problem and read by
-:func:`variance`, :func:`lambda_curve` and :func:`rate_function`; the CLT
-variance comes from the Green-Kubo series of the deflated resolvent, its
-fine-grid means formed from coefficients by the grid Parseval identity; the
-twisted eigenvalue curve lambda(z) gives the large-deviations rate function
-r(s) = sup_z (s z - ln|lambda(z)|) by a safeguarded Newton solve of
-Lambda'(z) = s, Lambda = ln|lambda|, with Lambda' from the Hellmann-Feynman
-formula (left and right eigenvectors and the derivative operator, which
-each twisted evaluation builds with L_z from one batch of transforms).
+below), the low frequencies of the observable, its mean against the
+invariant density and the twist plan of the centered observable form one
+:class:`Baseline`, built once per problem and read by :func:`variance`,
+:func:`lambda_curve` and :func:`rate_function`; the CLT variance comes from
+the Green-Kubo series of the deflated resolvent, its fine-grid means formed
+from coefficients by the grid Parseval identity; the twisted eigenvalue
+curve lambda(z) gives the large-deviations rate function r(s) = sup_z (s z -
+ln|lambda(z)|) by a safeguarded Newton solve of Lambda'(z) = s, Lambda =
+ln|lambda|, with Lambda' from the Hellmann-Feynman formula (left and right
+eigenvectors and the derivative operator, which each twisted evaluation
+builds with L_z from one batch of transforms).
 
 The eigenvalue 1 of the untwisted operator makes Id - L singular on the zero
 mode.  L preserves mass, so the mean-zero subspace is invariant, L contracts
 it by |lambda_2| (about 0.1), and (Id - L)^{-1} L there is the series
 sum_{j>=1} L^j with the zero-mode coordinate cut from each term.  The same
 series from e_0 gives the invariant density, and from the uniform vector the
-Ulam matrix's (ulam.ulam_srb); ARPACK runs only on twisted operators.
+Ulam matrix's (ulam.ulam_srb).  Only twisted operators need an eigen-solver:
+a numpy Arnoldi iteration from e_0 (the leading eigenvalue is simple and
+isolated, |lambda_2 / lambda| about 0.1, so 20-30 applies find it).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grids import (
     GridSpec,
@@ -63,43 +64,72 @@ class EigenData:
     lam: complex
     right_vector: np.ndarray
     residual: float
-    method: str  # "series" at z = 0 (untwisted_eigenpair), else "arpack"
+    method: str  # "series" at z = 0 (untwisted_eigenpair), else "arnoldi"
 
 
-def _arpack_leading(A, v0: np.ndarray):
-    """Largest-modulus eigenpair (lam, v) of a matrix or LinearOperator.
+# Arnoldi: the basis of the first convergence check, the basis that restarts
+# from the Ritz vector, the applies before giving up, and ARPACK's tolerance
+_ARNOLDI_FIRST, _ARNOLDI_BASIS, _ARNOLDI_BUDGET, _EPS = 20, 40, 400, 2.0**-53
 
-    ARPACK (implicitly restarted Arnoldi) from the start vector v0, at its
-    default tolerance of machine precision.  The generator behind ARPACK's
-    restart vectors is seeded, so a v0 that already spans an invariant
-    subspace still gives bitwise-equal reruns.  ARPACK failures surface as
-    NonConvergenceError.
+
+def _arnoldi_leading(apply, v0: np.ndarray):
+    """Largest-modulus eigenpair (lam, v), ||v|| = 1, of the linear map ``apply``.
+
+    Arnoldi from v0, by classical Gram-Schmidt with one reorthogonalisation.
+    From basis size _ARNOLDI_FIRST on, the Ritz pair (theta, V y) of H's largest
+    eigenvalue must pass ARPACK's test ||f|| |e_k^T y| <= eps |theta|; after a
+    miss each step refines y by one inverse iteration, a small solve, and the
+    Ritz pair is taken again once that passes.  An invariant subspace (f = 0)
+    ends it, a full basis restarts it from the Ritz vector; nothing is random.
     """
-    try:
-        vals, vecs = spla.eigs(A, k=1, which="LM", v0=v0, rng=0)
-    except spla.ArpackError as exc:  # ArpackNoConvergence included
-        raise NonConvergenceError(str(exc)) from exc
-    return complex(vals[0]), vecs[:, 0]
+    cap = min(_ARNOLDI_BASIS, v0.size)
+    _reserve(16 * (cap + 1) * (v0.size + cap), "the Arnoldi basis")
+    V, H = np.empty((cap + 1, v0.size), dtype=complex), np.zeros((cap + 1, cap), dtype=complex)
+    y = None
+    for applies in range(_ARNOLDI_BUDGET):
+        if (k := applies % cap) == 0:  # the start, or a restart from the Ritz vector
+            V[0] = v0 if y is None else y @ V[:cap]
+            V[0] /= np.linalg.norm(V[0])
+            H[:], y = 0.0, None
+        m, w = k + 1, apply(V[k])
+        for _ in range(2):
+            h = (V[:m] @ w.conj()).conj()
+            w -= h @ V[:m]
+            H[:m, k] += h
+        H[m, k] = beta = math.sqrt(np.vdot(w, w).real)
+        invariant = beta <= _EPS * np.linalg.norm(H[:m, k]) or m == v0.size
+        if y is not None:  # the last check's vector, refined
+            y = np.linalg.solve(H[:m, :m] - theta * np.eye(m), np.append(y, 0.0))
+            y /= np.linalg.norm(y)
+        passed = y is not None and beta * abs(y[-1]) <= _EPS * abs(theta)
+        if invariant or passed or m >= _ARNOLDI_FIRST and y is None:
+            thetas, Y = np.linalg.eig(H[:m, :m])
+            i = np.argmax(np.abs(thetas))
+            theta, y = thetas[i], Y[:, i]
+            if invariant or beta * abs(y[-1]) <= _EPS * abs(theta):
+                return complex(theta), y @ V[:m]
+        V[m] = w / beta
+    raise NonConvergenceError(f"Arnoldi did not converge in {_ARNOLDI_BUDGET} applies")
 
 
 def _zero_mode(n: int) -> np.ndarray:
-    """The zero mode e_0: ARPACK's start vector, and L_0's left eigenvector."""
+    """The zero mode e_0: the Arnoldi start vector, and L_0's left eigenvector."""
     return (np.arange(n * n) == freq_index(0, 0, n)).astype(complex)
 
 
 def leading_eigenpair(M: OperatorMatrix) -> EigenData:
-    """Max-modulus eigenpair by ARPACK from the zero mode.
+    """Max-modulus eigenpair by Arnoldi from the zero mode.
 
     No modulus tie is broken: the untwisted operator is simple quasi-compact,
     so its leading eigenvalue is simple and isolated, and where two twisted
-    eigenvalues cross ARPACK returns either.  The residual is
+    eigenvalues cross the iteration returns either.  The residual is
     ||A v - lam v|| / ||v|| for the mass-normalised v.
     """
     A, izero = M.entries, freq_index(0, 0, M.n)
-    lam, v = _arpack_leading(A, _zero_mode(M.n))
+    lam, v = _arnoldi_leading(A.__matmul__, _zero_mode(M.n))
     v = v / (v[izero] if abs(v[izero]) > 1e-12 * np.linalg.norm(v) else np.linalg.norm(v))
     residual = float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
-    return EigenData(lam, v, residual, "arpack")
+    return EigenData(lam, v, residual, "arnoldi")
 
 
 @dataclass(frozen=True)
@@ -214,7 +244,7 @@ def _deflated_solve(M: OperatorMatrix, x: np.ndarray):
 
 
 def untwisted_eigenpair(M0: OperatorMatrix) -> EigenData:
-    """The z = 0 eigenpair without ARPACK: L_0 preserves mass, so e_0 is its
+    """The z = 0 eigenpair with no eigen-solver: L_0 preserves mass, so e_0 is its
     left eigenvector of 1, the mass-normalised right one is v = e_0 + w with
     w = :func:`_deflated_solve` (M0, e_0), and lam = (L_0 v)_0.  The residual
     is that of :func:`leading_eigenpair`."""
@@ -305,13 +335,13 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     Hellmann-Feynman: Lambda' = Re <l, dM r> / (lam <l, r>), with r the right
     eigenvector in ``eig``, l the left one and dM the derivative operator.
     At z = 0, l is e_0 (L_0 preserves mass); at any other z it is the leading
-    eigenvector of M^H from ARPACK, from the same start vector.  The overlap
+    eigenvector of M^H by the same Arnoldi iteration.  The overlap
     |<l, r>| / (|l| |r|) vanishes where two eigenvalues of equal modulus
     cross and l and r belong to different ones; Lambda' is meaningless there.
     """
     left = _zero_mode(M.n)
     if M.z != 0:
-        _, left = _arpack_leading(spla.aslinearoperator(M.entries).H, left)
+        _, left = _arnoldi_leading(M.adjoint, left)
     r = eig.right_vector
     inner = np.vdot(left, r)
     slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)

@@ -17,14 +17,31 @@ spectral method's zero frequency, projected off.  No matrix is factored.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import _is_pow2
 from .operators import _reserve
 from .stats import VarianceResult, _green_kubo
 from .torus import MapModel, Observable
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    """P[rows[i], cols[i]] = data[i], sorted by row, then column; @ sums by bincount."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, v):
+        return np.bincount(self.rows, self.data * v[self.cols], self.shape[0])
+
+    @property
+    def T(self):
+        return TransitionMatrix(self.cols, self.rows, self.data, self.shape[::-1])
 
 
 def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
@@ -34,8 +51,8 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     if k < 1 or ks * ks != k:
         raise ValueError(f"samples per box must be a positive perfect square, got {k}")
     nboxes = m * m
-    # five 8-byte row buffers of m k samples, and gbox, the csr indptr and
-    # the density of m^2 boxes; the budget also keeps the int64 keys
+    # four 8-byte row buffers and a row's keys of m k samples, and gbox, one
+    # apply's sum and the density of m^2 boxes; the budget also keeps the keys
     # box * m^2 + dest, which overflow from m = 2^16, out of reach
     _reserve(8 * (5 * m * k + 3 * nboxes), "the Ulam matrix")
     A, phi1, phi2 = map_model.separable_parts()
@@ -51,11 +68,12 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
         gbox = np.add.outer(g1, g2).ravel()
     # one row of boxes at a time, on the lattice (box i2, offset a, offset b):
     # x1 varies along a and x2 along (i2, b), broadcast to (m, ks, ks), which
-    # flattens to the (m, k) samples in row-major (a, b) order
+    # flattens to the (m, k) samples in row-major (a, b) order; every term is
+    # scaled by m, exactly, for m is a power of two
     x2 = np.arange(m)[:, None, None] / m + off
-    a01, a11 = A[0, 1] * x2, A[1, 1] * x2
-    p2 = phi2(x2)
-    t1, t2, fl = (np.empty((m, ks, ks)) for _ in range(3))
+    a01, a11 = m * (A[0, 1] * x2), m * (A[1, 1] * x2)
+    p2 = m * phi2(x2)
+    t1, t2 = (np.empty((m, ks, ks)) for _ in range(2))
     j1, j2 = (np.empty((m, ks, ks), dtype=np.int64) for _ in range(2))
     # destinations fit the smallest unsigned type holding m^2 - 1, whose
     # sort is several times faster than np.unique on int64 keys
@@ -64,16 +82,14 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     new[:, 0] = True
     for i1 in range(m):
         x1 = (i1 / m + off)[:, None]
-        # the sums of image_arrays, in its order, so every box matches it
-        np.add(A[0, 0] * x1, a01, out=t1)
-        t1 += phi1(x1)
-        np.add(A[1, 0] * x1, a11, out=t2)
+        # m times the sums of image_arrays, in its order, so every box matches it
+        np.add(m * (A[0, 0] * x1), a01, out=t1)
+        t1 += m * phi1(x1)
+        np.add(m * (A[1, 0] * x1), a11, out=t2)
         t2 += p2
-        # mod 1 as t - floor(t); & (m - 1) is % m on int64 for a power-of-two m
+        # the box is floor(m t) mod m; & (m - 1) is % m on int64 for a power-of-two m
         for t, j in ((t1, j1), (t2, j2)):
-            t -= np.floor(t, out=fl)
-            t *= m
-            np.copyto(j, t, casting="unsafe")
+            np.copyto(j, np.floor(t, out=t), casting="unsafe")
             j &= m - 1
         j1 *= m
         j1 += j2
@@ -90,16 +106,15 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
         counts.append(np.diff(starts, append=m * k))
     rows, cols = np.divmod(np.concatenate(keys), nboxes)
     data = np.concatenate(counts) / k
-    P = sp.csr_matrix((data, (rows, cols)), shape=(nboxes, nboxes))
-    return P, gbox
+    return TransitionMatrix(rows, cols, data, (nboxes, nboxes)), gbox
 
 
-def build_ulam(map_model: MapModel, m: int, k: int) -> sp.csr_matrix:
+def build_ulam(map_model: MapModel, m: int, k: int) -> TransitionMatrix:
     """Row-stochastic m^2 x m^2 transition matrix from k lattice samples per box."""
     return _build(map_model, m, k, None)[0]
 
 
-def ulam_srb(P: sp.csr_matrix) -> np.ndarray:
+def ulam_srb(P: TransitionMatrix) -> np.ndarray:
     """Invariant density per box (averages one), the fixed point of P^T.
 
     P^T preserves total mass, so its mean-zero subspace is invariant and the

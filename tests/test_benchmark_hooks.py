@@ -47,13 +47,14 @@ def test_traced_variance_sample_reaches_the_eigen_layer(tmp_path):
     transform and restriction of g_c v), are still traced through ``stats``;
     the standard observable's spectra come from 1-D transforms, which are
     not.  Its z = 0 eigenpair comes from the series, so the ``stats.eig``
-    spans, ARPACK's, are taken from a small ``rate`` run's twisted z."""
+    spans, the Arnoldi iteration's, are taken from a small ``rate`` run's
+    twisted z."""
     spans = _traced_spans(tmp_path, ["variance", "--n", "8", "--fine", "64"])
     assert any(span[0] == "operators.assemble" for span in spans)
     assert sum(span[0] == "grids.transforms" for span in spans) == 4
     spans = _traced_spans(tmp_path, ["rate", "--n", "8", "--fine", "64", "--s", "0.5"])
     eig = [info for name, _, _, _, info in spans if name == "stats.eig"]
-    assert eig and all(info["method"] == "arpack" for info in eig)
+    assert eig and all(info["method"] == "arnoldi" for info in eig)
 
 
 def test_traced_ulam_sample_reaches_the_build_and_the_density(tmp_path):

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import anosov.cli as cli_mod
 import anosov.operators as ops
@@ -268,15 +266,29 @@ def test_config_file_strings_are_type_converted(tmp_path):
     assert summary["config"]["delta"] == 0.02 and summary["config"]["alpha"] == 0.1
 
 
-def test_cli_import_leaves_scipy_fft_unloaded():
-    """numpy.fft is the one FFT library: a fresh ``import anosov.cli`` does not
-    load scipy.fft (scipy.sparse does not need it either)."""
+def test_cli_runs_load_no_scipy(tmp_path):
+    """numpy is the one numerical library: a fresh ``import anosov.cli`` loads
+    numpy.fft and no scipy module, and a variance, a rate and an Ulam run
+    import no module but argparse's locale."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, anosov.cli; print('scipy.fft' in sys.modules)"
+    code = f"""
+import contextlib, io, json, sys
+import anosov.cli
+loaded, seen = {{"numpy.fft": "numpy.fft" in sys.modules}}, set(sys.modules)
+for argv in (["variance", "--n", "8", "--fine", "64"], ["rate", "--n", "8", "--s", "0.5"],
+             ["ulam", "--boxes", "8", "--samples", "16", "--variance"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[argv[0]] = anosov.cli.main(argv + ["--out-dir", {str(tmp_path)!r}])
+loaded["new"] = sorted(set(sys.modules) - seen)
+loaded["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    loaded = json.loads(run.stdout)
+    assert loaded["numpy.fft"] and (loaded["variance"], loaded["rate"], loaded["ulam"]) == (0, 0, 0)
+    assert set(loaded["new"]) <= {"locale", "_locale"} and loaded["scipy"] == []
 
 
 def test_config_hash_names_the_problem_not_the_output(tmp_path):
@@ -477,7 +489,7 @@ def test_readme_library_surface_runs():
     assert density.mean() == pytest.approx(1.0)
     lam, P, rho = namespace["lam"], namespace["P"], namespace["rho"]
     assert [type(x) for x in lam] == [complex, complex] and lam[0] == pytest.approx(1.0)
-    assert isinstance(P, scipy.sparse.csr_matrix) and P.shape == (256, 256)
+    assert isinstance(P, ulam_mod.TransitionMatrix) and P.shape == (256, 256)
     assert rho.shape == (256,) and rho.mean() == pytest.approx(1.0)
 
 
@@ -591,7 +603,7 @@ def test_summary_keys_in_order(tmp_path, argv, keys):
     summary = _load_summary(tmp_path, "s.json")
     assert summary["task"] == argv[0]
     assert list(summary) == "task results config config_sha256 versions wall_time_s".split()
-    assert list(summary["versions"]) == ["anosov_spectral", "numpy", "scipy"]
+    assert list(summary["versions"]) == ["anosov_spectral", "numpy"]
     assert list(summary["results"]) == keys.split()
 
 
@@ -699,12 +711,13 @@ def test_ulam_doubly_stochastic_chain_that_does_not_mix_exits_two(tmp_path, caps
 
 @pytest.mark.parametrize("variance", [False, True], ids=["density", "variance"])
 def test_ulam_runs_without_arpack(tmp_path, monkeypatch, variance):
-    """The Ulam density and variance both come from the Green-Kubo series."""
+    """The Ulam density and variance both come from the Green-Kubo series, not
+    from an eigen-solver."""
 
-    def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK was called")
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("the Arnoldi iteration was called")
 
-    monkeypatch.setattr(stats_mod.spla, "eigs", no_arpack)
+    monkeypatch.setattr(stats_mod, "_arnoldi_leading", no_eigensolver)
     argv = ["ulam", *_ULAM, *(["--variance"] if variance else [])]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert read_grid(tmp_path / "ulam_density.grid").min() > 0.0
@@ -826,20 +839,21 @@ def test_numerical_failure_exits_two(tmp_path):
     [
         ("variance", np.linalg.LinAlgError("Eigenvalues did not converge"), "fejer"),
         ("match_epsilon", NoRootError("no root in the scan range"), "bump"),
-        # inside rate, at a twisted z (z = 0 needs no ARPACK): ARPACK's own
-        # error is reported as NonConvergenceError
-        ("eigs", ArpackNoConvergence("No convergence (3 iterations)", [], []), "fejer"),
+        # the eigen-solves inside rate, at a twisted z (z = 0 needs none): an
+        # Arnoldi budget of 5 applies runs out, no stub raising for it
+        ("eigs", NonConvergenceError("Arnoldi did not converge in 5 applies"), "fejer"),
     ],
 )
 def test_solver_exceptions_exit_two(tmp_path, monkeypatch, capsys, target, exc, scheme):
     def fail(*args, **kwargs):
         raise exc
 
-    owner = stats_mod.spla if target == "eigs" else cli_mod
-    monkeypatch.setattr(owner, target, fail)
+    if target == "eigs":
+        monkeypatch.setattr(stats_mod, "_ARNOLDI_BUDGET", 5)
+    else:
+        monkeypatch.setattr(cli_mod, target, fail)
     task = ["rate", "--s", "0.5"] if target == "eigs" else ["variance"]
     argv = [*task, "--map", "cat", "--scheme", scheme, "--n", "8", "--fine", "64"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     diag = json.loads(capsys.readouterr().err)
-    shown = NonConvergenceError if isinstance(exc, ArpackError) else type(exc)
-    assert diag == {"error": shown.__name__, "message": str(exc)}
+    assert diag == {"error": type(exc).__name__, "message": str(exc)}

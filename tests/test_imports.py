@@ -1,5 +1,5 @@
-"""Every imported name in the package and its tests is used, and every
-private helper of the package is referenced.
+"""Every imported name in the package and its tests is used, every private
+helper of the package is referenced, and the package imports no scipy.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a name bound by
 an import statement must be read somewhere in the same module, or be listed
@@ -49,6 +49,29 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list:
+    """(module, line) for every import of scipy or a scipy submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.module, node.lineno))
+    return [(name, line) for name, line in found if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_no_scipy(path):
+    """numpy is the package's one numerical library; scipy serves the tests
+    as an oracle only."""
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_scipy_import_is_reported():
+    source = "import scipy\nfrom scipy.sparse import linalg\nimport numpy.fft, scipy.fft as f\nfrom . import scipy\n"
+    assert scipy_imports(source) == [("scipy", 1), ("scipy.sparse", 2), ("scipy.fft", 3)]
 
 
 def test_unused_import_is_reported():

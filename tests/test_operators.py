@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 import scipy.special
 
 from anosov import (
@@ -327,8 +326,7 @@ def test_apply_and_adjoint_match_reference(perturbed_map, g, n, rng):
             assert isinstance(M.entries, SeparableOperator) == separable
             assert np.abs(M.dense() - expected).max() <= 1e-13
             assert np.abs(M.entries @ v - expected @ v).max() <= 1e-13
-            adjoint = spla.aslinearoperator(M.entries).H
-            assert np.abs(adjoint @ u - expected.conj().T @ u).max() <= 1e-13
+            assert np.abs(M.adjoint(u) - expected.conj().T @ u).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -345,7 +343,7 @@ def test_derivative_apply_matches_its_dense_form(perturbed_map, std_g, n, rng):
             D = dM.dense()
             scale = np.abs(D).max() * np.linalg.norm(v)
             assert np.abs(dM.entries @ v - D @ v).max() <= 1e-13 * scale
-            assert np.abs(dM.entries.H @ v - D.conj().T @ v).max() <= 1e-13 * scale
+            assert np.abs(dM.adjoint(v) - D.conj().T @ v).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize(

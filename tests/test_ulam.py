@@ -43,13 +43,18 @@ class Translation(MapModel):
         )
 
 
+def _csr(P):
+    """A TransitionMatrix as a scipy csr_matrix, for the oracles and dense views."""
+    return sp.csr_matrix((P.data, (P.rows, P.cols)), shape=P.shape)
+
+
 def _power_srb(P, tol=1e-14, max_iter=100_000):
     """Reference density: power iteration on P^T from the uniform vector.
 
     Stops when the normalised update moves by less than tol in l1.
     """
     nboxes = P.shape[0]
-    PT = P.T.tocsr()
+    PT = _csr(P).T.tocsr()
     pi = np.full(nboxes, 1.0 / nboxes)
     for _ in range(max_iter):
         new = PT @ pi
@@ -62,20 +67,20 @@ def _power_srb(P, tol=1e-14, max_iter=100_000):
 
 def test_identity_map_gives_identity_matrix():
     P = build_ulam(LinearToral(1, 0, 0, 1), 4, 16)
-    assert np.array_equal(P.toarray(), np.eye(16))
+    assert np.array_equal(_csr(P).toarray(), np.eye(16))
 
 
 def test_row_sums_exact():
     P = build_ulam(cat_map(), 2, 4)
-    sums = np.asarray(P.sum(axis=1)).ravel()
+    sums = np.asarray(_csr(P).sum(axis=1)).ravel()
     assert np.allclose(sums, 1.0, atol=1e-12)
-    data = P.toarray()
+    data = _csr(P).toarray()
     assert np.all(data >= 0) and np.all(data <= 1)
 
 
 def test_translation_gives_permutation():
     m = 8
-    P = build_ulam(Translation(1.0 / m, 0.0), m, 16).toarray()
+    P = _csr(build_ulam(Translation(1.0 / m, 0.0), m, 16)).toarray()
     perm = np.zeros((m * m, m * m))
     for i1 in range(m):
         for i2 in range(m):
@@ -84,7 +89,7 @@ def test_translation_gives_permutation():
 
 
 def test_stochastic_leading_eigenvalue():
-    vals = np.linalg.eigvals(build_ulam(cat_map(), 8, 16).toarray())
+    vals = np.linalg.eigvals(_csr(build_ulam(cat_map(), 8, 16)).toarray())
     assert np.abs(vals).max() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -98,15 +103,24 @@ def test_srb_uniform_for_linear_map():
 def test_build_deterministic(perturbed_map):
     a = build_ulam(perturbed_map, 8, 16)
     b = build_ulam(perturbed_map, 8, 16)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    for attr in ("rows", "cols", "data"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
 
 
 @pytest.mark.parametrize("m", [2, 8, 16])
 def test_build_returns_the_csr_transition_matrix(perturbed_map, m):
+    """P is a TransitionMatrix whose entries are in csr order: by row, then by
+    column, each (row, column) once; its applies are those of scipy's csr."""
     P = build_ulam(perturbed_map, m, 16)
-    assert isinstance(P, sp.csr_matrix)
-    assert P.shape == (m * m, m * m) and P.dtype == np.float64
+    assert isinstance(P, ulam_mod.TransitionMatrix)
+    assert P.shape == (m * m, m * m) and P.data.dtype == np.float64
+    keys = P.rows * m * m + P.cols
+    assert np.all(np.diff(keys) > 0)
+    csr = _csr(P)
+    assert np.array_equal(csr.indices, P.cols) and np.array_equal(csr.data, P.data)
+    v = np.random.default_rng(0).standard_normal(m * m)
+    assert np.allclose(P @ v, csr @ v, rtol=1e-15, atol=1e-15)
+    assert np.allclose(P.T @ v, csr.T @ v, rtol=1e-15, atol=1e-15)
 
 
 def test_build_validates_arguments(perturbed_map):
@@ -153,7 +167,7 @@ def test_ulam_srb_keeps_the_uniform_density_of_mixing_cat_chains(linear_cat, m, 
     from the uniform start stops at once; the chain mixes, so the check from a
     non-constant start passes and the density stays exactly uniform."""
     P = build_ulam(linear_cat, m, k)
-    assert np.all(np.asarray(P.sum(axis=0)).ravel() == 1.0)
+    assert np.all(np.asarray(_csr(P).sum(axis=0)).ravel() == 1.0)
     assert np.array_equal(ulam_srb(P), np.ones(m * m))
 
 
@@ -166,7 +180,7 @@ def test_ulam_srb_refuses_a_doubly_stochastic_chain_that_does_not_mix(map_model,
     """P^T fixes the uniform vector here as well, but has another eigenvalue
     of modulus one, so the invariant density is not unique."""
     P = build_ulam(map_model, m, k)
-    assert np.all(np.asarray(P.sum(axis=0)).ravel() == 1.0)
+    assert np.all(np.asarray(_csr(P).sum(axis=0)).ravel() == 1.0)
     with pytest.raises(SingularSolveError, match="did not converge"):
         ulam_srb(P)
 
@@ -284,7 +298,7 @@ def test_build_matches_pointwise_oracle(std_g, name, m, sampled):
     P, gbox = ulam_mod._build(_MAPS[name], m, 100, g)
     oracle_P, oracle = _pointwise_build(_MAPS[name], m, 100, g)
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(P, attr), getattr(oracle_P, attr)), attr
+        assert np.array_equal(getattr(_csr(P), attr), getattr(oracle_P, attr)), attr
     assert np.array_equal(gbox, oracle)
 
 
@@ -297,7 +311,7 @@ def test_build_matches_pointwise_oracle_with_wide_keys(std_g, sampled):
     P, gbox = ulam_mod._build(_MAPS["section7"], 512, 4, g)
     oracle_P, oracle = _pointwise_build(_MAPS["section7"], 512, 4, g)
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(P, attr), getattr(oracle_P, attr)), attr
+        assert np.array_equal(getattr(_csr(P), attr), getattr(oracle_P, attr)), attr
     assert np.array_equal(gbox, oracle)
 
 
@@ -305,7 +319,7 @@ def test_build_matches_pointwise_oracle_with_wide_keys(std_g, sampled):
 def test_green_kubo_matches_spsolve_oracle(perturbed_map, std_g, m):
     P, pi, gc = _centred(perturbed_map, m, 1600, std_g)
     w, residual, terms, rate = _series(P, pi, gc)
-    oracle = _spsolve_deflated(P, gc)
+    oracle = _spsolve_deflated(_csr(P), gc)
     # the series sums off the constant mode; the oracle pins w[0] = 0 instead
     assert abs(pi @ w) <= 1e-15
     assert np.abs(w - w[0] - oracle).max() <= 1e-12
