@@ -39,8 +39,8 @@ from .stats import (
     NumericalError,
     baseline,
     lambda_curve,
+    leading_eigenpair,
     rate_function,
-    untwisted_eigenpair,
     variance,
 )
 from .torus import PerturbedCat, TrigPolynomial, cat_map, standard_observable
@@ -191,7 +191,7 @@ def _cmd_srb(args):
     # the density's complex samples, their real part and |imag| on the fine grid
     _reserve(32 * grid.N**2, "the density's fine-grid samples")
     M0 = assemble(map_model, kern, g, 0.0, grid)
-    eig = untwisted_eigenpair(M0)  # as in baseline, which also reads g's spectra
+    eig = leading_eigenpair(M0)  # as in baseline, which also reads g's spectra
     # the density is the real part of the eigenvector's samples
     spatial = evaluate_on_fine(eig.right_vector.reshape(grid.n, grid.n), grid.N)
     out = _out_dir(args)

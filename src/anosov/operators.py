@@ -152,8 +152,6 @@ class SeparableOperator:
     dot, R n^4 multiply-adds in O(R n^3) memory; only :meth:`dense` forms n^4.
     """
 
-    dtype = np.dtype(complex)
-
     def __init__(self, G1: np.ndarray, G2: np.ndarray):
         self.G1, self.G2 = G1, G2
         self.shape = (G1.shape[0],) * 2

@@ -64,7 +64,7 @@ class EigenData:
     lam: complex
     right_vector: np.ndarray
     residual: float
-    method: str  # "series" at z = 0 (untwisted_eigenpair), else "arnoldi"
+    method: str  # "series" at z = 0, else "arnoldi"
 
 
 # Arnoldi: the basis of the first convergence check, the basis that restarts
@@ -118,18 +118,27 @@ def _zero_mode(n: int) -> np.ndarray:
 
 
 def leading_eigenpair(M: OperatorMatrix) -> EigenData:
-    """Max-modulus eigenpair by Arnoldi from the zero mode.
+    """Max-modulus eigenpair, the right vector v mass-normalised; the residual
+    is ||A v - lam v|| / ||v||.
 
-    No modulus tie is broken: the untwisted operator is simple quasi-compact,
-    so its leading eigenvalue is simple and isolated, and where two twisted
-    eigenvalues cross the iteration returns either.  The residual is
-    ||A v - lam v|| / ||v|| for the mass-normalised v.
+    At z = 0 no eigen-solver runs: e_0 is L_0's left eigenvector of 1 (every
+    z = 0 operator the package builds has e_0 as its zero-mode row, for
+    q_hat(0) = 1 for both kernels), so v = e_0 + :func:`_deflated_solve`
+    (M, e_0) and lam = (L_0 v)_0.  Any other z runs Arnoldi from e_0.  No
+    modulus tie is broken: L_0's leading eigenvalue is simple and isolated,
+    and where two twisted eigenvalues cross the iteration returns either.
     """
-    A, izero = M.entries, freq_index(0, 0, M.n)
-    lam, v = _arnoldi_leading(A.__matmul__, _zero_mode(M.n))
-    v = v / (v[izero] if abs(v[izero]) > 1e-12 * np.linalg.norm(v) else np.linalg.norm(v))
-    residual = float(np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v))
-    return EigenData(lam, v, residual, "arnoldi")
+    A, izero, e0 = M.entries, freq_index(0, 0, M.n), _zero_mode(M.n)
+    if M.z == 0:
+        lam, v, method = None, e0 + _deflated_solve(M, e0)[0], "series"
+    else:
+        lam, v = _arnoldi_leading(A.__matmul__, e0)
+        v = v / (v[izero] if abs(v[izero]) > 1e-12 * np.linalg.norm(v) else np.linalg.norm(v))
+        method = "arnoldi"
+    Av = A @ v  # one apply gives the series' lam = (L_0 v)_0 and the residual
+    lam = complex(Av[izero]) if lam is None else lam
+    residual = float(np.linalg.norm(Av - lam * v) / np.linalg.norm(v))
+    return EigenData(lam, v, residual, method)
 
 
 @dataclass(frozen=True)
@@ -179,7 +188,7 @@ def baseline(map_model: MapModel, kernel, g: Observable, grid: GridSpec) -> Base
         # the grid points, the samples of g and g^2 and one complex transform
         _reserve(48 * N * N, "the observable's fine-grid samples")
     M0 = assemble(map_model, kernel, g, 0.0, grid)
-    eig = untwisted_eigenpair(M0)
+    eig = leading_eigenpair(M0)
     if parts is None:
         gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
         g_win, g2_win = (restrict_to_coarse(forward_transform(f), 2 * n) for f in (gs, gs * gs))
@@ -241,19 +250,6 @@ def _deflated_solve(M: OperatorMatrix, x: np.ndarray):
         return v
 
     return _green_kubo(M.entries, x, off_zero_mode)
-
-
-def untwisted_eigenpair(M0: OperatorMatrix) -> EigenData:
-    """The z = 0 eigenpair with no eigen-solver: L_0 preserves mass, so e_0 is its
-    left eigenvector of 1, the mass-normalised right one is v = e_0 + w with
-    w = :func:`_deflated_solve` (M0, e_0), and lam = (L_0 v)_0.  The residual
-    is that of :func:`leading_eigenpair`."""
-    e0 = _zero_mode(M0.n)
-    v = e0 + _deflated_solve(M0, e0)[0]
-    Lv = M0.entries @ v
-    lam = complex(Lv[freq_index(0, 0, M0.n)])
-    residual = float(np.linalg.norm(Lv - lam * v) / np.linalg.norm(v))
-    return EigenData(lam, v, residual, "series")
 
 
 @dataclass

@@ -51,13 +51,12 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
     if k < 1 or ks * ks != k:
         raise ValueError(f"samples per box must be a positive perfect square, got {k}")
     nboxes = m * m
-    # four 8-byte row buffers and a row's keys of m k samples, and gbox, one
-    # apply's sum and the density of m^2 boxes; the budget also keeps the keys
-    # box * m^2 + dest, which overflow from m = 2^16, out of reach
+    # four 8-byte row buffers and a row's entries of m k samples, and gbox,
+    # one apply's sum and the density of m^2 boxes
     _reserve(8 * (5 * m * k + 3 * nboxes), "the Ulam matrix")
     A, phi1, phi2 = map_model.separable_parts()
     off = (np.arange(ks) + 0.5) / (m * ks)
-    keys, counts = [], []
+    rows, cols, counts = [], [], []
     parts = None if g is None else g.separable_parts()
     gbox = None if g is None else np.empty(nboxes)
     if parts is not None:
@@ -98,13 +97,14 @@ def _build(map_model: MapModel, m: int, k: int, g: Observable | None):
             gs = g.sample(*np.broadcast_arrays(x1, x2))
             gbox[i1 * m : (i1 + 1) * m] = gs.reshape(m, k).mean(axis=1)
         # each box's sorted destinations; a run of equal ones is one entry,
-        # and the (box, destination) keys come out in np.unique's order
+        # so the entries come out sorted by box, then destination
         dest.sort(axis=1)
         np.not_equal(dest[:, 1:], dest[:, :-1], out=new[:, 1:])
         starts = np.flatnonzero(new)
-        keys.append((starts // k + i1 * m) * nboxes + dest.ravel()[starts])
+        rows.append(starts // k + i1 * m)
+        cols.append(dest.ravel()[starts])
         counts.append(np.diff(starts, append=m * k))
-    rows, cols = np.divmod(np.concatenate(keys), nboxes)
+    rows, cols = np.concatenate(rows), np.concatenate(cols).astype(np.int64)
     data = np.concatenate(counts) / k
     return TransitionMatrix(rows, cols, data, (nboxes, nboxes)), gbox
 

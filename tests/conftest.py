@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,22 @@ from anosov import (
     standard_observable,
 )
 from anosov.grids import freq_index
+
+
+def _blas_record():
+    """numpy's version, its BLAS and the thread pins, so run times compare."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    pins = (f"{v}={os.environ.get(v, 'unset')}" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, {', '.join(pins)}"
+
+
+def pytest_report_header(config):
+    return _blas_record()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q hides the header; the Tier-1 command runs -q
+        terminalreporter.write_line(_blas_record())
 
 
 @pytest.fixture(scope="session")

@@ -29,8 +29,10 @@ from anosov.grids import fine_points, forward_transform, freq_index
 from anosov.operators import OperatorMatrix
 from anosov.stats import (
     SingularSolveError,
+    _arnoldi_leading,
     _deflated_solve,
     _legendre_point,
+    _zero_mode,
 )
 
 
@@ -44,16 +46,12 @@ def _density(base):
 
 def test_leading_eigenpair_toy_matrix():
     # n = 2: the zero mode, the Arnoldi start vector, is entry 0 and the top
-    # eigenvector; it spans an invariant subspace at once
-    M = OperatorMatrix(
-        entries=np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex),
-        z=0.0,
-        grid=GridSpec(2, 4),
-    )
-    eig = leading_eigenpair(M)
-    assert eig.lam == pytest.approx(2.0, abs=1e-14)
-    assert eig.residual < 1e-14
-    assert eig.method == "arnoldi"
+    # eigenvector; it spans an invariant subspace at once, after one apply
+    A = np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex)
+    apply, calls = _counted(A.__matmul__)
+    lam, v = _arnoldi_leading(apply, _zero_mode(2))
+    assert lam == pytest.approx(2.0, abs=1e-14) and calls == [1]
+    assert np.linalg.norm(A @ v - lam * v) < 1e-14
 
 
 @pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.25)], ids=["fejer", "bump"])
@@ -62,15 +60,35 @@ def test_leading_eigenpair_toy_matrix():
 def test_untwisted_eigenpair_from_the_series(perturbed_map, linear_cat, std_g, kernel, n, linear):
     """The z = 0 pair without an eigen-solver: lam = (L_0 v)_0 is exactly 1,
     and v agrees with the Arnoldi mass-normalised eigenvector to rounding."""
-    from anosov.stats import untwisted_eigenpair
+    map_model = linear_cat if linear else perturbed_map
+    M0 = assemble(map_model, kernel, std_g, 0.0, GridSpec(n, max(16, 4 * n)))
+    eig = leading_eigenpair(M0)
+    assert eig.lam == 1.0 and eig.method == "series"
+    assert eig.residual < 1e-14
+    izero = freq_index(0, 0, n)
+    assert eig.right_vector[izero] == 1.0
+    _, v = _arnoldi_leading(M0.entries.__matmul__, _zero_mode(n))
+    assert np.abs(eig.right_vector - v / v[izero]).max() < 1e-14
+
+
+@pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.25)], ids=["fejer", "bump"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("linear", [False, True], ids=["perturbed", "cat"])
+def test_leading_eigenpair_at_zero_twist_never_runs_arnoldi(
+    perturbed_map, linear_cat, std_g, kernel, n, linear, monkeypatch
+):
+    """At z = 0 the one eigen entry point sums the series: lam is exactly 1
+    and the Arnoldi iteration is never called."""
+    import anosov.stats as stats_mod
+
+    def no_arnoldi(*args):
+        raise AssertionError("the Arnoldi iteration ran at z = 0")
 
     map_model = linear_cat if linear else perturbed_map
     M0 = assemble(map_model, kernel, std_g, 0.0, GridSpec(n, max(16, 4 * n)))
-    eig = untwisted_eigenpair(M0)
+    monkeypatch.setattr(stats_mod, "_arnoldi_leading", no_arnoldi)
+    eig = leading_eigenpair(M0)
     assert eig.lam == 1.0 and eig.method == "series"
-    assert eig.residual < 1e-14
-    assert eig.right_vector[freq_index(0, 0, n)] == 1.0
-    assert np.abs(eig.right_vector - leading_eigenpair(M0).right_vector).max() < 1e-14
 
 
 def test_arpack_never_runs_at_zero_twist(perturbed_map, fejer, std_g, monkeypatch):
@@ -257,26 +275,22 @@ def _every_statistic(base):
 def test_untwisted_baseline_computed_once(
     perturbed_map, fejer, std_g, monkeypatch, run
 ):
+    """One z = 0 assembly, one z = 0 eigen-solve (the series) and one twist
+    plan per baseline; every twisted operator comes from the plan, and z = 0
+    reaches leading_eigenpair once."""
     import anosov.stats as stats_mod
 
-    """One z = 0 assembly, one series eigen-solve and one twist plan per
-    baseline; every twisted operator comes from the plan, and the Arnoldi
-    iteration never sees z = 0."""
-    twists = {"assemble": [], "series": [], "eig": [], "plan": 0}
-    assemble_orig = stats_mod.assemble
-    series_orig, eig_orig = stats_mod.untwisted_eigenpair, stats_mod.leading_eigenpair
+    twists = {"assemble": [], "eig": [], "plan": 0}
+    assemble_orig, eig_orig = stats_mod.assemble, stats_mod.leading_eigenpair
 
     def counting_assemble(*args, **kwargs):
         M = assemble_orig(*args, **kwargs)
         twists["assemble"].append(M.z)
         return M
 
-    def counting(key, solve):
-        def counted(M):
-            twists[key].append(M.z)
-            return solve(M)
-
-        return counted
+    def counting_eig(M):
+        twists["eig"].append(M.z)
+        return eig_orig(M)
 
     class CountingPlan(stats_mod.TwistPlan):
         def __init__(self, *args):
@@ -284,21 +298,21 @@ def test_untwisted_baseline_computed_once(
             super().__init__(*args)
 
     monkeypatch.setattr(stats_mod, "assemble", counting_assemble)
-    monkeypatch.setattr(stats_mod, "untwisted_eigenpair", counting("series", series_orig))
-    monkeypatch.setattr(stats_mod, "leading_eigenpair", counting("eig", eig_orig))
+    monkeypatch.setattr(stats_mod, "leading_eigenpair", counting_eig)
     monkeypatch.setattr(stats_mod, "TwistPlan", CountingPlan)
     run(perturbed_map, fejer, std_g, GridSpec(8, 64))
-    assert twists["assemble"] == [0] and twists["series"] == [0]
-    assert twists["plan"] == 1
-    assert twists["eig"] and 0 not in twists["eig"]
+    assert twists["assemble"] == [0] and twists["plan"] == 1
+    assert twists["eig"][0] == 0 and twists["eig"].count(0) == 1
+    assert len(twists["eig"]) > 1
 
 
 @pytest.mark.parametrize("kernel", [FejerKernel(), BumpKernel(0.1)], ids=["fejer", "bump"])
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 @pytest.mark.parametrize("z", [0.0, 0.7, -0.5])
 def test_arpack_path_matches_dense(perturbed_map, std_g, kernel, n, z):
-    """Arnoldi against the dense oracle: every eigenvalue by np.linalg.eig,
-    the one of largest modulus, its vector scaled to zero-mode coefficient 1."""
+    """The leading eigenpair against the dense oracle: every eigenvalue by
+    np.linalg.eig, the one of largest modulus, its vector scaled to zero-mode
+    coefficient 1.  z = 0 takes the series, any other z Arnoldi."""
     M = assemble(perturbed_map, kernel, std_g, z, GridSpec(n, 64))
     eig = leading_eigenpair(M)
     vals, vecs = np.linalg.eig(M.dense())
@@ -307,7 +321,7 @@ def test_arpack_path_matches_dense(perturbed_map, std_g, kernel, n, z):
     izero = freq_index(0, 0, n)
     ref = vecs[:, top[0]]
     assert abs(ref[izero]) > 0.1 * np.linalg.norm(ref)
-    assert eig.method == "arnoldi"
+    assert eig.method == ("series" if z == 0.0 else "arnoldi")
     assert abs(eig.lam - vals[top[0]]) <= 1e-13
     assert eig.right_vector.shape == (n * n,)  # the C-order ravel of (n, n)
     assert np.abs(eig.right_vector - ref / ref[izero]).max() <= 1e-10
@@ -317,11 +331,10 @@ def test_arpack_path_matches_dense(perturbed_map, std_g, kernel, n, z):
 def test_arpack_exact_start_vector_is_reproducible(linear_cat, fejer, std_g):
     # the zero mode is an exact eigenvector of the cat map's operator: M e0 = e0
     M0 = assemble(linear_cat, fejer, std_g, 0.0, GridSpec(16, 128))
-    a, b = leading_eigenpair(M0), leading_eigenpair(M0)
-    assert a.method == "arnoldi"
-    assert a.lam == b.lam
-    assert np.array_equal(a.right_vector, b.right_vector)
-    assert abs(a.lam - 1.0) < 1e-12
+    (a_lam, a), (b_lam, b) = (_arnoldi_leading(M0.entries.__matmul__, _zero_mode(16)) for _ in "ab")
+    assert a_lam == b_lam
+    assert np.array_equal(a, b)
+    assert abs(a_lam - 1.0) < 1e-12
 
 
 def test_arpack_non_convergence_raises(perturbed_map, fejer, std_g, monkeypatch):
