@@ -155,20 +155,21 @@ class SeparableOperator:
     def __init__(self, G1: np.ndarray, G2: np.ndarray):
         self.G1, self.G2 = G1, G2
         self.shape = (G1.shape[0],) * 2
+        n2, R, n = G1.shape
+        # the views each apply reads: G1 by rows of (r, k1), G2 by rows (j, r)
+        self._G1_rows, self._G2_rows = G1.reshape(n2, 1, R * n), G2.reshape(n2 * R, n)
 
     def __matmul__(self, v):
         # T[(j, r), k1] = sum_k2 G2[j, r, k2] V[k1, k2], then sum over (r, k1)
         n2, R, n = self.G1.shape
-        T = self.G2.reshape(n2 * R, n) @ v.reshape(n, n).T
-        return np.matmul(
-            self.G1.reshape(n2, 1, R * n), T.reshape(n2, R * n, 1)
-        ).reshape(n2)
+        T = self._G2_rows @ v.reshape(n, n).T
+        return np.matmul(self._G1_rows, T.reshape(n2, R * n, 1)).reshape(n2)
 
     def adjoint(self, u):
         # conj(L^H u) = sum_j conj(u_j) G1[j, r, k1] G2[j, r, k2]
         n2, R, n = self.G1.shape
         W = (self.G1 * u.conj().reshape(n2, 1, 1)).reshape(n2 * R, n)
-        return (W.T @ self.G2.reshape(n2 * R, n)).conj().reshape(n2)
+        return (W.T @ self._G2_rows).conj().reshape(n2)
 
     def dense(self) -> np.ndarray:
         _reserve(16 * self.shape[0] ** 2, "the dense operator")

@@ -6,9 +6,12 @@ outside it (``operators.OperatorAssembler.base_matrix``,
 deletes or renames one of them breaks the benchmark, not the package; these
 tests run traced samples so the suite sees it.  Likewise the benchmark's
 correctness gate (``perfbench/gate.py``) reads named keys of the run
-summaries, so small runs of each task go through its ``extract``.
+summaries, so small runs of each task go through its ``extract``, and one
+workload's exact run goes through its ``compare`` against the recorded
+reference, so drift in the eigen arithmetic fails here first.
 """
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -105,3 +108,28 @@ def test_gate_extracts_what_it_checks_from_small_runs(tmp_path, workload, argv, 
     assert got["sigma2"] == summary["results"]["sigma2"]
     if "rows" in got:
         assert [row[0] for row in got["rows"]] == [0.0, 0.5, 1.0]
+
+
+def _benchmark_argv(workload):
+    """The benchmark's argv for ``workload``: ``WORKLOADS[workload] + MAP`` of
+    ``perfbench/run.py``, read as literals without importing the harness."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    literals = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("WORKLOADS", "MAP")
+    }
+    return literals["WORKLOADS"][workload] + literals["MAP"]
+
+
+def test_rate_workload_passes_the_benchmark_gate(tmp_path):
+    """The ``rate-fejer-n8`` workload's exact run, checked by the gate's
+    ``compare`` against ``perfbench/reference.json``: no problems."""
+    workload = "rate-fejer-n8"
+    assert main([*_benchmark_argv(workload), "--out-dir", str(tmp_path)]) == 0
+    gate = _gate()
+    got = gate.extract(workload, str(tmp_path))
+    assert len(got["rows"]) == 19
+    assert gate.compare(workload, got, gate.load_reference()[workload]) == []

@@ -31,6 +31,7 @@ from anosov.stats import (
     SingularSolveError,
     _arnoldi_leading,
     _deflated_solve,
+    _dominant_pair,
     _legendre_point,
     _zero_mode,
 )
@@ -432,6 +433,116 @@ def test_arnoldi_reruns_are_bitwise_equal(perturbed_map, std_g):
     for apply in (M.entries.__matmul__, M.adjoint):
         (a_lam, a), (b_lam, b) = (stats_mod._arnoldi_leading(apply, stats_mod._zero_mode(16)) for _ in "ab")
         assert a_lam == b_lam and np.array_equal(a, b)
+
+
+def _hessenberg_with(rng, lam, upper):
+    """A complex upper-Hessenberg matrix with eigenvalues ``lam``: a triangular
+    matrix with ``upper`` times Gaussian entries above the diagonal, in a
+    random unitary basis, reduced by scipy's Householder Hessenberg form."""
+    m = len(lam)
+    T = np.diag(lam) + upper * np.triu(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), 1)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return sla.hessenberg(Q @ T @ Q.conj().T)
+
+
+def _counting_eig(monkeypatch):
+    """Patch np.linalg.eig to count its calls; return the count list."""
+    eig, calls = np.linalg.eig, []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("m", [8, 20, 40])
+def test_dominant_pair_from_powers_matches_eig(m, ratio, monkeypatch):
+    """A planted dominant eigenvalue of modulus 1, the next of modulus
+    ``ratio`` and the rest below it, all of random phase: the squared powers
+    of H give LAPACK's largest-modulus pair to 1e-12 (the vector up to its
+    phase) with no eig call."""
+    rng = np.random.default_rng(1000 * m + int(10 * ratio))
+    lam = np.exp(2j * np.pi * rng.random(m)) * np.r_[1.0, ratio, ratio * rng.random(m - 2)]
+    H = _hessenberg_with(rng, lam, 1.0 / math.sqrt(m))
+    vals, vecs = np.linalg.eig(H)
+    i = np.argmax(np.abs(vals))
+    calls = _counting_eig(monkeypatch)
+    theta, y = _dominant_pair(H)
+    assert calls == []
+    assert abs(theta - vals[i]) <= 1e-12 and abs(np.linalg.norm(y) - 1.0) <= 1e-14
+    phase = np.vdot(vecs[:, i], y) / abs(np.vdot(vecs[:, i], y))
+    assert np.abs(y - phase * vecs[:, i]).max() <= 1e-12
+
+
+def _real_with_pair(rng, m):
+    """A real Hessenberg matrix whose top eigenvalues 0.6 +- 0.8i tie in modulus."""
+    T = np.diag(np.r_[0.0, 0.0, 0.5 * rng.random(m - 2)]) + np.triu(rng.standard_normal((m, m)), 1) / m
+    T[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return sla.hessenberg(Q @ T @ Q.T)
+
+
+@pytest.mark.parametrize("m", [8, 20])
+@pytest.mark.parametrize("case", ["ratio 0.999", "conjugate pair", "jordan block", "nilpotent"])
+def test_dominant_pair_falls_back_to_eig_at_ties(m, case, monkeypatch):
+    """Where the powers do not settle by H^1024 the pair is LAPACK's: a
+    modulus ratio of 0.999, a real H whose top eigenvalues are an exact
+    complex-conjugate pair, and a 2 x 2 Jordan block on top (a double
+    eigenvalue 1 under a nonzero upper entry) each make one eig call and
+    return its largest-modulus pair.  So does a nilpotent H, whose powers
+    vanish, with no division by zero on the way."""
+    rng = np.random.default_rng(m)
+    if case == "conjugate pair":
+        H = _real_with_pair(rng, m)
+    elif case == "nilpotent":
+        H = np.triu(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), 1)
+    else:
+        lam = np.r_[1.0, 0.999 if case == "ratio 0.999" else 1.0, 0.5 * rng.random(m - 2)]
+        H = _hessenberg_with(rng, np.exp(2j * np.pi * rng.random()) * lam, 1.0 / math.sqrt(m))
+    vals, vecs = np.linalg.eig(H)
+    i = np.argmax(np.abs(vals))
+    calls = _counting_eig(monkeypatch)
+    with np.errstate(all="raise"):
+        theta, y = _dominant_pair(H)
+    assert calls == [(m, m)]
+    assert theta == vals[i] and np.array_equal(y, vecs[:, i])
+
+
+def test_fejer_rate_table_runs_no_eig(perturbed_map, fejer, std_g, monkeypatch):
+    """The n = 8 Fejer rate table (the CLI's 19 values of s) takes every
+    Ritz pair from H's powers: no eig call, and exactly as many Arnoldi
+    applies as with LAPACK's pair forced at every check; z* agrees to 1e-11."""
+    import anosov.stats as stats_mod
+
+    arnoldi, applies = stats_mod._arnoldi_leading, [0]
+
+    def counting_arnoldi(apply, v0):
+        def counted(v):
+            applies[0] += 1
+            return apply(v)
+
+        return arnoldi(counted, v0)
+
+    def lapack_pair(H):
+        thetas, Y = np.linalg.eig(H)
+        i = np.argmax(np.abs(thetas))
+        return thetas[i], Y[:, i]
+
+    monkeypatch.setattr(stats_mod, "_arnoldi_leading", counting_arnoldi)
+    base = baseline(perturbed_map, fejer, std_g, GridSpec(8, 64))
+    s_values = np.linspace(0.0, 1.8, 19)
+    calls = _counting_eig(monkeypatch)
+    ours = rate_function(base, s_values)
+    assert calls == [] and ours.legendre_evals == 82
+    ours_applies, applies[0] = applies[0], 0
+    monkeypatch.setattr(stats_mod, "_dominant_pair", lapack_pair)
+    theirs = rate_function(base, s_values)
+    assert len(calls) > 0 and applies[0] == ours_applies
+    for a, b in zip(ours.rows, theirs.rows):
+        assert abs(a.z_star - b.z_star) <= 1e-11 and abs(a.r - b.r) <= 1e-11
 
 
 def test_deflated_solve_flags_singular():
