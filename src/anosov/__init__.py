@@ -24,7 +24,6 @@ from .grids import (
     evaluate_on_fine,
     forward_transform,
     restrict_to_coarse,
-    riemann_integral,
 )
 from .kernels import (
     BumpKernel,
@@ -71,7 +70,6 @@ __all__ = [
     "evaluate_on_fine",
     "forward_transform",
     "restrict_to_coarse",
-    "riemann_integral",
     "BumpKernel",
     "FejerKernel",
     "bump_coefficients",

@@ -99,11 +99,6 @@ def evaluate_on_fine(coeffs: np.ndarray, N: int) -> np.ndarray:
     return fft.ifft(fine, axis=0, norm="forward")
 
 
-def riemann_integral(samples: np.ndarray):
-    """(1/N^2) sum of the samples; equals the (0,0) forward coefficient."""
-    return np.mean(samples)
-
-
 # ---------------------------------------------------------------------------
 # Binary dumps (GRID here, OPMAT for operators): a one-line ASCII header whose
 # first word names the format, followed by the array row-major as

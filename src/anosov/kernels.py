@@ -156,28 +156,33 @@ def match_epsilon(grid: GridSpec):
     their windows are written into one work buffer, reserved and allocated
     once at the largest group's size.  The objective is the minimum of a
     block over j in {0..n/2}^2.
-    NoRootError names n, N and the Fejer minimum when no scan point reaches it
-    (with the shortfall and the scan floor 8/N) or none falls below it.
+    NoRootError names n, N and the Fejer minimum when the scan is empty (N <=
+    32), when no scan point reaches it (with the shortfall and the scan floor
+    8/N) or when none falls below it.
     """
     n = grid.n
     target = float(fejer_coefficients(n).min())
-    cos = _cosine_table(grid.N, n // 2)
-
+    where = f"the Fejer minimum {target:.3e} at n = {n}, N = {grid.N}"
     scan = np.arange(8.0 / grid.N, 0.25, 1e-4)
+    if scan.size == 0:
+        raise NoRootError(
+            f"no bump width is scanned for {where}: the scan [8/N, 0.25) is empty "
+            f"at 8/N = {8.0 / grid.N:.3g}, and a larger N lowers that floor"
+        )
+    cos = _cosine_table(grid.N, n // 2)
     groups = np.split(scan, np.flatnonzero(np.diff((scan * grid.N).astype(int))) + 1)
     # bisection widths lie below the last scan width, so their windows fit too
-    size = max((g.size * (int(g[0] * grid.N) + 1) ** 2 for g in groups if g.size), default=0)
+    size = max(g.size * (int(g[0] * grid.N) + 1) ** 2 for g in groups)
     _reserve(8 * size, "the bump window")
     work = np.empty(size)
 
     def f(widths):
         return np.abs(_bump_cosine_block(widths, grid.N, cos, work)).min(axis=(1, 2)) - target
 
-    vals = np.concatenate([np.empty(0), *(f(g) for g in groups if g.size)])
+    vals = np.concatenate([f(g) for g in groups])
     above = np.nonzero(vals >= 0)[0]
-    where = f"the Fejer minimum {target:.3e} at n = {n}, N = {grid.N}"
     if len(above) == 0:
-        short = -vals.max(initial=-target)  # target when the scan is empty
+        short = -vals.max()
         raise NoRootError(
             f"no bump width reaches {where}: the best min |q_hat| is "
             f"{target - short:.3e}, short by {short:.3e}; the scan starts at "

@@ -101,32 +101,21 @@ class OperatorAssembler:
     """Brute-force reference: the full integrand's 2-D FFT, row by row."""
 
     def __init__(self, map_model: MapModel, grid: GridSpec):
-        self.map = map_model
+        """The power tables pow_i[j] = exp(-2 pi i T_i)^j, j = 0..n/2, of the
+        map's image T on the fine grid."""
         self.grid = grid
-        self._pow1 = None
-        self._pow2 = None
-
-    def _power_tables(self):
-        if self._pow1 is None:
-            N, nh = self.grid.N, self.grid.n // 2
-            X1, X2 = fine_points(N)
-            T1, T2 = self.map.image_arrays(X1, X2)
-            E1 = np.exp(-2j * np.pi * T1)
-            E2 = np.exp(-2j * np.pi * T2)
-            pow1 = np.empty((nh + 1, N, N), dtype=complex)
-            pow2 = np.empty((nh + 1, N, N), dtype=complex)
-            pow1[0] = 1.0
-            pow2[0] = 1.0
-            for j in range(1, nh + 1):
-                np.multiply(pow1[j - 1], E1, out=pow1[j])
-                np.multiply(pow2[j - 1], E2, out=pow2[j])
-            self._pow1, self._pow2 = pow1, pow2
-        return self._pow1, self._pow2
+        N, nh = grid.N, grid.n // 2
+        E1, E2 = (np.exp(-2j * np.pi * T) for T in map_model.image_arrays(*fine_points(N)))
+        self.pow1 = np.empty((nh + 1, N, N), dtype=complex)
+        self.pow2 = np.empty((nh + 1, N, N), dtype=complex)
+        self.pow1[0] = self.pow2[0] = 1.0
+        for j in range(1, nh + 1):
+            np.multiply(self.pow1[j - 1], E1, out=self.pow1[j])
+            np.multiply(self.pow2[j - 1], E2, out=self.pow2[j])
 
     def base_matrix(self, weight: np.ndarray) -> np.ndarray:
         """Rows F[exp(-2 pi i j.T) * weight](-k) for all coarse j, k."""
         n, N = self.grid.n, self.grid.N
-        pow1, pow2 = self._power_tables()
         js = coarse_freqs(n)
         gat = (-js) % N
         w = np.ascontiguousarray(weight, dtype=complex)
@@ -135,7 +124,7 @@ class OperatorAssembler:
         j2s = js.astype(np.int64)
         for i1, j1 in enumerate(js):
             j1s = np.full(n, j1, dtype=np.int64)
-            backend.twisted_rows(pow1, pow2, w, j1s, j2s, block)
+            backend.twisted_rows(self.pow1, self.pow2, w, j1s, j2s, block)
             C = np.fft.fft2(block)
             C *= 1.0 / (N * N)
             base[i1 * n : (i1 + 1) * n, :] = C[:, gat[:, None], gat[None, :]].reshape(

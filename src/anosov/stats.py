@@ -355,7 +355,7 @@ _NEWTON_MAX_EVALS = 60
 
 
 def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
-    """(Lambda, Lambda', overlap) at M's twist, Lambda = ln|lam|.
+    """(Lambda, Lambda', overlap, |Im lam| / |lam|) at M's twist, Lambda = ln|lam|.
 
     Hellmann-Feynman: Lambda' = Re <l, dM r> / (lam <l, r>), with r the right
     eigenvector in ``eig``, l the left one and dM the derivative operator.
@@ -367,11 +367,11 @@ def _legendre_point(M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix):
     left = _zero_mode(M.n)
     if M.z != 0:
         _, left = _arnoldi_leading(M.adjoint, left)
-    r = eig.right_vector
+    lam, r = eig.lam, eig.right_vector
     inner = np.vdot(left, r)
-    slope = np.vdot(left, dM.entries @ r) / (eig.lam * inner)
+    slope = np.vdot(left, dM.entries @ r) / (lam * inner)
     overlap = abs(inner) / (np.linalg.norm(left) * np.linalg.norm(r))
-    return math.log(abs(eig.lam)), float(slope.real), float(overlap)
+    return math.log(abs(lam)), float(slope.real), float(overlap), abs(lam.imag) / abs(lam)
 
 
 def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
@@ -414,34 +414,25 @@ def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
 
     plan, var = base.plan, variance(base)
 
-    # (Lambda, Lambda') by twist, in evaluation order; |Im lam| / |lam| and
-    # the eigenvector overlap of each evaluation
-    points, imag, overlaps = {}, [], []
-
-    def record(z: float, M: OperatorMatrix, eig: EigenData, dM: OperatorMatrix) -> float:
-        log_lam, slope, overlap = _legendre_point(M, eig, dM)
-        points[z] = log_lam, slope
-        imag.append(abs(eig.lam.imag) / abs(eig.lam))
-        overlaps.append(overlap)
-        return slope
+    # every evaluation, in evaluation order: twist -> _legendre_point's record
+    table = {0.0: _legendre_point(base.M0, base.eigen, plan.operator(0.0, derivative=True))}
 
     def evaluate(z: float) -> float:
         M, dM = plan.pair(z)
-        return record(z, M, leading_eigenpair(M), dM)
-
-    record(0.0, base.M0, base.eigen, plan.operator(0.0, derivative=True))
+        table[z] = _legendre_point(M, leading_eigenpair(M), dM)
+        return table[z][1]
 
     def secant(s: float):
         """(Lambda'' estimate, whether the last two evaluations straddle s)."""
-        if len(points) < 2:
+        if len(table) < 2:
             return var.sigma2, False
-        (z0, (_, d0)), (z1, (_, d1)) = list(points.items())[-2:]
+        (z0, (_, d0, *_)), (z1, (_, d1, *_)) = list(table.items())[-2:]
         return (d1 - d0) / (z1 - z0), (d0 - s) * (d1 - s) < 0.0
 
     def solve(s: float, z: float) -> float:
         """z* for Lambda'(z*) = s on [z_lo, z_hi], from the evaluated z."""
-        lo = max([z_lo] + [x for x, (_, d) in points.items() if d < s])
-        hi = min([z_hi] + [x for x, (_, d) in points.items() if d > s])
+        lo = max([z_lo] + [x for x, (_, d, *_) in table.items() if d < s])
+        hi = min([z_hi] + [x for x, (_, d, *_) in table.items() if d > s])
         step = step_before = math.inf  # the last two steps taken
         for _ in range(_NEWTON_MAX_EVALS):
             if lo == z_hi or hi == z_lo:  # the sign holds up to that end
@@ -449,23 +440,23 @@ def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
             if hi - lo < _NEWTON_TOL and z in (lo, hi):
                 return z
             h, across = secant(s)
-            z_new = z + (s - points[z][1]) / h if h > 0.0 else math.nan
+            z_new = z + (s - table[z][1]) / h if h > 0.0 else math.nan
             # a Newton step stays in the sign bracket and, as in rtsafe, is at
             # most half the step before last; a secant across s must halve
             # the last step, so it cannot creep in from one end of the bracket
             limit = 0.5 * abs(step if across else step_before)
             newton = lo < z_new < hi and abs(z_new - z) <= limit
             if not newton:
-                if z_new >= hi == z_hi and z_hi not in points:
+                if z_new >= hi == z_hi and z_hi not in table:
                     z_new = z_hi
-                elif z_new <= lo == z_lo and z_lo not in points:
+                elif z_new <= lo == z_lo and z_lo not in table:
                     z_new = z_lo
                 else:
                     z_new = 0.5 * (lo + hi)
             # across a kink the secant's steps shrink with the bracket, not
             # with the error: trust it only once Lambda' meets s
             elif abs(z_new - z) < _NEWTON_TOL and (
-                not across or abs(points[z][1] - s) < _NEWTON_TOL
+                not across or abs(table[z][1] - s) < _NEWTON_TOL
             ):
                 return z
             step_before, step = step, z_new - z
@@ -481,31 +472,25 @@ def rate_function(base: Baseline, s_values, z_bracket=(-4.0, 4.0)) -> RateTable:
             f"Newton-Legendre solve at s = {s!r} took {_NEWTON_MAX_EVALS} evaluations"
         )
 
-    expanded = False
-    rows = []
-    z_star = 0.0
-    done = len(points)
-    i = 0
-    while i < len(s_values):
-        s = s_values[i]
+    def on_edge(z: float) -> bool:
+        return min(abs(z - z_lo), abs(z - z_hi)) < 1e-4
+
+    rows, z_star, expanded = [], 0.0, False
+    for s in s_values:
+        done = len(table)
         z_star = solve(s, z_star)
-        on_edge = min(abs(z_star - z_lo), abs(z_star - z_hi)) < 1e-4
-        if on_edge and not expanded:
-            expanded = True
-            z_lo *= 2.0
-            z_hi *= 2.0
-            continue
-        r = s * z_star - points[z_star][0]
-        rows.append(RateRow(s, z_star, r, len(points) - done, on_edge))
-        done = len(points)
-        i += 1
-    slopes = [d for _, (_, d) in sorted(points.items())]
+        if on_edge(z_star) and not expanded:
+            expanded, z_lo, z_hi = True, 2.0 * z_lo, 2.0 * z_hi
+            z_star = solve(s, z_star)
+        r = s * z_star - table[z_star][0]
+        rows.append(RateRow(s, z_star, r, len(table) - done, on_edge(z_star)))
+    _, slopes, overlaps, imag = zip(*(table[z] for z in sorted(table)))
     return RateTable(
         rows=rows,
         variance=var,
         z_bracket=(z_lo, z_hi),
         bracket_expanded=expanded,
-        legendre_evals=len(points),
+        legendre_evals=len(table),
         lambda_imag_max=max(imag),
         slope_monotone=all(a <= b for a, b in zip(slopes, slopes[1:])),
         eigvec_overlap_min=min(overlaps),

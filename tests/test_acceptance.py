@@ -28,7 +28,6 @@ from anosov import (
     match_epsilon,
     rate_function,
     restrict_to_coarse,
-    riemann_integral,
     translate_bound_product,
     ulam_variance,
     variance,
@@ -94,12 +93,12 @@ def _series_sigma2(map_model, kernel, g, grid, terms):
     M0, r = base.M0, base.eigen.right_vector.reshape(grid.n, grid.n)
     density = evaluate_on_fine(r, grid.N).real
     gs = g.sample(*fine_points(grid.N))
-    gc = gs - riemann_integral(gs * density).real
+    gc = gs - np.mean(gs * density).real
     x = restrict_to_coarse(forward_transform(gc * density), grid.n).ravel()
-    acc = riemann_integral(gc * gc * density)
+    acc = np.mean(gc * gc * density)
     for _ in range(terms):
         x = M0.entries @ x
-        acc = acc + 2.0 * riemann_integral(
+        acc = acc + 2.0 * np.mean(
             gc * evaluate_on_fine(x.reshape(grid.n, grid.n), grid.N)
         )
     return complex(acc).real

@@ -6,9 +6,10 @@ outside it (``operators.OperatorAssembler.base_matrix``,
 deletes or renames one of them breaks the benchmark, not the package; these
 tests run traced samples so the suite sees it.  Likewise the benchmark's
 correctness gate (``perfbench/gate.py``) reads named keys of the run
-summaries, so small runs of each task go through its ``extract``, and one
+summaries, so small runs of each task go through its ``extract``, and each
 workload's exact run goes through its ``compare`` against the recorded
-reference, so drift in the eigen arithmetic fails here first.
+reference, so drift in sigma^2, the bump width, the rate table or the Ulam
+density fails here first.
 """
 
 import ast
@@ -124,12 +125,16 @@ def _benchmark_argv(workload):
     return literals["WORKLOADS"][workload] + literals["MAP"]
 
 
-def test_rate_workload_passes_the_benchmark_gate(tmp_path):
-    """The ``rate-fejer-n8`` workload's exact run, checked by the gate's
-    ``compare`` against ``perfbench/reference.json``: no problems."""
-    workload = "rate-fejer-n8"
+@pytest.mark.parametrize(
+    "workload", ["variance-fejer-n32", "variance-bump-n16", "rate-fejer-n8", "ulam-m64"]
+)
+def test_workload_passes_the_benchmark_gate(tmp_path, workload):
+    """Each workload's exact run, checked by the gate's ``compare`` against
+    ``perfbench/reference.json``: every value the reference records is
+    extracted (sigma^2, the bump width, the rate table, the Ulam density's
+    minimum and dump), and none is a problem."""
     assert main([*_benchmark_argv(workload), "--out-dir", str(tmp_path)]) == 0
     gate = _gate()
-    got = gate.extract(workload, str(tmp_path))
-    assert len(got["rows"]) == 19
-    assert gate.compare(workload, got, gate.load_reference()[workload]) == []
+    got, ref = gate.extract(workload, str(tmp_path)), gate.load_reference()[workload]
+    assert sorted(got) == sorted(ref)
+    assert gate.compare(workload, got, ref) == []

@@ -7,8 +7,6 @@ from anosov import (
     evaluate_on_fine,
     forward_transform,
     restrict_to_coarse,
-    riemann_integral,
-    standard_observable,
 )
 from anosov.grids import (
     fine_points,
@@ -114,15 +112,6 @@ def test_round_trip_band_limited(rng):
     c = (rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)).reshape(n, n)
     back = restrict_to_coarse(forward_transform(evaluate_on_fine(c, N)), n)
     assert np.abs(back - c).max() < 1e-13
-
-
-def test_riemann_integral_values():
-    N = 64
-    X1, X2 = fine_points(N)
-    assert riemann_integral(np.ones((N, N))) == pytest.approx(1.0, abs=1e-15)
-    assert abs(riemann_integral(np.cos(2 * np.pi * X1))) < 1e-15
-    g = standard_observable().sample(X1, X2)
-    assert riemann_integral(g * g) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_parseval_fine_scale(rng):

@@ -238,6 +238,17 @@ def test_match_epsilon_empty_scan_has_no_root():
         match_epsilon(GridSpec(8, 32))
 
 
+@pytest.mark.parametrize("n, N", [(8, 32), (4, 16)])
+def test_match_epsilon_empty_scan_claims_no_best_coefficient(n, N):
+    """An empty scan computed no min |q_hat|, so the refusal reports none:
+    it says that no width was scanned, and where the scan would start."""
+    with pytest.raises(NoRootError) as err:
+        match_epsilon(GridSpec(n, N))
+    msg = str(err.value)
+    assert "no bump width is scanned" in msg and f"n = {n}, N = {N}" in msg
+    assert "best min |q_hat|" not in msg and "short by" not in msg
+
+
 def test_match_epsilon_scans_in_one_window_buffer():
     """The scan and the bisection write every window into one buffer sized
     for the largest group: the traced peak stays near that one window, where

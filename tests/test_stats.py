@@ -20,7 +20,6 @@ from anosov import (
     leading_eigenpair,
     rate_function,
     restrict_to_coarse,
-    riemann_integral,
     standard_observable,
     ulam_variance,
     variance,
@@ -151,7 +150,7 @@ def test_srb_density_deterministic(perturbed_map, fejer, std_g, small_grid):
     a = _density(baseline(perturbed_map, fejer, std_g, small_grid))
     b = _density(baseline(perturbed_map, fejer, std_g, small_grid))
     assert np.array_equal(a, b)
-    assert riemann_integral(a) == pytest.approx(1.0, abs=1e-10)
+    assert np.mean(a) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_centered_observable_linear_map(linear_cat, fejer, std_g):
@@ -183,12 +182,12 @@ def test_variance_agrees_with_green_kubo_series(perturbed_map, fejer, std_g):
     # independent truncated-series oracle
     M0, density = base.M0, _density(base)
     gs = std_g.sample(*fine_points(grid.N))
-    gc = gs - riemann_integral(gs * density).real
+    gc = gs - np.mean(gs * density).real
     x = restrict_to_coarse(forward_transform(gc * density), grid.n).ravel()
-    acc = riemann_integral(gc * gc * density)
+    acc = np.mean(gc * gc * density)
     for _ in range(60):
         x = M0.entries @ x
-        acc = acc + 2.0 * riemann_integral(
+        acc = acc + 2.0 * np.mean(
             gc * evaluate_on_fine(x.reshape(grid.n, grid.n), grid.N)
         )
     assert abs(res.sigma2 - acc.real) < 1e-6
@@ -433,6 +432,34 @@ def test_arnoldi_reruns_are_bitwise_equal(perturbed_map, std_g):
     for apply in (M.entries.__matmul__, M.adjoint):
         (a_lam, a), (b_lam, b) = (stats_mod._arnoldi_leading(apply, stats_mod._zero_mode(16)) for _ in "ab")
         assert a_lam == b_lam and np.array_equal(a, b)
+
+
+def test_arnoldi_restarts_from_the_ritz_vector(perturbed_map, fejer, std_g, monkeypatch):
+    """A full basis restarts the iteration from the Ritz vector.  The package's
+    runs converge within the first 40 applies, so a basis of 6, first checked
+    at 4 (below the basis, so a restart starts from a checked Ritz vector, not
+    e_0), forces restarts on a twisted n = 8 operator: right and left vectors
+    take more applies than one basis holds, and agree with the full-basis
+    solve to 1e-12, zero-mode normalised; reruns are bitwise equal."""
+    import anosov.stats as stats_mod
+
+    M = assemble(perturbed_map, fejer, std_g, 0.7, GridSpec(8, 64))
+    izero, applies = freq_index(0, 0, 8), (M.entries.__matmul__, M.adjoint)
+
+    def solve(apply):
+        counting, calls = _counted(apply)
+        lam, v = stats_mod._arnoldi_leading(counting, stats_mod._zero_mode(8))
+        return lam, v / v[izero], calls[0]
+
+    full = [solve(apply) for apply in applies]
+    monkeypatch.setattr(stats_mod, "_ARNOLDI_FIRST", 4)
+    monkeypatch.setattr(stats_mod, "_ARNOLDI_BASIS", 6)
+    for apply, (full_lam, full_v, _) in zip(applies, full):
+        (lam, v, calls), (b_lam, b, _) = solve(apply), solve(apply)
+        assert calls > 6
+        assert abs(lam - full_lam) <= 1e-12 * abs(full_lam)
+        assert np.abs(v - full_v).max() <= 1e-12 * np.abs(full_v).max()
+        assert lam == b_lam and np.array_equal(v, b)
 
 
 def _hessenberg_with(rng, lam, upper):
@@ -777,8 +804,8 @@ def test_newton_rate_at_an_eigenvalue_crossing(perturbed_map, std_g):
 
 
 def _legendre_points(map_model, kernel, g, grid):
-    """z -> (Lambda, Lambda', eigenvector overlap) at twist z, for g centered
-    against the baseline as rate_function centers it."""
+    """z -> (Lambda, Lambda', eigenvector overlap, |Im lambda| / |lambda|) at
+    twist z, for g centered against the baseline as rate_function centers it."""
     plan = baseline(map_model, kernel, g, grid).plan
 
     def point(z):
@@ -843,7 +870,7 @@ def test_eigenvector_overlap_vanishes_at_the_kink(perturbed_map, std_g):
     kink = _kink(perturbed_map, kernel, std_g, grid)
     # the spacing of floats is constant on [2, 4), so these are consecutive
     near = [point(z) for z in kink + np.spacing(kink) * np.arange(-16, 17)]
-    assert any(overlap < 1e-12 and abs(slope) > 1e9 for _, slope, overlap in near)
+    assert any(overlap < 1e-12 and abs(slope) > 1e9 for _, slope, overlap, _ in near)
     for z in (0.0, 1.0, 3.0, 3.1, kink - 1e-12, kink + 1e-12):
         assert point(z)[2] > 0.02, z
     fejer = _legendre_points(perturbed_map, FejerKernel(), std_g, grid)
@@ -906,8 +933,9 @@ def test_hellmann_feynman_slope_matches_central_difference(perturbed_map, fejer,
     for z in (-0.5, 0.0, 0.3, 1.0, 3.0):
         M = assemble(perturbed_map, fejer, gc, z, grid)
         dM = base.plan.operator(z, derivative=True)
-        log_lam, slope, _ = _legendre_point(M, leading_eigenpair(M), dM)
-        assert log_lam == math.log(abs(leading_eigenpair(M).lam))
+        log_lam, slope, _, imag = _legendre_point(M, leading_eigenpair(M), dM)
+        lam = leading_eigenpair(M).lam
+        assert log_lam == math.log(abs(lam)) and imag == abs(lam.imag) / abs(lam)
         lo, hi = lambda_curve(base, [z - h, z + h])
         central = (np.log(abs(hi)) - np.log(abs(lo))) / (2 * h)
         assert abs(slope - central) <= 1e-8, z
@@ -958,12 +986,12 @@ def _fine_grid_oracle(base, g):
     n, N = base.M0.n, base.M0.grid.N
     density = _density(base)
     gs = np.asarray(g.sample(*fine_points(N)), dtype=float)
-    shift = float(riemann_integral(gs * density).real)
+    shift = float(np.mean(gs * density).real)
     gc = gs - shift
     x = restrict_to_coarse(forward_transform(gc * density), n).ravel()
     w = _deflated_solve(base.M0, x)[0]
     w_spatial = evaluate_on_fine(w.reshape(n, n), N)
-    sigma2 = complex(riemann_integral(gc * gc * density + 2.0 * gc * w_spatial)).real
+    sigma2 = complex(np.mean(gc * gc * density + 2.0 * gc * w_spatial)).real
     return sigma2, shift
 
 
